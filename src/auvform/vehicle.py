@@ -25,6 +25,18 @@ PITCH_SINGULARITY_TOL = 1e-6
 POS = slice(0, 3)
 ANG = slice(3, 6)
 
+# Operands of the cross products a1 x nu2, a1 x nu1 and a2 x nu2 in
+# w = [a1, a2, nu1, nu2], laid out for (a x b)_i = a_{i+1} b_{i+2} - a_{i+2} b_{i+1}
+# as four 9-blocks: a at i+1, b at i+2, a at i+2, b at i+1.
+_NEXT = np.array([1, 2, 0])
+_AFTER = np.array([2, 0, 1])
+_A_AT = np.array([[0], [0], [3]])
+_B_AT = np.array([[9], [6], [9]])
+_CROSS_OPERANDS = np.concatenate(
+    [(_A_AT + _NEXT).ravel(), (_B_AT + _AFTER).ravel(),
+     (_A_AT + _AFTER).ravel(), (_B_AT + _NEXT).ravel()]
+)
+
 
 class SingularityError(ValueError):
     """Pitch too close to +-pi/2: the Euler-rate transform is not invertible."""
@@ -34,14 +46,6 @@ def wrap_angle(a):
     """Wrap angles to (-pi, pi]."""
     w = (np.asarray(a) + np.pi) % (2.0 * np.pi) - np.pi
     return np.where(w == -np.pi, np.pi, w)
-
-
-def _cross3(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    out = np.empty(np.broadcast_shapes(a.shape, b.shape))
-    out[..., 0] = a[..., 1] * b[..., 2] - a[..., 2] * b[..., 1]
-    out[..., 1] = a[..., 2] * b[..., 0] - a[..., 0] * b[..., 2]
-    out[..., 2] = a[..., 0] * b[..., 1] - a[..., 1] * b[..., 0]
-    return out
 
 
 def skew(v: np.ndarray) -> np.ndarray:
@@ -247,56 +251,78 @@ class RigidBodyParams:
         out[..., 3:, 3:] = -s2
         return out
 
+    @cached_property
+    def _inertia_blocks_t(self) -> tuple[np.ndarray, ...]:
+        """Transposed 3x3 inertia blocks (M11, M12, M21, M22)^T, as views."""
+        m = self.inertia
+        return (m[:3, :3].T, m[:3, 3:].T, m[3:, :3].T, m[3:, 3:].T)
+
     def coriolis_force(self, nu: np.ndarray) -> np.ndarray:
         """C(q) @ q via cross products, avoiding the matrix build."""
         nu = np.asarray(nu, dtype=float)
         nu1 = nu[..., POS]
         nu2 = nu[..., ANG]
-        m = self.inertia
-        a1 = nu1 @ m[:3, :3].T + nu2 @ m[:3, 3:].T
-        a2 = nu1 @ m[3:, :3].T + nu2 @ m[3:, 3:].T
+        m11_t, m12_t, m21_t, m22_t = self._inertia_blocks_t
+        w = np.empty(nu.shape[:-1] + (12,))
+        np.add(nu1 @ m11_t, nu2 @ m12_t, out=w[..., 0:3])  # a1
+        np.add(nu1 @ m21_t, nu2 @ m22_t, out=w[..., 3:6])  # a2
+        w[..., 6:] = nu
+        g = w[..., _CROSS_OPERANDS]
+        cross = g[..., 0:9] * g[..., 9:18] - g[..., 18:27] * g[..., 27:36]
         # [-S(a1) nu2 ; -S(a1) nu1 - S(a2) nu2], S(a) x = a cross x
-        out = np.empty_like(nu)
-        out[..., POS] = -_cross3(a1, nu2)
-        out[..., ANG] = -_cross3(a1, nu1) - _cross3(a2, nu2)
+        out = -cross[..., :6]
+        out[..., ANG] -= cross[..., 6:]
         return out
 
-    def restoring(self, eta2: np.ndarray) -> np.ndarray:
-        """Gravity/buoyancy vector g(e) in the body frame (left-hand side sign)."""
+    def restoring(self, eta2: np.ndarray, trig: tuple | None = None) -> np.ndarray:
+        """Gravity/buoyancy vector g(e) in the body frame (left-hand side sign).
+
+        trig may carry euler_trig(eta2) already computed for the pose.
+        """
         eta2 = np.asarray(eta2, dtype=float)
-        phi = eta2[..., 0]
-        theta = eta2[..., 1]
-        up_body = np.stack(
-            [
-                -np.sin(theta),
-                np.cos(theta) * np.sin(phi),
-                np.cos(theta) * np.cos(phi),
-            ],
-            axis=-1,
-        )
-        g = np.zeros(eta2.shape[:-1] + (6,))
-        g[..., 3] = self.restoring_gain * np.cos(theta) * np.sin(phi)
-        g[..., 4] = self.restoring_gain * np.sin(theta)
-        g[..., POS] = -self.buoyancy_net * up_body
+        cphi, sphi, cth, sth = (trig if trig is not None else euler_trig(eta2))[:4]
+        # g[POS] = -buoyancy_net * up_body, up_body = [-sth, cth sphi, cth cphi]
+        g = np.empty(eta2.shape[:-1] + (6,))
+        nb = -self.buoyancy_net
+        np.multiply(nb, -sth, out=g[..., 0])
+        np.multiply(nb, cth * sphi, out=g[..., 1])
+        np.multiply(nb, cth * cphi, out=g[..., 2])
+        np.multiply(self.restoring_gain * cth, sphi, out=g[..., 3])
+        np.multiply(self.restoring_gain, sth, out=g[..., 4])
+        g[..., 5] = 0.0
         return g
 
 
-def rotation_body_to_inertial(eta2: np.ndarray) -> np.ndarray:
+def euler_trig(eta2: np.ndarray) -> tuple[np.ndarray, ...]:
+    """(cos phi, sin phi, cos theta, sin theta, cos psi, sin psi), batched.
+
+    The pose functions below accept this tuple as `trig` so that one
+    evaluation serves every transform built at the same pose.
+    """
+    eta2 = np.asarray(eta2, dtype=float)
+    phi, theta, psi = eta2[..., 0], eta2[..., 1], eta2[..., 2]
+    return (
+        np.cos(phi), np.sin(phi), np.cos(theta), np.sin(theta), np.cos(psi), np.sin(psi)
+    )
+
+
+def rotation_body_to_inertial(eta2: np.ndarray, trig: tuple | None = None) -> np.ndarray:
     """ZYX rotation matrix taking body-frame vectors to the inertial frame."""
     eta2 = np.asarray(eta2, dtype=float)
-    cphi, sphi = np.cos(eta2[..., 0]), np.sin(eta2[..., 0])
-    cth, sth = np.cos(eta2[..., 1]), np.sin(eta2[..., 1])
-    cpsi, spsi = np.cos(eta2[..., 2]), np.sin(eta2[..., 2])
+    cphi, sphi, cth, sth, cpsi, spsi = trig if trig is not None else euler_trig(eta2)
+    cpsi_sth = cpsi * sth
+    spsi_sth = spsi * sth
     m = np.empty(eta2.shape[:-1] + (3, 3))
-    m[..., 0, 0] = cpsi * cth
-    m[..., 0, 1] = cpsi * sth * sphi - spsi * cphi
-    m[..., 0, 2] = cpsi * sth * cphi + spsi * sphi
-    m[..., 1, 0] = spsi * cth
-    m[..., 1, 1] = spsi * sth * sphi + cpsi * cphi
-    m[..., 1, 2] = spsi * sth * cphi - cpsi * sphi
-    m[..., 2, 0] = -sth
-    m[..., 2, 1] = cth * sphi
-    m[..., 2, 2] = cth * cphi
+    # each entry is written by its last ufunc (out=), saving a copy per entry
+    np.multiply(cpsi, cth, out=m[..., 0, 0])
+    np.subtract(cpsi_sth * sphi, spsi * cphi, out=m[..., 0, 1])
+    np.add(cpsi_sth * cphi, spsi * sphi, out=m[..., 0, 2])
+    np.multiply(spsi, cth, out=m[..., 1, 0])
+    np.add(spsi_sth * sphi, cpsi * cphi, out=m[..., 1, 1])
+    np.subtract(spsi_sth * cphi, cpsi * sphi, out=m[..., 1, 2])
+    np.negative(sth, out=m[..., 2, 0])
+    np.multiply(cth, sphi, out=m[..., 2, 1])
+    np.multiply(cth, cphi, out=m[..., 2, 2])
     return m
 
 
@@ -315,20 +341,19 @@ def euler_rate_to_body(eta2: np.ndarray) -> np.ndarray:
     return m
 
 
-def body_rate_to_euler(eta2: np.ndarray) -> np.ndarray:
+def body_rate_to_euler(eta2: np.ndarray, trig: tuple | None = None) -> np.ndarray:
     """Inverse of euler_rate_to_body: eta2_dot = T^-1 @ nu2."""
     eta2 = np.asarray(eta2, dtype=float)
-    cphi, sphi = np.cos(eta2[..., 0]), np.sin(eta2[..., 0])
-    cth, sth = np.cos(eta2[..., 1]), np.sin(eta2[..., 1])
+    cphi, sphi, cth, sth = (trig if trig is not None else euler_trig(eta2))[:4]
     tth = sth / cth
     m = np.zeros(eta2.shape[:-1] + (3, 3))
     m[..., 0, 0] = 1.0
-    m[..., 0, 1] = sphi * tth
-    m[..., 0, 2] = cphi * tth
+    np.multiply(sphi, tth, out=m[..., 0, 1])
+    np.multiply(cphi, tth, out=m[..., 0, 2])
     m[..., 1, 1] = cphi
-    m[..., 1, 2] = -sphi
-    m[..., 2, 1] = sphi / cth
-    m[..., 2, 2] = cphi / cth
+    np.negative(sphi, out=m[..., 1, 2])
+    np.divide(sphi, cth, out=m[..., 2, 1])
+    np.divide(cphi, cth, out=m[..., 2, 2])
     return m
 
 
@@ -403,15 +428,19 @@ def acceleration_body(
     tau: np.ndarray,
     tau_c: np.ndarray,
     params: RigidBodyParams,
+    trig: tuple | None = None,
 ) -> np.ndarray:
-    """Body-frame acceleration q_dot = M^-1 (tau - tau_c - C q - D q - g), batched."""
+    """Body-frame acceleration q_dot = M^-1 (tau - tau_c - C q - D q - g), batched.
+
+    trig may carry euler_trig of the pose angles, passed on to the restoring term.
+    """
     nu = np.asarray(nu, dtype=float)
     rhs = (
         np.asarray(tau, dtype=float)
         - np.asarray(tau_c, dtype=float)
         - params.coriolis_force(nu)
         - params.damping_force(nu)
-        - params.restoring(np.asarray(eta, dtype=float)[..., ANG])
+        - params.restoring(np.asarray(eta, dtype=float)[..., ANG], trig)
     )
     return rhs @ params.inertia_inv.T
 

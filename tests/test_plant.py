@@ -1,0 +1,294 @@
+"""Byte-exactness of the fused plant derivative.
+
+plant_derivative evaluates the pose trig once and shares R and T^-1 across
+the kinematics, the disturbance wrench and tau_c = J^T d_o.  The reference
+below is the unfused form: every transform rebuilt from the angles, the flow
+sampled through np.stack/np.clip/np.linalg.norm, the Coriolis term through
+per-product cross products.  Both must give the same bytes, signed zeros
+included, because the SimLog digest is taken over them.
+"""
+
+import numpy as np
+import pytest
+
+from auvform.engine import FlowConfig
+from auvform.flow import RAW_SPEED_MAX, DisturbanceModel, FlowParams, LayeredField
+from auvform.plant import advance_plant, plant_derivative
+from auvform.vehicle import PITCH_SINGULARITY_TOL, RigidBodyParams
+
+# --- reference: the unfused arithmetic -------------------------------------
+
+
+def ref_rotation(eta2):
+    cphi, sphi = np.cos(eta2[..., 0]), np.sin(eta2[..., 0])
+    cth, sth = np.cos(eta2[..., 1]), np.sin(eta2[..., 1])
+    cpsi, spsi = np.cos(eta2[..., 2]), np.sin(eta2[..., 2])
+    m = np.empty(eta2.shape[:-1] + (3, 3))
+    m[..., 0, 0] = cpsi * cth
+    m[..., 0, 1] = cpsi * sth * sphi - spsi * cphi
+    m[..., 0, 2] = cpsi * sth * cphi + spsi * sphi
+    m[..., 1, 0] = spsi * cth
+    m[..., 1, 1] = spsi * sth * sphi + cpsi * cphi
+    m[..., 1, 2] = spsi * sth * cphi - cpsi * sphi
+    m[..., 2, 0] = -sth
+    m[..., 2, 1] = cth * sphi
+    m[..., 2, 2] = cth * cphi
+    return m
+
+
+def ref_body_rate_to_euler(eta2):
+    cphi, sphi = np.cos(eta2[..., 0]), np.sin(eta2[..., 0])
+    cth, sth = np.cos(eta2[..., 1]), np.sin(eta2[..., 1])
+    tth = sth / cth
+    m = np.zeros(eta2.shape[:-1] + (3, 3))
+    m[..., 0, 0] = 1.0
+    m[..., 0, 1] = sphi * tth
+    m[..., 0, 2] = cphi * tth
+    m[..., 1, 1] = cphi
+    m[..., 1, 2] = -sphi
+    m[..., 2, 1] = sphi / cth
+    m[..., 2, 2] = cphi / cth
+    return m
+
+
+def ref_cross(a, b):
+    out = np.empty(np.broadcast_shapes(a.shape, b.shape))
+    out[..., 0] = a[..., 1] * b[..., 2] - a[..., 2] * b[..., 1]
+    out[..., 1] = a[..., 2] * b[..., 0] - a[..., 0] * b[..., 2]
+    out[..., 2] = a[..., 0] * b[..., 1] - a[..., 1] * b[..., 0]
+    return out
+
+
+def ref_acceleration(eta, nu, tau, tau_c, p: RigidBodyParams):
+    nu1, nu2 = nu[..., :3], nu[..., 3:]
+    m = p.inertia
+    a1 = nu1 @ m[:3, :3].T + nu2 @ m[:3, 3:].T
+    a2 = nu1 @ m[3:, :3].T + nu2 @ m[3:, 3:].T
+    cor = np.empty_like(nu)
+    cor[..., :3] = -ref_cross(a1, nu2)
+    cor[..., 3:] = -ref_cross(a1, nu1) - ref_cross(a2, nu2)
+    damp = (p.d_linear + p.d_quad * np.abs(nu)) * nu
+    phi, theta = eta[..., 3], eta[..., 4]
+    up_body = np.stack(
+        [-np.sin(theta), np.cos(theta) * np.sin(phi), np.cos(theta) * np.cos(phi)],
+        axis=-1,
+    )
+    g = np.zeros(eta.shape[:-1] + (6,))
+    g[..., 3] = p.restoring_gain * np.cos(theta) * np.sin(phi)
+    g[..., 4] = p.restoring_gain * np.sin(theta)
+    g[..., :3] = -p.buoyancy_net * up_body
+    rhs = tau - tau_c - cor - damp - g
+    return rhs @ np.linalg.inv(p.inertia).T
+
+
+def ref_flow_velocity(x, y, t, p: FlowParams):
+    b = p.b0 + p.e_amp * np.cos(p.omega * np.asarray(t, dtype=float) + p.theta0)
+    phase = p.k * (x - p.c * np.asarray(t, dtype=float))
+    num = y - b * np.cos(phase)
+    den = np.sqrt(1.0 + p.k**2 * b**2 * np.sin(phase) ** 2)
+    f = num / den
+    sech2 = 1.0 / np.cosh(f) ** 2
+    dnum_dx = b * p.k * np.sin(phase)
+    dden_dx = p.k**3 * b**2 * np.sin(phase) * np.cos(phase) / den
+    df_dx = (dnum_dx * den - num * dden_dx) / den**2
+    return sech2 / den, -sech2 * df_dx
+
+
+def ref_layered_velocity(x, y, z, t, f: LayeredField, p: FlowParams):
+    xj = (x - f.jet_origin[0]) / f.jet_scale
+    yj = (y - f.jet_origin[1]) / f.jet_scale
+    u, v = ref_flow_velocity(xj, yj, t, p)
+    depth_frac = (f.z_top - z) / (f.z_top - f.z_bottom)
+    idx = np.clip(np.floor(depth_frac * f.n_layers).astype(int), 0, f.n_layers - 1)
+    idx = np.where((z >= f.z_bottom) & (z <= f.z_top), idx, -1)
+    scales = np.asarray(f.layer_scale + (0.0,), dtype=float)
+    scale = scales[idx] * (f.speed_cap / RAW_SPEED_MAX)
+    inside_xy = (x >= f.xy_min[0]) & (x <= f.xy_max[0]) & (y >= f.xy_min[1]) & (y <= f.xy_max[1])
+    scale = np.where(inside_xy, scale, 0.0)
+    u = u * scale
+    v = v * scale
+    speed = np.hypot(u, v)
+    over = speed > f.speed_cap
+    if np.any(over):
+        shrink = np.where(over, f.speed_cap / np.where(over, speed, 1.0), 1.0)
+        u = u * shrink
+        v = v * shrink
+    return np.stack([u, v, np.zeros_like(u)], axis=-1)
+
+
+def ref_disturbance(flow_vel, eta, nu, model: DisturbanceModel):
+    rot = ref_rotation(eta[..., 3:])
+    v_rel = flow_vel - np.einsum("...ij,...j->...i", rot, nu[..., :3])
+    v_xy = v_rel.copy()
+    v_xy[..., 2] = 0.0
+    mag = np.linalg.norm(v_xy, axis=-1, keepdims=True)
+    force = np.clip(model.drag_gain * mag * v_xy, -model.force_clamp, model.force_clamp)
+    v_body = np.einsum("...ji,...j->...i", rot, v_xy)
+    yaw = np.clip(model.drag_gain_yaw * v_body[..., 1], -model.force_clamp, model.force_clamp)
+    out = np.zeros(np.broadcast_shapes(eta.shape[:-1], flow_vel.shape[:-1]) + (6,))
+    out[..., 0] = force[..., 0]
+    out[..., 1] = force[..., 1]
+    out[..., 5] = yaw
+    return out
+
+
+def ref_derivative(y, t, tau, params, flow: FlowConfig | None):
+    eta, nu = y[..., :6], y[..., 6:]
+    out = np.empty_like(y)
+    out[..., :3] = np.einsum("...ij,...j->...i", ref_rotation(eta[..., 3:]), nu[..., :3])
+    out[..., 3:6] = np.einsum(
+        "...ij,...j->...i", ref_body_rate_to_euler(eta[..., 3:]), nu[..., 3:]
+    )
+    if flow is not None:
+        pos = eta[..., :3]
+        flow_vel = ref_layered_velocity(
+            pos[..., 0], pos[..., 1], pos[..., 2], t, flow.layers, flow.params
+        )
+        d_o = ref_disturbance(flow_vel, eta, nu, flow.disturbance)
+        tau_c = np.empty_like(nu)
+        tau_c[..., :3] = np.einsum("...ji,...j->...i", ref_rotation(eta[..., 3:]), d_o[..., :3])
+        tau_c[..., 3:] = np.einsum(
+            "...ji,...j->...i", ref_body_rate_to_euler(eta[..., 3:]), d_o[..., 3:]
+        )
+    else:
+        tau_c = np.zeros_like(nu)
+    out[..., 6:] = ref_acceleration(eta, nu, tau, tau_c, params)
+    return out
+
+
+def ref_advance(y, t, tau, dt, params, flow):
+    def f(yy, tt):
+        return ref_derivative(yy, tt, tau, params, flow)
+
+    k1 = f(y, t)
+    k2 = f(y + 0.5 * dt * k1, t + 0.5 * dt)
+    k3 = f(y + 0.5 * dt * k2, t + 0.5 * dt)
+    k4 = f(y + dt * k3, t + dt)
+    return y + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+
+
+# --- cases -------------------------------------------------------------------
+
+PARAMS = RigidBodyParams(
+    inertia=np.array(
+        [
+            [30.0, 0.0, 0.0, 0.0, 1.5, 0.0],
+            [0.0, 30.0, 0.0, -1.5, 0.0, 0.4],
+            [0.0, 0.0, 30.0, 0.0, 0.3, 0.0],
+            [0.0, -1.5, 0.0, 1.0, 0.0, 0.0],
+            [1.5, 0.0, 0.3, 0.0, 5.0, 0.0],
+            [0.0, 0.4, 0.0, 0.0, 0.0, 5.0],
+        ]
+    ),
+    buoyancy_net=2.5,
+    mismatch_factor=0.9,
+)
+FLOWS = {
+    "default": FlowConfig(),
+    # surface layer scaled past the cap: the over-cap shrink branch runs
+    "capped": FlowConfig(
+        layers=LayeredField(n_layers=4, z_bottom=-16.0, layer_scale=(3.0, 2.0, 1.0, 0.5),
+                            speed_cap=0.2)
+    ),
+    "off": None,
+}
+POLE = np.pi / 2 - PITCH_SINGULARITY_TOL
+
+
+def states(n_rows: int, seed: int) -> np.ndarray:
+    """Rows inside and outside the flow volume, on its edges, at rest, near the pole."""
+    rng = np.random.default_rng(seed)
+    y = np.empty((n_rows, 12))
+    y[:, 0] = rng.uniform(-10.0, 90.0, n_rows)
+    y[:, 1] = rng.uniform(-10.0, 90.0, n_rows)
+    y[:, 2] = rng.uniform(-24.0, 4.0, n_rows)
+    y[:, 3] = rng.uniform(-0.6, 0.6, n_rows)
+    y[:, 4] = rng.uniform(-1.2, 1.2, n_rows)
+    y[:, 5] = rng.uniform(-np.pi, np.pi, n_rows)
+    y[:, 6:] = rng.normal(0.0, 0.8, (n_rows, 6))
+    edges = [
+        # (x, y, z): workspace corners and faces, z_top, z_bottom, layer edges
+        # (row 2, the first signed-zero row, sits above the water: no flow)
+        (0.0, 0.0, 0.0), (80.0, 80.0, -20.0), (40.0, 52.0, 0.5), (40.0, 52.0, -8.0),
+        (40.0, 52.0, -12.0), (40.0, 52.0, -16.0), (-1e-9, 40.0, -5.0), (40.0, 80.5, -5.0),
+        (40.0, 52.0, -4.0), (40.0, 52.0, -20.0 / 3.0), (40.0, 52.0, -40.0 / 3.0),
+        (30.0, 50.0, -25.0),
+    ]
+    for i, (px, py, pz) in enumerate(edges[: n_rows]):
+        y[i, :3] = (px, py, pz)
+    for i in range(n_rows):
+        kind = i % 6
+        if kind == 1:
+            y[i, 6:] = 0.0  # at rest
+        elif kind == 2:
+            y[i, 3:] = -0.0  # signed zeros in the pose and the velocity
+        elif kind == 3:
+            y[i, 4] = (POLE - rng.uniform(0.0, 1e-3)) * rng.choice([-1.0, 1.0])
+    return y
+
+
+def wrench(n_rows: int, seed: int) -> np.ndarray:
+    """Random body wrenches; zero on every third row and on the signed-zero rows."""
+    tau = np.random.default_rng(seed + 1).normal(0.0, 20.0, (n_rows, 6))
+    tau[::3] = 0.0
+    tau[2::6] = -0.0
+    return tau
+
+
+SHAPES = [(12,), (3, 12), (36, 12)]
+
+
+def cases(shape, seed):
+    """(y, tau) pairs of the given shape; a single vehicle takes each row in turn."""
+    rows = shape[0] if len(shape) == 2 else 12
+    y, tau = states(max(rows, 12), seed)[:rows], wrench(rows, seed)
+    if len(shape) == 2:
+        return [(y, tau)]
+    return list(zip(y, tau))
+
+
+def assert_same_bytes(got: np.ndarray, want: np.ndarray) -> None:
+    assert got.shape == want.shape and got.dtype == want.dtype
+    assert got.tobytes() == want.tobytes(), np.max(np.abs(got - want))
+
+
+def flow_args(flow):
+    return (flow.sampler(), flow.disturbance) if flow is not None else (None, None)
+
+
+@pytest.mark.parametrize("flow_name", list(FLOWS))
+@pytest.mark.parametrize("shape", SHAPES, ids=lambda s: "x".join(map(str, s)))
+def test_derivative_bytes_match_unfused_reference(shape, flow_name):
+    flow = FLOWS[flow_name]
+    for seed in range(3):
+        for y, tau in cases(shape, seed):
+            for t in (0.0, 7.3, 41.25):
+                got = plant_derivative(y, t, tau, PARAMS, *flow_args(flow))
+                assert_same_bytes(got, ref_derivative(y, t, tau, PARAMS, flow))
+
+
+@pytest.mark.parametrize("flow_name", list(FLOWS))
+@pytest.mark.parametrize("shape", SHAPES, ids=lambda s: "x".join(map(str, s)))
+def test_advance_bytes_match_unfused_reference(shape, flow_name):
+    flow = FLOWS[flow_name]
+    for y, tau in cases(shape, 11):
+        for _ in range(3):
+            got = advance_plant(y, 2.0, tau, 0.01, PARAMS, *flow_args(flow))
+            assert_same_bytes(got, ref_advance(y, 2.0, tau, 0.01, PARAMS, flow))
+            y = got
+
+
+def test_cases_reach_every_branch():
+    y = states(36, 0)
+    capped = FLOWS["capped"]
+    flow_vel = capped.sampler()(y[:, :3], 7.3)
+    speed = np.hypot(flow_vel[:, 0], flow_vel[:, 1])
+    # some rows shrink to the cap, some lie outside the flow volume
+    assert np.any(np.isclose(speed, capped.layers.speed_cap, rtol=1e-12, atol=0.0))
+    assert np.any(speed == 0.0)
+    # near-pole pitch, rows at rest, and drag at its clamp
+    assert np.any(np.abs(y[:, 4]) > POLE - 1e-3)
+    assert np.any(np.all(y[:, 6:] == 0.0, axis=1))
+    model = FLOWS["default"].disturbance
+    d_o = ref_disturbance(FlowConfig().sampler()(y[:, :3], 7.3), y[:, :6], y[:, 6:], model)
+    assert np.any(np.abs(d_o) == model.force_clamp)

@@ -210,6 +210,16 @@ def test_cli_validate_and_run(tmp_path):
     assert (out / "timeseries.csv").exists()
 
 
+@pytest.mark.parametrize("verb", ["run", "compare"])
+@pytest.mark.parametrize("dt", ["-1", "0"])
+def test_cli_bad_dt_override_is_a_scenario_error(tmp_path, capsys, verb, dt):
+    path = write(tmp_path, quick_scenario_yaml(duration=0.5))
+    out = tmp_path / "results"
+    assert cli_main([verb, str(path), "-o", str(out), "--dt", dt]) == 1
+    assert capsys.readouterr().err.strip() == "scenario error: dt must be positive"
+    assert not out.exists()
+
+
 def test_cli_validation_error_exit_code(tmp_path):
     path = write(tmp_path, MINIMAL + "\ncontroller: {rho: 0.6}\n")
     assert cli_main(["validate", str(path)]) == 1

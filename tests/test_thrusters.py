@@ -140,3 +140,55 @@ def test_wrench5_body_round_trip():
     tau6 = wrench5_to_body(tau5)
     assert tau6[3] == 0.0  # roll never actuated
     np.testing.assert_allclose(body_to_wrench5(tau6), tau5)
+
+
+def reference_allocate(tau, cfg):
+    """Allocation with the TCM and its pseudo-inverses rebuilt on every call."""
+    b = build_tcm(cfg)
+    u = np.linalg.pinv(b) @ tau
+    sat = np.abs(u) > cfg.u_limit
+    if np.any(sat):
+        u = np.clip(u, -cfg.u_limit, cfg.u_limit)
+        free = ~sat
+        if np.any(free):
+            u[free] = np.linalg.pinv(b[:, free]) @ (tau - b[:, sat] @ u[sat])
+            u = np.clip(u, -cfg.u_limit, cfg.u_limit)
+    return u, b @ u - tau
+
+
+@pytest.mark.parametrize(
+    "cfg",
+    [ThrusterConfig(), ThrusterConfig(t1=0.0, t2=0.0, r1=0.0), ThrusterConfig(t1=-0.0, t2=-0.0, r1=-0.0)],
+    ids=["default", "zero-coefficients", "negative-zero-coefficients"],
+)
+def test_allocate_bytes_match_fresh_pseudo_inverse(cfg):
+    b = build_tcm(cfg)
+    unsaturated = b @ np.array([12.0, -7.5, -20.0])
+    saturated = np.array([100.0, -1.5, 0.5, 10.0, 0.25])
+    # the surge demand saturates some thrusters and leaves others to re-solve
+    first_pass = np.abs(np.linalg.pinv(b) @ saturated) > cfg.u_limit
+    assert first_pass.any() and not first_pass.all()
+    for _ in range(2):  # the second round reads the cached pseudo-inverses
+        u, residual = allocate(unsaturated, cfg)
+        assert u.tobytes() == (np.linalg.pinv(b) @ unsaturated).tobytes()
+        assert residual.tobytes() == (b @ u - unsaturated).tobytes()
+        u, residual = allocate(saturated, cfg)
+        want_u, want_residual = reference_allocate(saturated, cfg)
+        assert u.tobytes() == want_u.tobytes()
+        assert residual.tobytes() == want_residual.tobytes()
+
+
+def test_allocate_follows_config_changes():
+    cfg = ThrusterConfig()
+    tau = np.array([30.0, 5.0, -2.0, 10.0, 1.0])
+    allocate(tau, cfg)
+    cfg.k1 = 0.6
+    cfg.u_limit = 20.0
+    u, residual = allocate(tau, cfg)
+    want_u, want_residual = reference_allocate(tau, cfg)
+    assert u.tobytes() == want_u.tobytes()
+    assert residual.tobytes() == want_residual.tobytes()
+    cfg.k1 = 0.1  # out of range: rejected on every call, never cached
+    for _ in range(2):
+        with pytest.raises(ValueError):
+            allocate(tau, cfg)
