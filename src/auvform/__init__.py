@@ -13,8 +13,6 @@ from .controller import (
     lyapunov_value,
     reference_rate,
     sliding_surface,
-    super_twist_u1,
-    super_twist_u2_step,
     validate_gains,
 )
 from .engine import (
@@ -42,7 +40,6 @@ from .flow import (
     DisturbanceModel,
     FlowParams,
     LayeredField,
-    disturbance_wrench,
     flow_velocity,
     layered_velocity,
     stream_function,
@@ -52,10 +49,9 @@ from .formation import (
     FormationSpec,
     TrajectorySpec,
     follower_reference,
-    formation_error,
     leader_reference,
 )
-from .mpc import MpcConfig, MpcShell, MpcSolution, mpc_cost, mpc_optimize, predict_rollout
+from .mpc import MpcConfig, MpcShell
 from .scenario import (
     ScenarioError,
     parse_scenario,
@@ -63,18 +59,7 @@ from .scenario import (
     scenario_to_dict,
     serialize_scenario,
 )
-from .thrusters import ThrusterConfig, Wrench5, allocate, build_tcm, wrench_from_thrust
-from .vehicle import (
-    InertialDynamicsTerms,
-    JacobianSet,
-    RigidBodyParams,
-    SingularityError,
-    VehicleState,
-    Wrench6,
-    dynamics_body,
-    dynamics_inertial_terms,
-    estimated_dynamics,
-    kinematic_transform,
-)
+from .thrusters import ThrusterConfig, allocate, build_tcm
+from .vehicle import RigidBodyParams
 
 __version__ = "0.1.0"

@@ -6,6 +6,7 @@ Exit codes: 0 success, 1 scenario/validation error, 2 runtime abort.
 from __future__ import annotations
 
 import argparse
+import math
 import sys
 from dataclasses import replace
 from pathlib import Path
@@ -69,7 +70,14 @@ def _cmd_compare(args) -> int:
 
 def _cmd_flow_grid(args) -> int:
     scenario = _load(args)
-    t_samples = [float(v) for v in args.t.split(",")] if args.t else [0.0]
+    try:
+        t_samples = [float(v) for v in args.t.split(",")] if args.t else [0.0]
+        if not all(map(math.isfinite, t_samples)):
+            raise ValueError
+    except ValueError:
+        raise ScenarioError(
+            f"--t must be comma-separated finite times, got {args.t!r}"
+        ) from None
     path = export_flow_grid(
         scenario.flow.params, scenario.flow.layers, t_samples, args.out
     )

@@ -11,10 +11,11 @@ with L a positive diagonal gain.  The applied body wrench is u1 + u2:
     u2 = J^T (f_est - (K + C_e_hat) sigma)               (continuous adaptive)
     f_est_dot = -Gamma sigma                             (adaptation law)
 
-sign(0) is taken as 0 so no bias is injected on the surface.  A classic
-first-order law with a discontinuous switching term is kept as the
-comparison baseline, and the super-twisting integrator form of u2 is
-available as a configuration switch.
+sign(0) is taken as 0 so no bias is injected on the surface.  The
+continuous adaptive u2 replaces the switching term of a classic
+first-order law, which is kept as the comparison baseline.  The stability
+diagnostics (Lyapunov value and the monitored assumption) are evaluated
+here for the engine's log.
 
 All laws are componentwise or small matrix products and broadcast over
 leading axes (one row per vehicle).
@@ -58,13 +59,11 @@ class SurfaceConfig:
 
 @dataclass
 class SuperTwistGains:
-    """Gains of the second-order law plus the convergence-condition constants."""
+    """Gains of the reaching term plus the convergence-condition constants."""
 
     lam: float = 2.1
     rho: float = 0.36
     w_gain: float = 0.3
-    sigma0: float = 0.1
-    u_max: float = 1.0
     phi: float = 0.2
     gamma_big: float = 1.0
     gamma_small: float = 1.0
@@ -110,13 +109,7 @@ class ControllerState:
     """Per-vehicle running controller state, reset at scenario start."""
 
     integral_eps: np.ndarray = field(default_factory=lambda: np.zeros(6))
-    u2_integrator: np.ndarray = field(default_factory=lambda: np.zeros(6))
     adaptive: AdaptiveState = field(default_factory=AdaptiveState)
-
-
-def sgn(x: np.ndarray) -> np.ndarray:
-    """Sign with sign(0) = 0."""
-    return np.sign(x)
 
 
 def sliding_surface(
@@ -178,49 +171,15 @@ def validate_gains(g: SuperTwistGains) -> list[str]:
     return violations
 
 
-def super_twist_u1(sigma: np.ndarray, g: SuperTwistGains) -> np.ndarray:
-    """Continuous fractional-power term, saturated at |sigma| = sigma0."""
-    sigma = np.asarray(sigma, dtype=float)
-    mag = np.minimum(np.abs(sigma), g.sigma0)
-    return -g.lam * mag**g.rho * sgn(sigma)
-
-
-def super_twist_u2_step(
-    state: ControllerState,
-    sigma: np.ndarray,
-    u_current: np.ndarray,
-    g: SuperTwistGains,
-    dt: float,
-) -> np.ndarray:
-    """Euler step of the switching integrator.
-
-    u2_dot = -u where |u| exceeds u_max, else -w_gain sign(sigma),
-    componentwise; the integrator is clamped to u_max + w_gain dt.
-    """
-    if dt <= 0:
-        raise ValueError("dt must be positive")
-    sigma = np.asarray(sigma, dtype=float)
-    u = np.asarray(u_current, dtype=float)
-    rate = np.where(np.abs(u) > g.u_max, -u, -g.w_gain * sgn(sigma))
-    bound = g.u_max + g.w_gain * dt
-    state.u2_integrator = np.clip(state.u2_integrator + rate * dt, -bound, bound)
-    return state.u2_integrator
-
-
 def equivalent_control(
     sigma: np.ndarray,
     f_hat_r: np.ndarray,
     jac_full: np.ndarray,
     g: SuperTwistGains,
-    saturated: bool = False,
 ) -> np.ndarray:
-    """u1: fractional-power reaching term plus model feedforward J^T f_hat_r.
-
-    With saturated=True the reaching term plateaus at |sigma| = sigma0.
-    """
+    """u1: fractional-power reaching term plus model feedforward J^T f_hat_r."""
     sigma = np.asarray(sigma, dtype=float)
-    mag = np.minimum(np.abs(sigma), g.sigma0) if saturated else np.abs(sigma)
-    reach = -g.lam * mag**g.rho * sgn(sigma)
+    reach = -g.lam * np.abs(sigma) ** g.rho * np.sign(sigma)
     ff = np.einsum("...ji,...j->...i", jac_full, np.asarray(f_hat_r, dtype=float))
     return reach + ff
 
@@ -252,44 +211,34 @@ def adaptive_update(
     return adaptive
 
 
+def lyapunov_value(
+    sigma: np.ndarray, w_vec: np.ndarray, m_e: np.ndarray, gamma_pinv: np.ndarray
+) -> np.ndarray:
+    """V = (sigma^T M_e sigma + w^T G^+ w) / 2 per row.
+
+    gamma_pinv is AdaptiveState.gamma_pinv(): axes with zero adaptation gain
+    drop out of the estimate-error term.
+    """
+    return 0.5 * (
+        np.einsum("...i,...ij,...j->...", sigma, m_e, sigma)
+        + np.sum(w_vec**2 * gamma_pinv, axis=-1)
+    )
+
+
 def assumption_holds(
     sigma: np.ndarray,
     w_vec: np.ndarray,
     f_tilde_dot: np.ndarray,
     m_tilde_e: np.ndarray,
     k_gain: np.ndarray,
-    gamma: np.ndarray,
-) -> bool:
-    """Monitored inequality sigma^T (M_tilde_e + K) sigma >= |f_tilde_dot^T G^-1 w|.
-
-    gamma may have zero diagonal entries; those axes use a pseudo-inverse and
-    drop out of the right-hand side.
-    """
-    sigma = np.asarray(sigma, dtype=float)
-    gamma = np.asarray(gamma, dtype=float)
-    ginv = np.zeros_like(gamma)
-    nz = gamma != 0
-    ginv[nz] = 1.0 / gamma[nz]
-    left = sigma @ np.asarray(m_tilde_e, dtype=float) @ sigma + np.sum(
-        np.asarray(k_gain, dtype=float) * sigma**2
+    gamma_pinv: np.ndarray,
+) -> np.ndarray:
+    """Monitored sigma^T (M_tilde_e + K) sigma >= |f_tilde_dot^T G^+ w| per row."""
+    left = np.einsum("...i,...ij,...j->...", sigma, m_tilde_e, sigma) + np.sum(
+        k_gain * sigma**2, axis=-1
     )
-    right = abs(
-        np.sum(np.asarray(f_tilde_dot, dtype=float) * ginv * np.asarray(w_vec, float))
-    )
-    return bool(left >= right)
-
-
-def lyapunov_value(
-    sigma: np.ndarray, w_vec: np.ndarray, m_e: np.ndarray, gamma: np.ndarray
-) -> float:
-    """V = (sigma^T M_e sigma + w^T G^-1 w) / 2, pseudo-inverse on zero gains."""
-    sigma = np.asarray(sigma, dtype=float)
-    w = np.asarray(w_vec, dtype=float)
-    gamma = np.asarray(gamma, dtype=float)
-    ginv = np.zeros_like(gamma)
-    nz = gamma != 0
-    ginv[nz] = 1.0 / gamma[nz]
-    return float(0.5 * (sigma @ np.asarray(m_e, float) @ sigma + np.sum(w * ginv * w)))
+    right = np.abs(np.sum(f_tilde_dot * gamma_pinv * w_vec, axis=-1))
+    return left >= right
 
 
 def first_order_smc(
@@ -302,4 +251,4 @@ def first_order_smc(
     """Comparison baseline: u = J^T f_hat_r - lam sigma - w_gain sign(sigma)."""
     sigma = np.asarray(sigma, dtype=float)
     ff = np.einsum("...ji,...j->...i", jac_full, np.asarray(f_hat_r, dtype=float))
-    return ff - lam * sigma - w_gain * sgn(sigma)
+    return ff - lam * sigma - w_gain * np.sign(sigma)

@@ -23,12 +23,13 @@ from .controller import (
     SurfaceConfig,
     adaptive_control,
     adaptive_update,
+    assumption_holds,
     equivalent_control,
     first_order_smc,
+    lyapunov_value,
     reference_accel,
     reference_rate,
     sliding_surface,
-    super_twist_u2_step,
     validate_gains,
 )
 from .flow import DisturbanceModel, FlowParams, LayeredField, disturbance_force, layered_velocity
@@ -54,6 +55,7 @@ from .vehicle import (
     inertial_matrices,
     jacobian,
     jacobian_inv,
+    reference_dynamics,
     wrap_angle,
 )
 
@@ -72,6 +74,8 @@ class SimulationAbort(RuntimeError):
 class ControllerConfig:
     """Controller variant and gains applied to every vehicle.
 
+    The proposed law (equivalent control plus the continuous adaptive term)
+    runs unless baseline selects the first-order sliding-mode comparison.
     rate_divider > 1 runs the control law every that many integration steps
     and holds the command in between (zero-order hold); controller state
     updates use the slower rate.
@@ -80,8 +84,6 @@ class ControllerConfig:
     surface: SurfaceConfig = field(default_factory=SurfaceConfig)
     gains: SuperTwistGains = field(default_factory=SuperTwistGains)
     adaptive: AdaptiveState = field(default_factory=AdaptiveState)
-    u1_saturated: bool = False
-    u2_mode: str = "adaptive"  # "adaptive" (continuous law) or "supertwist"
     baseline: bool = False
     baseline_lam: float = 2.1
     baseline_w: float | None = None  # None: disturbance clamp when flow is on
@@ -89,8 +91,6 @@ class ControllerConfig:
 
     def validate(self) -> None:
         self.surface.validate()
-        if self.u2_mode not in ("adaptive", "supertwist"):
-            raise ValueError(f"unknown u2_mode {self.u2_mode!r}")
         if self.rate_divider < 1:
             raise ValueError("rate_divider must be at least 1")
         problems = validate_gains(self.gains)
@@ -158,6 +158,8 @@ class Scenario:
             raise ValueError("dt must be positive")
         if self.duration < self.dt:
             raise ValueError("duration must be at least one step")
+        if self.seed < 0:
+            raise ValueError("seed must be nonnegative")
         self.trajectory.validate()
         self.formation.validate()
         self.vehicle.validate()
@@ -270,7 +272,6 @@ class SimRuntime:
         adaptive = scenario.controller.adaptive
         self.cstate = ControllerState(
             integral_eps=np.zeros((n_v, 6)),
-            u2_integrator=np.zeros((n_v, 6)),
             adaptive=AdaptiveState(
                 f_est=np.zeros((n_v, 6)),
                 k_gain=adaptive.k_gain,
@@ -364,31 +365,20 @@ def _control_and_diagnostics(rt: SimRuntime, t: float, tick: bool = True):
     ed_r = reference_rate(ed_d, eps, integral, ctr.surface)
     edd_r = reference_accel(edd_d, eps, deps, ctr.surface)
 
-    m_e_h, c_e_h, d_e_h, g_e_h = inertial_matrices(
-        eta[:, 3:], nu, rt.params, scale=rt.alpha
-    )
-    f_hat_r = (
-        np.einsum("vij,vj->vi", m_e_h, edd_r)
-        + np.einsum("vij,vj->vi", c_e_h, ed_r)
-        + np.einsum("vij,vj->vi", d_e_h, etadot)
-        + g_e_h
-    )
+    mats_h = inertial_matrices(eta[:, 3:], nu, rt.params, scale=rt.alpha)
+    m_e_h, c_e_h, _, _ = mats_h
+    f_hat_r = reference_dynamics(mats_h, edd_r, ed_r, etadot)
+    adaptive = rt.cstate.adaptive
 
     if not tick and rt.held_u is not None:
         u1, u2, u = rt.held_u
-    elif ctr.baseline:
-        u1 = first_order_smc(sigma, f_hat_r, jac, rt.baseline_w, ctr.baseline_lam)
-        u2 = np.zeros_like(u1)
-        u = u1 + u2
-        u[:, 3] = 0.0  # roll is not actuated
     else:
-        u1 = equivalent_control(
-            sigma, f_hat_r, jac, ctr.gains, saturated=ctr.u1_saturated
-        )
-        if ctr.u2_mode == "adaptive":
-            u2 = adaptive_control(sigma, rt.cstate.adaptive, c_e_h, jac)
+        if ctr.baseline:
+            u1 = first_order_smc(sigma, f_hat_r, jac, rt.baseline_w, ctr.baseline_lam)
+            u2 = np.zeros_like(u1)
         else:
-            u2 = rt.cstate.u2_integrator.copy()
+            u1 = equivalent_control(sigma, f_hat_r, jac, ctr.gains)
+            u2 = adaptive_control(sigma, adaptive, c_e_h, jac)
         u = u1 + u2
         u[:, 3] = 0.0  # roll is not actuated
     if tick:
@@ -403,7 +393,7 @@ def _control_and_diagnostics(rt: SimRuntime, t: float, tick: bool = True):
         flow_v = np.zeros((sc.n_vehicles, 3))
         d_o = np.zeros((sc.n_vehicles, 6))
     f_tilde = (1.0 - rt.alpha) * f_r_true + d_o
-    w_vec = rt.cstate.adaptive.f_est - f_tilde
+    w_vec = adaptive.f_est - f_tilde
     if rt.prev_f_tilde is None:
         f_tilde_dot = np.zeros_like(f_tilde)
     else:
@@ -412,16 +402,11 @@ def _control_and_diagnostics(rt: SimRuntime, t: float, tick: bool = True):
 
     m_e = m_e_h / rt.alpha
     m_tilde = (1.0 - rt.alpha) * m_e
-    gamma_pinv = rt.cstate.adaptive.gamma_pinv()
-    lyap = 0.5 * (
-        np.einsum("vi,vij,vj->v", sigma, m_e, sigma)
-        + np.sum(w_vec**2 * gamma_pinv, axis=1)
+    gamma_pinv = adaptive.gamma_pinv()
+    lyap = lyapunov_value(sigma, w_vec, m_e, gamma_pinv)
+    assumption = assumption_holds(
+        sigma, w_vec, f_tilde_dot, m_tilde, adaptive.k_gain, gamma_pinv
     )
-    left = np.einsum("vi,vij,vj->v", sigma, m_tilde, sigma) + np.sum(
-        rt.cstate.adaptive.k_gain * sigma**2, axis=1
-    )
-    right = np.abs(np.sum(f_tilde_dot * gamma_pinv * w_vec, axis=1))
-    assumption = left >= right
 
     return {
         "eta": eta.copy(),
@@ -440,7 +425,7 @@ def _control_and_diagnostics(rt: SimRuntime, t: float, tick: bool = True):
         "dist": d_o,
         "lyap": lyap,
         "assumption": assumption,
-        "f_est": rt.cstate.adaptive.f_est.copy(),
+        "f_est": adaptive.f_est.copy(),
     }
 
 
@@ -483,10 +468,6 @@ def step(rt: SimRuntime) -> dict:
     if tick:
         dt_ctrl = sc.dt * sc.controller.rate_divider
         adaptive_update(rt.cstate.adaptive, rec["sigma"], dt_ctrl)
-        if sc.controller.u2_mode == "supertwist" and not sc.controller.baseline:
-            super_twist_u2_step(
-                rt.cstate, rec["sigma"], u, sc.controller.gains, dt_ctrl
-            )
 
     rt.step_index += 1
     return rec

@@ -24,17 +24,13 @@ import numpy as np
 
 from ._numpy_fast import clip as _clip
 from ._numpy_fast import einsum as _einsum
-from .vehicle import (
-    ANG,
-    POS,
-    VehicleState,
-    Wrench6,
-    rotation_body_to_inertial,
-)
+from .vehicle import ANG, POS, rotation_body_to_inertial
 
 # Supremum of the raw jet speed sqrt(U^2 + V^2) with the default parameters,
 # found by dense scan over one joint space/time period (observed 1.013953);
-# rounded up so the scaled surface-layer speed never exceeds the cap.
+# rounded up so the scaled surface-layer speed never exceeds the cap.  It
+# depends only on (b0, e_amp, k), so FlowParams.validate keeps those at
+# their defaults (at b0 = 0.5, k = 2 the supremum is about 1.205).
 RAW_SPEED_MAX = 1.014
 
 
@@ -53,8 +49,13 @@ class FlowParams:
         vals = [self.b0, self.e_amp, self.omega, self.theta0, self.c, self.k]
         if not all(np.isfinite(v) for v in vals):
             raise ValueError("flow parameters must be finite")
-        if self.k == 0:
-            raise ValueError("wavenumber k must be nonzero")
+        normalised = (FlowParams.b0, FlowParams.e_amp, FlowParams.k)
+        if (self.b0, self.e_amp, self.k) != normalised:
+            raise ValueError(
+                f"b0, e_amp and wavenumber must keep their defaults {normalised}: "
+                f"RAW_SPEED_MAX = {RAW_SPEED_MAX} normalises the raw jet speed "
+                "for those values only"
+            )
 
 
 @dataclass
@@ -231,10 +232,3 @@ def disturbance_force(
     out[..., 1] = force[..., 1]
     out[..., 5] = yaw
     return out
-
-
-def disturbance_wrench(
-    flow_vel: np.ndarray, state: VehicleState, model: DisturbanceModel
-) -> Wrench6:
-    """Single-vehicle wrapper around disturbance_force."""
-    return Wrench6(disturbance_force(flow_vel, state.eta, state.nu, model), "inertial")

@@ -183,18 +183,3 @@ def tracking_error(
     )
     deps = np.asarray(etadot, dtype=float) - np.asarray(ed_d, dtype=float)
     return eps, deps
-
-
-def formation_error(states, refs):
-    """Per-vehicle (eps, eps_dot) from aligned state and reference lists.
-
-    states: iterable of (eta, etadot); refs: iterable of (e_d, ed_d).
-    """
-    states = list(states)
-    refs = list(refs)
-    if len(states) != len(refs):
-        raise ValueError("states and refs must be index-aligned")
-    return [
-        tracking_error(eta, etadot, e_d, ed_d)
-        for (eta, etadot), (e_d, ed_d) in zip(states, refs)
-    ]

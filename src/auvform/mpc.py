@@ -29,7 +29,7 @@ import numpy as np
 
 from .flow import DisturbanceModel
 from .plant import FlowSampler, advance_plant
-from .vehicle import RigidBodyParams, VehicleState, jacobian, wrap_angle
+from .vehicle import RigidBodyParams, jacobian, wrap_angle
 
 
 @dataclass
@@ -61,32 +61,6 @@ class MpcConfig:
         return self.n_e + self.n_u
 
 
-@dataclass
-class MpcSolution:
-    """Optimized control sequence, its cost, and whether bounds were met."""
-
-    sequence: np.ndarray
-    cost: float
-    feasible: bool
-
-
-def mpc_cost(
-    predicted: np.ndarray,
-    desired: np.ndarray,
-    controls: np.ndarray,
-    cfg: MpcConfig,
-) -> float:
-    """Tracking-plus-smoothing cost of one control sequence."""
-    predicted = np.asarray(predicted, dtype=float)
-    desired = np.asarray(desired, dtype=float)
-    controls = np.asarray(controls, dtype=float)
-    if predicted.shape[0] != cfg.n_e or desired.shape[0] != cfg.n_e:
-        raise ValueError("predicted/desired sequences must have length n_e")
-    if controls.shape[0] < cfg.horizon:
-        raise ValueError("control sequence must cover n_e + n_u steps")
-    return float(_cost_batch(predicted, desired, _smooth_batch(controls, cfg)))
-
-
 def _cost_batch(
     predicted: np.ndarray, desired: np.ndarray, smooth: np.ndarray
 ) -> np.ndarray:
@@ -95,36 +69,12 @@ def _cost_batch(
 
 
 def _smooth_batch(controls: np.ndarray, cfg: MpcConfig) -> np.ndarray:
+    """sum_k sum_i ||u(k) - u(k+i)||^2 of control sequences (..., H, 6)."""
     smooth = np.zeros(controls.shape[:-2])
     for i in range(1, cfg.n_u + 1):
         diff = controls[..., : cfg.n_e, :] - controls[..., i : cfg.n_e + i, :]
         smooth = smooth + np.sum(diff**2, axis=(-1, -2))
     return smooth
-
-
-def predict_rollout(
-    state: VehicleState,
-    controls: np.ndarray,
-    flow_sampler: FlowSampler | None,
-    params: RigidBodyParams,
-    n_e: int,
-    dt: float = 0.01,
-    t0: float = 0.0,
-    dist_model: DisturbanceModel | None = None,
-) -> np.ndarray:
-    """Predicted inertial rates over n_e steps of the estimated model."""
-    if len(controls) < n_e:
-        raise ValueError("need at least n_e controls")
-    est = params.estimated()
-    y = np.concatenate([state.eta, state.nu])
-    out = np.empty((n_e, 6))
-    for k in range(n_e):
-        y = advance_plant(
-            y, t0 + k * dt, np.asarray(controls[k], dtype=float), dt, est,
-            flow_sampler, dist_model,
-        )
-        out[k] = jacobian(y[3:6]) @ y[6:]
-    return out
 
 
 class MpcShell:
@@ -256,30 +206,3 @@ class MpcShell:
         err[..., 3:] = wrap_angle(err[..., 3:])
         feasible = np.all((err >= cfg.state_lo) & (err <= cfg.state_hi), axis=(-1, -2))
         return cost, feasible
-
-
-def mpc_optimize(
-    state: VehicleState,
-    desired_traj: tuple[np.ndarray, np.ndarray, np.ndarray],
-    smc_nominal: np.ndarray,
-    cfg: MpcConfig,
-    params: RigidBodyParams,
-    dist_model: DisturbanceModel | None = None,
-    flow_sampler: FlowSampler | None = None,
-    dt: float = 0.01,
-    t0: float = 0.0,
-    seed: int = 0,
-) -> MpcSolution:
-    """Single-vehicle solve around a nominal command.
-
-    desired_traj holds the current (e_d, ed_d, edd_d); smc_nominal is the raw
-    command, either one 6-vector or a full (n_e + n_u, 6) sequence.
-    """
-    shell = MpcShell(
-        cfg, params, dist_model, flow_sampler, dt, np.random.default_rng(seed)
-    )
-    smc_nominal = np.asarray(smc_nominal, dtype=float)
-    y0 = np.concatenate([state.eta, state.nu])[None]
-    e_d, ed_d, edd_d = (np.asarray(v, dtype=float)[None] for v in desired_traj)
-    seqs, costs, feas = shell.solve(y0, t0, smc_nominal[None], e_d, ed_d, edd_d)
-    return MpcSolution(seqs[0], float(costs[0]), bool(feas[0]))

@@ -74,16 +74,12 @@ _SCHEMA = {
         "lam": 2.1,
         "rho": 0.36,
         "w_gain": 0.3,
-        "sigma0": 0.1,
-        "u_max": 1.0,
         "phi": 0.2,
         "gamma_big": 1.0,
         "gamma_small": 1.0,
         "adaptive_k": [50.0, 50.0, 50.0, 0.0, 0.0, 0.0],
         "adaptive_gamma": [50.0, 50.0, 100.0, 0.0, 0.0, 0.0],
         "f_est_clamp_n": 40.0,
-        "u1_saturated": False,
-        "u2_mode": "adaptive",
         "baseline": False,
         "baseline_lam": 2.1,
         "baseline_w_n": None,
@@ -236,8 +232,6 @@ def scenario_from_dict(raw: dict) -> Scenario:
         lam=float(ctl["lam"]),
         rho=float(ctl["rho"]),
         w_gain=float(ctl["w_gain"]),
-        sigma0=float(ctl["sigma0"]),
-        u_max=float(ctl["u_max"]),
         phi=float(ctl["phi"]),
         gamma_big=float(ctl["gamma_big"]),
         gamma_small=float(ctl["gamma_small"]),
@@ -256,8 +250,6 @@ def scenario_from_dict(raw: dict) -> Scenario:
             gamma=np.asarray(ctl["adaptive_gamma"], dtype=float),
             f_est_clamp=float(ctl["f_est_clamp_n"]),
         ),
-        u1_saturated=bool(ctl["u1_saturated"]),
-        u2_mode=str(ctl["u2_mode"]),
         baseline=bool(ctl["baseline"]),
         baseline_lam=float(ctl["baseline_lam"]),
         baseline_w=(
@@ -368,7 +360,10 @@ def scenario_from_dict(raw: dict) -> Scenario:
 
 def parse_scenario(path: str | Path) -> Scenario:
     """Load and validate a scenario YAML file."""
-    text = Path(path).read_text(encoding="utf-8")
+    try:
+        text = Path(path).read_text(encoding="utf-8")
+    except OSError as exc:
+        raise ScenarioError(f"cannot read {path}: {exc.strerror or exc}") from exc
     try:
         raw = yaml.safe_load(text)
     except yaml.YAMLError as exc:
@@ -429,16 +424,12 @@ def scenario_to_dict(sc: Scenario) -> dict:
             "lam": sc.controller.gains.lam,
             "rho": sc.controller.gains.rho,
             "w_gain": sc.controller.gains.w_gain,
-            "sigma0": sc.controller.gains.sigma0,
-            "u_max": sc.controller.gains.u_max,
             "phi": sc.controller.gains.phi,
             "gamma_big": sc.controller.gains.gamma_big,
             "gamma_small": sc.controller.gains.gamma_small,
             "adaptive_k": sc.controller.adaptive.k_gain.tolist(),
             "adaptive_gamma": sc.controller.adaptive.gamma.tolist(),
             "f_est_clamp_n": sc.controller.adaptive.f_est_clamp,
-            "u1_saturated": sc.controller.u1_saturated,
-            "u2_mode": sc.controller.u2_mode,
             "baseline": sc.controller.baseline,
             "baseline_lam": sc.controller.baseline_lam,
             "baseline_w_n": sc.controller.baseline_w,

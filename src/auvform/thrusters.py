@@ -67,40 +67,6 @@ class ThrusterConfig:
             raise ValueError("u_limit must be positive")
 
 
-@dataclass
-class Wrench5:
-    """Decoupled control wrench [tau_u, tau_v, tau_r, tau_w, tau_q]."""
-
-    vec: np.ndarray
-
-    def __post_init__(self):
-        self.vec = np.asarray(self.vec, dtype=float)
-        if self.vec.shape != (5,):
-            raise ValueError("Wrench5 needs exactly 5 components")
-        if not np.all(np.isfinite(self.vec)):
-            raise ValueError("Wrench5 components must be finite")
-
-    @property
-    def tau_u(self) -> float:
-        return float(self.vec[0])
-
-    @property
-    def tau_v(self) -> float:
-        return float(self.vec[1])
-
-    @property
-    def tau_r(self) -> float:
-        return float(self.vec[2])
-
-    @property
-    def tau_w(self) -> float:
-        return float(self.vec[3])
-
-    @property
-    def tau_q(self) -> float:
-        return float(self.vec[4])
-
-
 def build_tcm(cfg: ThrusterConfig) -> np.ndarray:
     """5x3 thruster control matrix mapping thruster forces to the wrench."""
     cfg.validate()
@@ -117,14 +83,6 @@ def build_tcm(cfg: ThrusterConfig) -> np.ndarray:
             ],
         ]
     )
-
-
-def wrench_from_thrust(u_t: np.ndarray, cfg: ThrusterConfig) -> Wrench5:
-    """tau = B_t u_t; rejects thrusts beyond the per-thruster limit."""
-    u_t = np.asarray(u_t, dtype=float)
-    if np.any(np.abs(u_t) > cfg.u_limit + 1e-12):
-        raise ValueError("thrust exceeds per-thruster limit")
-    return Wrench5(build_tcm(cfg) @ u_t)
 
 
 _field_values = operator.attrgetter(*(f.name for f in fields(ThrusterConfig)))
@@ -144,7 +102,7 @@ def _solver(cfg: ThrusterConfig) -> tuple[np.ndarray, np.ndarray, dict]:
     return cache[1:]
 
 
-def allocate(tau, cfg: ThrusterConfig) -> tuple[np.ndarray, np.ndarray]:
+def allocate(tau: np.ndarray, cfg: ThrusterConfig) -> tuple[np.ndarray, np.ndarray]:
     """Least-squares thrust allocation with saturation.
 
     Returns (u_t, residual) where residual = B_t u_t - tau reports the
@@ -153,7 +111,7 @@ def allocate(tau, cfg: ThrusterConfig) -> tuple[np.ndarray, np.ndarray]:
     the unsaturated thrusters against what the saturated ones left over.
     The pseudo-inverses are computed once per configuration and free set.
     """
-    tau = tau.vec if isinstance(tau, Wrench5) else np.asarray(tau, dtype=float)
+    tau = np.asarray(tau, dtype=float)
     b, b_pinv, free_pinv = _solver(cfg)
     u = b_pinv @ tau
     lim = cfg.u_limit

@@ -7,9 +7,13 @@ aligned with the inertial frame at zero attitude.  Euler angles are ZYX
 
 Pose e = [x y z phi theta psi] lives in the inertial frame; velocity
 q = [u v w p q r] in the body frame.  The two are related by e_dot = J(e) q.
+Control wrenches tau are body-frame 6-vectors [X Y Z K M N]; the flow
+disturbance d_o is inertial and enters the body dynamics as J^T d_o.
 
-All kinematic/dynamic helpers broadcast over leading axes, so the same code
-serves a single vehicle, a fleet, or a batch of predictive-rollout candidates.
+States and wrenches are plain float arrays with the 6-vector on the last
+axis.  Every helper broadcasts over leading axes, so the one implementation
+serves a single vehicle, the fleet (engine), and a batch of predictive
+rollouts (MPC); the pitch singularity is checked by the caller.
 """
 
 from __future__ import annotations
@@ -38,10 +42,6 @@ _CROSS_OPERANDS = np.concatenate(
 )
 
 
-class SingularityError(ValueError):
-    """Pitch too close to +-pi/2: the Euler-rate transform is not invertible."""
-
-
 def wrap_angle(a):
     """Wrap angles to (-pi, pi]."""
     w = (np.asarray(a) + np.pi) % (2.0 * np.pi) - np.pi
@@ -59,101 +59,6 @@ def skew(v: np.ndarray) -> np.ndarray:
     m[..., 2, 0] = -v[..., 1]
     m[..., 2, 1] = v[..., 0]
     return m
-
-
-@dataclass
-class VehicleState:
-    """Pose and body-frame velocity of one vehicle.
-
-    eta1: inertial position (x, y, z) [m]
-    eta2: Euler angles (phi, theta, psi) [rad], wrapped to (-pi, pi]
-    nu1:  body-frame linear velocity (u, v, w) [m/s]
-    nu2:  body-frame angular velocity (p, q, r) [rad/s]
-    """
-
-    eta1: np.ndarray
-    eta2: np.ndarray
-    nu1: np.ndarray
-    nu2: np.ndarray
-
-    def __post_init__(self):
-        self.eta1 = np.asarray(self.eta1, dtype=float)
-        self.eta2 = np.asarray(self.eta2, dtype=float)
-        self.nu1 = np.asarray(self.nu1, dtype=float)
-        self.nu2 = np.asarray(self.nu2, dtype=float)
-
-    @classmethod
-    def from_vectors(cls, eta: np.ndarray, nu: np.ndarray) -> "VehicleState":
-        eta = np.asarray(eta, dtype=float)
-        nu = np.asarray(nu, dtype=float)
-        return cls(eta[POS].copy(), eta[ANG].copy(), nu[POS].copy(), nu[ANG].copy())
-
-    @property
-    def eta(self) -> np.ndarray:
-        return np.concatenate([self.eta1, self.eta2])
-
-    @property
-    def nu(self) -> np.ndarray:
-        return np.concatenate([self.nu1, self.nu2])
-
-    def validate(self) -> None:
-        if not (np.all(np.isfinite(self.eta)) and np.all(np.isfinite(self.nu))):
-            raise ValueError("vehicle state contains non-finite components")
-        if abs(self.eta2[1]) >= np.pi / 2 - PITCH_SINGULARITY_TOL:
-            raise SingularityError(
-                f"pitch {self.eta2[1]:.6f} rad within tolerance of +-pi/2"
-            )
-
-
-@dataclass(frozen=True)
-class JacobianSet:
-    """Velocity transforms at one pose.
-
-    rot:  3x3 rotation mapping inertial linear velocity into the body frame
-          (nu1 = rot @ eta1_dot)
-    ang:  3x3 transform mapping Euler-angle rates into body angular velocity
-          (nu2 = ang @ eta2_dot)
-    full: 6x6 block matrix with eta_dot = full @ nu
-    """
-
-    rot: np.ndarray
-    ang: np.ndarray
-    full: np.ndarray
-
-
-@dataclass
-class Wrench6:
-    """Force (X, Y, Z) [N] and moment (K, M, N) [N*m], tagged with its frame."""
-
-    vec: np.ndarray
-    frame: str = "body"
-
-    def __post_init__(self):
-        self.vec = np.asarray(self.vec, dtype=float)
-        if self.frame not in ("body", "inertial"):
-            raise ValueError(f"unknown wrench frame {self.frame!r}")
-
-    @property
-    def force(self) -> np.ndarray:
-        return self.vec[POS]
-
-    @property
-    def moment(self) -> np.ndarray:
-        return self.vec[ANG]
-
-    @classmethod
-    def zero(cls, frame: str = "body") -> "Wrench6":
-        return cls(np.zeros(6), frame)
-
-
-@dataclass
-class InertialDynamicsTerms:
-    """Dynamics matrices mapped into the inertial frame."""
-
-    m_e: np.ndarray
-    c_e: np.ndarray
-    d_e: np.ndarray
-    g_e: np.ndarray
 
 
 @dataclass
@@ -405,23 +310,6 @@ def jacobian_dot(eta2: np.ndarray, nu2: np.ndarray) -> np.ndarray:
     return _block_diag_3(rot_dot, ang_dot)
 
 
-def check_pitch(eta2: np.ndarray) -> None:
-    theta = np.asarray(eta2, dtype=float)[..., 1]
-    if np.any(np.abs(theta) >= np.pi / 2 - PITCH_SINGULARITY_TOL):
-        raise SingularityError("pitch within tolerance of +-pi/2")
-
-
-def kinematic_transform(state: VehicleState) -> JacobianSet:
-    """Rotation, Euler-rate transform and assembled 6x6 Jacobian at the pose."""
-    check_pitch(state.eta2)
-    rot_bi = rotation_body_to_inertial(state.eta2)
-    return JacobianSet(
-        rot=rot_bi.T,
-        ang=euler_rate_to_body(state.eta2),
-        full=jacobian(state.eta2),
-    )
-
-
 def acceleration_body(
     eta: np.ndarray,
     nu: np.ndarray,
@@ -443,15 +331,6 @@ def acceleration_body(
         - params.restoring(np.asarray(eta, dtype=float)[..., ANG], trig)
     )
     return rhs @ params.inertia_inv.T
-
-
-def dynamics_body(
-    state: VehicleState, tau: Wrench6, tau_c: Wrench6, params: RigidBodyParams
-) -> np.ndarray:
-    """Body-frame acceleration for one vehicle; wrenches must be body-tagged."""
-    if tau.frame != "body" or tau_c.frame != "body":
-        raise ValueError("dynamics_body expects body-frame wrenches")
-    return acceleration_body(state.eta, state.nu, tau.vec, tau_c.vec, params)
 
 
 def inertial_matrices(
@@ -482,48 +361,21 @@ def inertial_matrices(
     return m_e, c_e, d_e, g_e
 
 
-def dynamics_inertial_terms(
-    state: VehicleState, params: RigidBodyParams
-) -> InertialDynamicsTerms:
-    """True-model dynamics matrices in the inertial frame at one state."""
-    check_pitch(state.eta2)
-    m_e, c_e, d_e, g_e = inertial_matrices(state.eta2, state.nu, params)
-    return InertialDynamicsTerms(m_e=m_e, c_e=c_e, d_e=d_e, g_e=g_e)
-
-
 def reference_dynamics(
-    eta2: np.ndarray,
-    nu: np.ndarray,
+    mats: tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray],
     eddot_r: np.ndarray,
-    params: RigidBodyParams,
-    ed_r: np.ndarray | None = None,
-    scale: float = 1.0,
+    ed_r: np.ndarray,
+    e_dot: np.ndarray,
 ) -> np.ndarray:
     """f_r = M_e ed2_r + C_e ed_r + D_e e_dot + g_e, batched.
 
-    ed_r defaults to the actual inertial rate e_dot = J q (i.e. zero sliding
-    error); `scale` < 1 gives the hatted model's f_hat_r.
+    mats is the (M_e, C_e, D_e, g_e) tuple of inertial_matrices; built with
+    scale = mismatch_factor it gives the controller's f_hat_r.
     """
-    m_e, c_e, d_e, g_e = inertial_matrices(eta2, nu, params, scale=scale)
-    e_dot = np.einsum("...ij,...j->...i", jacobian(eta2), np.asarray(nu, dtype=float))
-    if ed_r is None:
-        ed_r = e_dot
+    m_e, c_e, d_e, g_e = mats
     return (
-        np.einsum("...ij,...j->...i", m_e, np.asarray(eddot_r, dtype=float))
-        + np.einsum("...ij,...j->...i", c_e, np.asarray(ed_r, dtype=float))
+        np.einsum("...ij,...j->...i", m_e, eddot_r)
+        + np.einsum("...ij,...j->...i", c_e, ed_r)
         + np.einsum("...ij,...j->...i", d_e, e_dot)
         + g_e
-    )
-
-
-def estimated_dynamics(
-    state: VehicleState,
-    eddot_r: np.ndarray,
-    params: RigidBodyParams,
-    ed_r: np.ndarray | None = None,
-) -> np.ndarray:
-    """Controller-side predictable dynamics f_hat_r (mismatch-scaled model)."""
-    check_pitch(state.eta2)
-    return reference_dynamics(
-        state.eta2, state.nu, eddot_r, params, ed_r=ed_r, scale=params.mismatch_factor
     )

@@ -111,7 +111,7 @@ def test_criterion_2_skew_symmetry():
 def test_criterion_3_gain_feasibility():
     t0 = time.perf_counter()
     good = SuperTwistGains(
-        lam=2.1, rho=0.36, w_gain=0.3, sigma0=0.1, phi=0.2, gamma_big=1.0, gamma_small=1.0
+        lam=2.1, rho=0.36, w_gain=0.3, phi=0.2, gamma_big=1.0, gamma_small=1.0
     )
     ok = validate_gains(good) == []
     ok &= any("rho" in v for v in validate_gains(SuperTwistGains(rho=0.6)))

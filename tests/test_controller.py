@@ -5,7 +5,6 @@ import pytest
 
 from auvform.controller import (
     AdaptiveState,
-    ControllerState,
     SuperTwistGains,
     SurfaceConfig,
     adaptive_control,
@@ -16,8 +15,6 @@ from auvform.controller import (
     lyapunov_value,
     reference_rate,
     sliding_surface,
-    super_twist_u1,
-    super_twist_u2_step,
     validate_gains,
 )
 
@@ -86,53 +83,6 @@ def test_validate_gains_rejects_each_violation():
     assert any("lam" in v for v in validate_gains(SuperTwistGains(lam=1.9)))
 
 
-def test_super_twist_u1_zero():
-    g = SuperTwistGains()
-    np.testing.assert_allclose(super_twist_u1(np.zeros(6), g), np.zeros(6))
-
-
-def test_super_twist_u1_values():
-    g = SuperTwistGains(lam=2.1, rho=0.36, sigma0=0.1)
-    u = super_twist_u1(np.full(6, 0.05), g)
-    assert u[0] == pytest.approx(-0.7142471173793806, abs=1e-9)
-    u_sat = super_twist_u1(np.full(6, 0.5), g)
-    assert u_sat[0] == pytest.approx(-0.9166832477043486, abs=1e-9)
-
-
-def test_super_twist_u2_step_zero_sigma():
-    state = ControllerState()
-    g = SuperTwistGains()
-    out = super_twist_u2_step(state, np.zeros(6), np.zeros(6), g, 0.01)
-    np.testing.assert_allclose(out, np.zeros(6))
-
-
-def test_super_twist_u2_step_constant_sigma():
-    state = ControllerState()
-    g = SuperTwistGains(w_gain=0.3)
-    sigma = np.full(6, 0.2)
-    out = super_twist_u2_step(state, sigma, np.zeros(6), g, 0.01)
-    np.testing.assert_allclose(out, np.full(6, -0.003))
-    out = super_twist_u2_step(state, sigma, np.zeros(6), g, 0.01)
-    np.testing.assert_allclose(out, np.full(6, -0.006))
-
-
-def test_super_twist_u2_step_over_limit_pulls_back():
-    state = ControllerState()
-    state.u2_integrator = np.full(6, 0.5)
-    g = SuperTwistGains(u_max=1.0, w_gain=0.3)
-    u_over = np.full(6, 2.0)
-    out = super_twist_u2_step(state, np.full(6, 1.0), u_over, g, 0.01)
-    np.testing.assert_allclose(out, np.full(6, 0.5 - 2.0 * 0.01))
-
-
-def test_super_twist_u2_integrator_bounded():
-    state = ControllerState()
-    g = SuperTwistGains(u_max=1.0, w_gain=0.3)
-    for _ in range(2000):
-        super_twist_u2_step(state, np.full(6, 1.0), np.zeros(6), g, 0.01)
-    assert np.all(np.abs(state.u2_integrator) <= g.u_max + g.w_gain * 0.01 + 1e-12)
-
-
 def test_equivalent_control_zero_case():
     g = SuperTwistGains()
     u = equivalent_control(np.zeros(6), np.zeros(6), np.eye(6), g)
@@ -191,42 +141,63 @@ def test_adaptive_update_clamp():
     assert adaptive.f_est[0] == pytest.approx(-0.2)
 
 
+def pinv(gamma):
+    return AdaptiveState(gamma=gamma).gamma_pinv()
+
+
 def test_assumption_trivial_cases():
     k = np.full(6, 50.0)
-    gamma = np.array([50.0, 50, 0, 0, 0, 100])
+    ginv = pinv(np.array([50.0, 50, 0, 0, 0, 100]))
     m_tilde = 0.1 * np.diag([30.0, 30, 30, 1, 5, 5])
-    assert assumption_holds(np.zeros(6), np.zeros(6), np.zeros(6), m_tilde, k, gamma)
+    assert assumption_holds(np.zeros(6), np.zeros(6), np.zeros(6), m_tilde, k, ginv)
     # w = 0 makes the right side vanish
     sigma = np.array([0.3, -0.2, 0.1, 0, 0, 0.05])
-    assert assumption_holds(sigma, np.zeros(6), np.full(6, 5.0), m_tilde, k, gamma)
+    assert assumption_holds(sigma, np.zeros(6), np.full(6, 5.0), m_tilde, k, ginv)
 
 
 def test_assumption_numeric_cases():
     rng = np.random.default_rng(1)
-    gamma = np.full(6, 50.0)
+    ginv = pinv(np.full(6, 50.0))
     m_tilde = 0.1 * np.diag([30.0, 30, 30, 1, 5, 5])
     sigma = rng.uniform(-0.5, 0.5, 6)
     w = rng.uniform(-2, 2, 6)
     f_dot = rng.uniform(-1, 1, 6)
     big_k = np.full(6, 1e4)
-    assert assumption_holds(sigma, w, f_dot, m_tilde, big_k, gamma)
+    assert assumption_holds(sigma, w, f_dot, m_tilde, big_k, ginv)
     # zero K and a huge disturbance rate break the inequality
     assert not assumption_holds(
-        0.01 * sigma, w, 1e6 * np.ones(6), np.zeros((6, 6)), np.zeros(6), gamma
+        0.01 * sigma, w, 1e6 * np.ones(6), np.zeros((6, 6)), np.zeros(6), ginv
     )
 
 
 def test_lyapunov_values():
-    gamma = np.ones(6)
-    assert lyapunov_value(np.zeros(6), np.zeros(6), np.eye(6), gamma) == 0.0
-    assert lyapunov_value(E1, np.zeros(6), np.eye(6), gamma) == pytest.approx(0.5)
+    ginv = pinv(np.ones(6))
+    assert lyapunov_value(np.zeros(6), np.zeros(6), np.eye(6), ginv) == 0.0
+    assert lyapunov_value(E1, np.zeros(6), np.eye(6), ginv) == pytest.approx(0.5)
     # nonnegative for random inputs, zero gamma axes excluded via pseudo-inverse
     rng = np.random.default_rng(2)
-    gamma_z = np.array([50.0, 50, 0, 0, 0, 100])
+    ginv_z = pinv(np.array([50.0, 50, 0, 0, 0, 100]))
+    np.testing.assert_array_equal(ginv_z, [0.02, 0.02, 0, 0, 0, 0.01])
     m_e = np.diag([30.0, 30, 30, 1, 5, 5])
     for _ in range(100):
-        v = lyapunov_value(rng.uniform(-1, 1, 6), rng.uniform(-5, 5, 6), m_e, gamma_z)
+        v = lyapunov_value(rng.uniform(-1, 1, 6), rng.uniform(-5, 5, 6), m_e, ginv_z)
         assert v >= 0.0
+
+
+def test_diagnostics_batched_rows():
+    # one row per vehicle gives, row by row, the single-vehicle values
+    rng = np.random.default_rng(5)
+    ginv = pinv(np.array([50.0, 50, 100, 0, 0, 0]))
+    k = np.array([50.0, 50, 50, 0, 0, 0])
+    sigma, w, f_dot = rng.uniform(-1, 1, (3, 4, 6))
+    a = rng.uniform(-1, 1, (4, 6, 6))
+    m_e = a @ np.swapaxes(a, -1, -2) + np.eye(6)
+    lyap = lyapunov_value(sigma, w, m_e, ginv)
+    flag = assumption_holds(sigma, w, 1e3 * f_dot, 0.1 * m_e, k, ginv)
+    assert lyap.shape == flag.shape == (4,)
+    for v in range(4):
+        assert lyap[v] == lyapunov_value(sigma[v], w[v], m_e[v], ginv)
+        assert flag[v] == assumption_holds(sigma[v], w[v], 1e3 * f_dot[v], 0.1 * m_e[v], k, ginv)
 
 
 def test_first_order_smc_values():
@@ -282,7 +253,7 @@ def test_control_law_continuity():
 def test_adaptive_convergence_constant_disturbance():
     # scalar double-integrator: m xdd = tau - d with constant d; the estimate
     # converges to d (the value that cancels the disturbance) and |sigma|
-    # falls below sigma0
+    # falls below 0.1
     m = 1.0
     d = 4.0
     dt = 0.001
@@ -308,5 +279,5 @@ def test_adaptive_convergence_constant_disturbance():
         xd = xd + xdd * dt
         adaptive_update(adaptive, sigma, dt)
     sigma_final = sliding_surface(x, xd, integral, cfg)
-    assert np.all(np.abs(sigma_final) < g.sigma0)
+    assert np.all(np.abs(sigma_final) < 0.1)
     assert adaptive.f_est[0] == pytest.approx(d, rel=0.05)

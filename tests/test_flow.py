@@ -4,15 +4,15 @@ import numpy as np
 import pytest
 
 from auvform.flow import (
+    RAW_SPEED_MAX,
     DisturbanceModel,
     FlowParams,
     LayeredField,
-    disturbance_wrench,
+    disturbance_force,
     flow_velocity,
     layered_velocity,
     stream_function,
 )
-from auvform.vehicle import VehicleState
 
 
 def test_stream_function_on_centerline():
@@ -126,39 +126,52 @@ def test_speed_cap_respected():
 
 def test_disturbance_zero_relative_velocity():
     model = DisturbanceModel()
-    state = VehicleState(np.zeros(3), np.zeros(3), np.array([0.4, 0.0, 0.0]), np.zeros(3))
+    nu = np.array([0.4, 0.0, 0.0, 0.0, 0.0, 0.0])
     # vehicle translating with the flow: no relative motion, no wrench
-    w = disturbance_wrench(np.array([0.4, 0.0, 0.0]), state, model)
-    np.testing.assert_allclose(w.vec, np.zeros(6), atol=1e-14)
-    assert w.frame == "inertial"
+    w = disturbance_force(np.array([0.4, 0.0, 0.0]), np.zeros(6), nu, model)
+    np.testing.assert_allclose(w, np.zeros(6), atol=1e-14)
 
 
 def test_disturbance_quadratic_law():
     model = DisturbanceModel(drag_gain=40.0)
-    state = VehicleState(np.zeros(3), np.zeros(3), np.zeros(3), np.zeros(3))
-    w = disturbance_wrench(np.array([0.5, 0.0, 0.0]), state, model)
-    assert w.vec[0] == pytest.approx(40.0 * 0.5**2, abs=1e-12)
+    w = disturbance_force(np.array([0.5, 0.0, 0.0]), np.zeros(6), np.zeros(6), model)
+    assert w[0] == pytest.approx(40.0 * 0.5**2, abs=1e-12)
 
 
 def test_disturbance_clamped():
     model = DisturbanceModel(drag_gain=40.0, force_clamp=20.0)
-    state = VehicleState(np.zeros(3), np.zeros(3), np.zeros(3), np.zeros(3))
     # raw quadratic force 40 * 1.25^2 = 62.5 N, clamped to 20
-    w = disturbance_wrench(np.array([1.25, 0.0, 0.0]), state, model)
-    assert w.vec[0] == pytest.approx(20.0)
+    w = disturbance_force(np.array([1.25, 0.0, 0.0]), np.zeros(6), np.zeros(6), model)
+    assert w[0] == pytest.approx(20.0)
 
 
 def test_disturbance_structure_and_bound():
     model = DisturbanceModel()
     rng = np.random.default_rng(4)
-    for _ in range(200):
-        state = VehicleState(
-            rng.uniform(-5, 5, 3),
-            np.array([rng.uniform(-0.3, 0.3), rng.uniform(-0.3, 0.3), rng.uniform(-np.pi, np.pi)]),
-            rng.uniform(-1.5, 1.5, 3),
-            rng.uniform(-0.5, 0.5, 3),
-        )
-        flow = np.array([rng.uniform(-0.5, 0.5), rng.uniform(-0.5, 0.5), 0.0])
-        w = disturbance_wrench(flow, state, model)
-        assert np.max(np.abs(w.vec)) <= model.force_clamp + 1e-12
-        np.testing.assert_allclose(w.vec[2:5], np.zeros(3), atol=1e-14)
+    eta, nu, flow = np.zeros((200, 6)), np.zeros((200, 6)), np.zeros((200, 3))
+    for k in range(200):
+        eta[k, :3] = rng.uniform(-5, 5, 3)
+        eta[k, 3:] = rng.uniform(-0.3, 0.3), rng.uniform(-0.3, 0.3), rng.uniform(-np.pi, np.pi)
+        nu[k] = np.concatenate([rng.uniform(-1.5, 1.5, 3), rng.uniform(-0.5, 0.5, 3)])
+        flow[k, :2] = rng.uniform(-0.5, 0.5), rng.uniform(-0.5, 0.5)
+    # the fleet batch, as the engine and the plant call it
+    w = disturbance_force(flow, eta, nu, model)
+    assert np.max(np.abs(w)) <= model.force_clamp + 1e-12
+    np.testing.assert_allclose(w[:, 2:5], np.zeros((200, 3)), atol=1e-14)
+
+
+def test_normaliser_covers_only_the_default_jet_shape():
+    # at b0 = 0.5, k = 2 the raw jet speed peaks near 1.205 (t about 11.76 s),
+    # above RAW_SPEED_MAX: the surface layer would be clipped by the cap and
+    # the layer ratios would break, so validation rejects the parameters
+    p = FlowParams(b0=0.5, k=2.0)
+    x = np.linspace(0.0, 2 * np.pi / p.k, 400)[:, None]
+    y = np.linspace(-1.0, 1.0, 201)[None, :]
+    u, v = flow_velocity(x, y, 11.76, p)
+    assert np.hypot(u, v).max() > 1.2 > RAW_SPEED_MAX
+    with pytest.raises(ValueError, match="RAW_SPEED_MAX"):
+        p.validate()
+    for name in ("b0", "e_amp", "k"):
+        with pytest.raises(ValueError, match="RAW_SPEED_MAX"):
+            FlowParams(**{name: getattr(FlowParams, name) * 1.01}).validate()
+    FlowParams(omega=0.2, theta0=0.0, c=0.3).validate()

@@ -8,7 +8,6 @@ from auvform.formation import (
     FormationSpec,
     TrajectorySpec,
     follower_reference,
-    formation_error,
     leader_reference,
     tracking_error,
 )
@@ -152,15 +151,15 @@ def test_tracking_error_wraps_angles():
 
 
 def test_formation_error_list_api():
-    states = [(np.zeros(6), np.zeros(6)), (np.ones(6), np.zeros(6))]
-    refs = [(np.zeros(6), np.zeros(6)), (np.ones(6), np.zeros(6))]
-    out = formation_error(states, refs)
-    assert len(out) == 2
-    for eps, deps in out:
-        np.testing.assert_allclose(eps, np.zeros(6))
-        np.testing.assert_allclose(deps, np.zeros(6))
+    # one row per vehicle, as the engine calls tracking_error
+    eta = np.array([np.zeros(6), np.ones(6)])
+    e_d = np.array([np.zeros(6), np.ones(6)])
+    eps, deps = tracking_error(eta, np.zeros((2, 6)), e_d, np.zeros((2, 6)))
+    assert eps.shape == deps.shape == (2, 6)
+    np.testing.assert_allclose(eps, np.zeros((2, 6)))
+    np.testing.assert_allclose(deps, np.zeros((2, 6)))
     with pytest.raises(ValueError):
-        formation_error(states, refs[:1])
+        tracking_error(eta, np.zeros((2, 6)), np.zeros((3, 6)), np.zeros((3, 6)))
 
 
 def test_formation_spec_distinct_offsets():

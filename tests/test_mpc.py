@@ -4,9 +4,9 @@ import numpy as np
 import pytest
 
 from auvform.flow import DisturbanceModel, FlowParams, LayeredField, layered_velocity
-from auvform.mpc import MpcConfig, MpcShell, MpcSolution, mpc_cost, mpc_optimize, predict_rollout
+from auvform.mpc import MpcConfig, MpcShell, _cost_batch, _smooth_batch
 from auvform.plant import advance_plant
-from auvform.vehicle import RigidBodyParams, VehicleState, jacobian
+from auvform.vehicle import RigidBodyParams, jacobian
 
 
 def make_sampler():
@@ -20,11 +20,16 @@ def make_sampler():
     return sample
 
 
+def seq_cost(predicted, desired, controls, cfg):
+    """Tracking-plus-smoothing cost of one sequence, as MpcShell scores it."""
+    return _cost_batch(predicted, desired, _smooth_batch(controls, cfg))
+
+
 def test_cost_zero_for_perfect_tracking_constant_controls():
     cfg = MpcConfig(n_e=5, n_u=2)
     desired = np.tile([0.5, 0, 0, 0, 0, 0.0], (5, 1))
     controls = np.tile([3.0, 0, 0, 0, 0, 0.0], (7, 1))
-    assert mpc_cost(desired, desired, controls, cfg) == 0.0
+    assert seq_cost(desired, desired, controls, cfg) == 0.0
 
 
 def test_cost_single_tracking_term():
@@ -33,7 +38,7 @@ def test_cost_single_tracking_term():
     predicted = np.zeros((5, 6))
     predicted[2, 0] = 1.0
     controls = np.zeros((7, 6))
-    assert mpc_cost(predicted, desired, controls, cfg) == pytest.approx(1.0)
+    assert seq_cost(predicted, desired, controls, cfg) == pytest.approx(1.0)
 
 
 def test_cost_single_smoothing_term():
@@ -42,24 +47,26 @@ def test_cost_single_smoothing_term():
     controls = np.zeros((3, 6))
     controls[1, 0] = 1.0
     # pairs (u1-u2) and (u2-u3) each differ by one unit in one axis
-    assert mpc_cost(desired, desired, controls, cfg) == pytest.approx(2.0)
+    assert seq_cost(desired, desired, controls, cfg) == pytest.approx(2.0)
     controls2 = np.zeros((3, 6))
     controls2[2, 0] = 1.0
-    assert mpc_cost(desired, desired, controls2, cfg) == pytest.approx(1.0)
+    assert seq_cost(desired, desired, controls2, cfg) == pytest.approx(1.0)
 
 
-def test_cost_length_mismatch():
-    cfg = MpcConfig(n_e=5, n_u=2)
-    with pytest.raises(ValueError):
-        mpc_cost(np.zeros((4, 6)), np.zeros((5, 6)), np.zeros((7, 6)), cfg)
-    with pytest.raises(ValueError):
-        mpc_cost(np.zeros((5, 6)), np.zeros((5, 6)), np.zeros((6, 6)), cfg)
+def rollout(params, y0, controls, n_e, sampler=None, dist=None, dt=0.01, t0=0.0):
+    """Rates predicted by MpcShell._predict for one vehicle and one sequence."""
+    cfg = MpcConfig(n_e=n_e, n_u=max(1, len(controls) - n_e))
+    shell = MpcShell(cfg, params, dist, sampler, dt, np.random.default_rng(0))
+    seq = np.zeros((cfg.horizon, 6))
+    seq[: len(controls)] = controls
+    rates, _ = shell._predict(np.asarray(y0, dtype=float)[None], t0, seq[None])
+    return rates[0]
 
 
 def test_rollout_zero_controls_from_equilibrium():
     params = RigidBodyParams(restoring_gain=0.0)
-    state = VehicleState(np.array([5.0, 5.0, -5.0]), np.zeros(3), np.zeros(3), np.zeros(3))
-    rates = predict_rollout(state, np.zeros((5, 6)), None, params, 5)
+    y0 = np.concatenate([[5.0, 5.0, -5.0], np.zeros(9)])
+    rates = rollout(params, y0, np.zeros((5, 6)), 5)
     np.testing.assert_allclose(rates, np.zeros((5, 6)), atol=1e-14)
 
 
@@ -69,15 +76,11 @@ def test_rollout_matches_plant_advance():
     sampler = make_sampler()
     dist = DisturbanceModel()
     rng = np.random.default_rng(0)
-    state = VehicleState(
-        np.array([30.0, 40.0, -3.0]), np.array([0.0, 0.05, 0.4]),
-        np.array([0.5, 0.1, 0.0]), np.array([0.0, 0.0, 0.05]),
-    )
+    y0 = np.array([30.0, 40.0, -3.0, 0.0, 0.05, 0.4, 0.5, 0.1, 0.0, 0.0, 0.0, 0.05])
     controls = rng.uniform(-20, 20, (5, 6))
     dt = 0.01
-    rates = predict_rollout(state, controls, sampler, params, 5, dt=dt, t0=1.0,
-                            dist_model=dist)
-    y = np.concatenate([state.eta, state.nu])
+    rates = rollout(params, y0, controls, 5, sampler, dist, dt=dt, t0=1.0)
+    y = y0
     for k in range(5):
         y = advance_plant(y, 1.0 + k * dt, controls[k], dt, params, sampler, dist)
         expected = jacobian(y[3:6]) @ y[6:]
@@ -86,12 +89,11 @@ def test_rollout_matches_plant_advance():
 
 def test_rollout_one_step_horizon():
     params = RigidBodyParams()
-    state = VehicleState(np.array([1.0, 2.0, -3.0]), np.zeros(3),
-                         np.array([0.3, 0, 0]), np.zeros(3))
+    y0 = np.array([1.0, 2.0, -3.0, 0, 0, 0, 0.3, 0, 0, 0, 0, 0])
     tau = np.array([[5.0, 0, 0, 0, 0, 0]])
-    rates = predict_rollout(state, tau, None, params, 1, dt=0.01)
+    rates = rollout(params, y0, tau, 1)
     est = params.estimated()
-    y = advance_plant(np.concatenate([state.eta, state.nu]), 0.0, tau[0], 0.01, est)
+    y = advance_plant(y0, 0.0, tau[0], 0.01, est)
     np.testing.assert_allclose(rates[0], jacobian(y[3:6]) @ y[6:], atol=1e-12)
 
 
@@ -99,11 +101,11 @@ def _solve_setup(seed=0, **cfg_kw):
     cfg = MpcConfig(**cfg_kw)
     params = RigidBodyParams(mismatch_factor=0.9)
     shell = MpcShell(cfg, params, None, None, 0.01, np.random.default_rng(seed))
-    state = VehicleState(np.array([48.0, 40.0, -3.0]), np.array([0.0, 0.0, np.pi / 2]),
-                         np.array([0.8, 0.0, -0.04]), np.zeros(3))
-    y0 = np.concatenate([state.eta, state.nu])[None]
-    e_d = state.eta[None]
-    ed_d = (jacobian(state.eta2) @ state.nu)[None]
+    eta = np.array([48.0, 40.0, -3.0, 0.0, 0.0, np.pi / 2])
+    nu = np.array([0.8, 0.0, -0.04, 0.0, 0.0, 0.0])
+    y0 = np.concatenate([eta, nu])[None]
+    e_d = eta[None]
+    ed_d = (jacobian(eta[3:]) @ nu)[None]
     edd_d = np.zeros((1, 6))
     return cfg, shell, y0, e_d, ed_d, edd_d
 
@@ -118,7 +120,7 @@ def test_solve_never_worse_than_clipped_nominal():
         rates, _ = shell._predict(y0, 0.0, clipped[None])
         steps = 0.01 * np.arange(1, cfg.n_e + 1)[:, None]
         des = ed_d[0][None] + edd_d[0][None] * steps
-        nominal_cost = mpc_cost(rates[0], des, clipped, cfg)
+        nominal_cost = seq_cost(rates[0], des, clipped, cfg)
         assert cost[0] <= nominal_cost + 1e-9
 
 
@@ -130,7 +132,7 @@ def test_solve_smooths_a_spike():
     rates, _ = shell._predict(y0, 0.0, spike[None])
     steps = 0.01 * np.arange(1, cfg.n_e + 1)[:, None]
     des = ed_d[0][None] + edd_d[0][None] * steps
-    spike_cost = mpc_cost(rates[0], des, spike, cfg)
+    spike_cost = seq_cost(rates[0], des, spike, cfg)
     assert cost[0] < spike_cost
 
 
@@ -173,13 +175,13 @@ def test_mpc_optimize_nominal_already_optimal():
     # zero-cost nominal: perfect tracking, constant sequence; returned unchanged
     cfg = MpcConfig(n_e=3, n_u=1, candidate_count=8, rounds=2)
     params = RigidBodyParams(restoring_gain=0.0, mismatch_factor=1.0)
-    state = VehicleState(np.array([5.0, 5.0, -5.0]), np.zeros(3), np.zeros(3), np.zeros(3))
-    nominal = np.zeros(6)
-    sol = mpc_optimize(state, (state.eta, np.zeros(6), np.zeros(6)), nominal, cfg, params)
-    assert isinstance(sol, MpcSolution)
-    assert sol.cost == pytest.approx(0.0, abs=1e-18)
-    np.testing.assert_allclose(sol.sequence, np.zeros((cfg.horizon, 6)))
-    assert sol.feasible
+    shell = MpcShell(cfg, params, None, None, 0.01, np.random.default_rng(0))
+    y0 = np.concatenate([[5.0, 5.0, -5.0], np.zeros(9)])[None]
+    zero = np.zeros((1, 6))
+    seqs, costs, feasible = shell.solve(y0, 0.0, zero, y0[:, :6], zero, zero)
+    assert costs[0] == pytest.approx(0.0, abs=1e-18)
+    np.testing.assert_allclose(seqs[0], np.zeros((cfg.horizon, 6)))
+    assert feasible[0]
 
 
 def _unpruned_solve(shell, y0, t, nominal, e_d, ed_d, edd_d):

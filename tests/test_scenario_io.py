@@ -1,10 +1,14 @@
 """Scenario parsing, export, flow-grid and comparison-runner tests."""
 
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
 import pytest
 
+import auvform
 from auvform.cli import main as cli_main
 from auvform.engine import SimLog, compute_metrics, detect_convergence, run
 from auvform.export import (
@@ -218,6 +222,46 @@ def test_cli_bad_dt_override_is_a_scenario_error(tmp_path, capsys, verb, dt):
     assert cli_main([verb, str(path), "-o", str(out), "--dt", dt]) == 1
     assert capsys.readouterr().err.strip() == "scenario error: dt must be positive"
     assert not out.exists()
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["validate", "{missing}"],
+        ["run", "{scenario}", "-o", "{out}", "--seed", "-1"],
+        ["flow-grid", "{scenario}", "-o", "{out}", "--t", "abc"],
+        ["flow-grid", "{scenario}", "-o", "{out}", "--t", "1,nan"],
+        ["validate", "{seed_yaml}"],
+        ["validate", "{jet_yaml}"],
+    ],
+    ids=["missing-file", "negative-seed", "t-not-a-number", "t-not-finite",
+         "negative-seed-yaml", "jet-shape-yaml"],
+)
+def test_cli_bad_input_is_a_scenario_error(tmp_path, argv):
+    paths = {
+        "missing": tmp_path / "missing.yaml",
+        "scenario": write(tmp_path, quick_scenario_yaml(duration=0.5)),
+        "out": tmp_path / "out",
+        "seed_yaml": write(tmp_path, MINIMAL.replace("duration_s: 1.0", "seed: -1"), "s.yaml"),
+        "jet_yaml": write(tmp_path, MINIMAL + "flow: {b0: 0.5, wavenumber: 2}\n", "j.yaml"),
+    }
+    env = dict(os.environ, PYTHONPATH=str(Path(auvform.__file__).parents[1]))
+    done = subprocess.run(
+        [sys.executable, "-m", "auvform.cli", *(a.format(**paths) for a in argv)],
+        capture_output=True, text=True, env=env, timeout=120,
+    )
+    assert done.returncode == 1
+    assert done.stderr.startswith("scenario error:")
+    assert "Traceback" not in done.stderr
+    assert not paths["out"].exists()
+
+
+@pytest.mark.parametrize("key", ["u1_saturated: true", "u2_mode: supertwist",
+                                 "sigma0: 0.1", "u_max: 1.0"])
+def test_removed_controller_keys_rejected(tmp_path, key):
+    path = write(tmp_path, MINIMAL + f"\ncontroller: {{{key}}}\n")
+    with pytest.raises(ScenarioError, match="unknown key"):
+        parse_scenario(path)
 
 
 def test_cli_validation_error_exit_code(tmp_path):

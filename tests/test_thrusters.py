@@ -5,12 +5,10 @@ import pytest
 
 from auvform.thrusters import (
     ThrusterConfig,
-    Wrench5,
     allocate,
     body_to_wrench5,
     build_tcm,
     wrench5_to_body,
-    wrench_from_thrust,
 )
 
 
@@ -42,14 +40,14 @@ def test_tcm_boundary_coefficients_zero_rows():
 
 def test_tcm_surge_from_symmetric_thrusters():
     cfg = ThrusterConfig(k1=1.0, k2=1.0, l1=1.0, l2=1.0, r1=0.2, r2=0.2)
-    tau = wrench_from_thrust(np.array([1.0, 1.0, 0.0]), cfg)
-    np.testing.assert_allclose(tau.vec, [2.0, 0.0, 0.0, 0.0, 0.0], atol=1e-15)
+    tau = build_tcm(cfg) @ np.array([1.0, 1.0, 0.0])
+    np.testing.assert_allclose(tau, [2.0, 0.0, 0.0, 0.0, 0.0], atol=1e-15)
 
 
 def test_tcm_pure_heave():
     cfg = ThrusterConfig(k3=1.0)
-    tau = wrench_from_thrust(np.array([0.0, 0.0, 1.0]), cfg)
-    np.testing.assert_allclose(tau.vec, [0.0, 0.0, 0.0, 1.0, 0.0], atol=1e-15)
+    tau = build_tcm(cfg) @ np.array([0.0, 0.0, 1.0])
+    np.testing.assert_allclose(tau, [0.0, 0.0, 0.0, 1.0, 0.0], atol=1e-15)
 
 
 def test_tcm_coefficient_range_error():
@@ -60,8 +58,8 @@ def test_tcm_coefficient_range_error():
 
 
 def test_wrench_from_thrust_zero():
-    tau = wrench_from_thrust(np.zeros(3), ThrusterConfig())
-    np.testing.assert_allclose(tau.vec, np.zeros(5))
+    tau = build_tcm(ThrusterConfig()) @ np.zeros(3)
+    np.testing.assert_allclose(tau, np.zeros(5))
 
 
 def test_wrench_from_thrust_basis_columns():
@@ -70,27 +68,21 @@ def test_wrench_from_thrust_basis_columns():
     for j in range(3):
         u = np.zeros(3)
         u[j] = 1.0
-        np.testing.assert_allclose(wrench_from_thrust(u, cfg).vec, b[:, j])
+        np.testing.assert_allclose(b @ u, b[:, j])
 
 
 def test_wrench_from_thrust_matches_naive_oracle():
-    cfg = ThrusterConfig()
-    b = build_tcm(cfg)
+    # the engine maps the fleet's thrusts as (B @ u_t.T).T
+    b = build_tcm(ThrusterConfig())
     rng = np.random.default_rng(0)
-    for _ in range(50):
-        u = rng.uniform(-60, 60, 3)
-        np.testing.assert_allclose(
-            wrench_from_thrust(u, cfg).vec, naive_matmul(b, u), atol=1e-12
-        )
-
-
-def test_wrench_from_thrust_limit():
-    with pytest.raises(ValueError):
-        wrench_from_thrust(np.array([100.0, 0, 0]), ThrusterConfig(u_limit=60.0))
+    u_t = rng.uniform(-60, 60, (50, 3))
+    tau = (b @ u_t.T).T
+    for k in range(50):
+        np.testing.assert_allclose(tau[k], naive_matmul(b, u_t[k]), atol=1e-12)
 
 
 def test_allocate_zero():
-    u, residual = allocate(Wrench5(np.zeros(5)), ThrusterConfig())
+    u, residual = allocate(np.zeros(5), ThrusterConfig())
     np.testing.assert_allclose(u, np.zeros(3))
     np.testing.assert_allclose(residual, np.zeros(5))
 

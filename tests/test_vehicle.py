@@ -4,19 +4,12 @@ import numpy as np
 import pytest
 
 from auvform import vehicle as vm
-from auvform.vehicle import (
-    RigidBodyParams,
-    SingularityError,
-    VehicleState,
-    Wrench6,
-    dynamics_body,
-    dynamics_inertial_terms,
-    estimated_dynamics,
-    kinematic_transform,
-)
+from auvform.engine import SimulationAbort, Scenario, run
+from auvform.vehicle import RigidBodyParams, acceleration_body, inertial_matrices
 
 
 def random_state(rng, pitch_range=0.5):
+    """(eta, nu) 6-vectors with a pose away from the pitch singularity."""
     eta2 = np.array(
         [
             rng.uniform(-0.6, 0.6),
@@ -24,58 +17,63 @@ def random_state(rng, pitch_range=0.5):
             rng.uniform(-np.pi, np.pi),
         ]
     )
-    return VehicleState(
-        rng.uniform(-5.0, 5.0, 3), eta2, rng.uniform(-1.0, 1.0, 3), rng.uniform(-0.5, 0.5, 3)
-    )
+    eta = np.concatenate([rng.uniform(-5.0, 5.0, 3), eta2])
+    nu = np.concatenate([rng.uniform(-1.0, 1.0, 3), rng.uniform(-0.5, 0.5, 3)])
+    return eta, nu
+
+
+def random_states(rng, n):
+    eta, nu = zip(*(random_state(rng) for _ in range(n)))
+    return np.array(eta), np.array(nu)
 
 
 def test_kinematic_transform_identity():
-    state = VehicleState(np.zeros(3), np.zeros(3), np.zeros(3), np.zeros(3))
-    js = kinematic_transform(state)
-    np.testing.assert_allclose(js.rot, np.eye(3), atol=1e-15)
-    np.testing.assert_allclose(js.ang, np.eye(3), atol=1e-15)
-    np.testing.assert_allclose(js.full, np.eye(6), atol=1e-15)
+    # J^-1 holds the inertial-to-body rotation and the Euler-rate transform T
+    zero = np.zeros(3)
+    np.testing.assert_allclose(vm.jacobian_inv(zero), np.eye(6), atol=1e-15)
+    np.testing.assert_allclose(vm.euler_rate_to_body(zero), np.eye(3), atol=1e-15)
+    np.testing.assert_allclose(vm.jacobian(zero), np.eye(6), atol=1e-15)
 
 
 def test_kinematic_transform_pure_yaw():
-    state = VehicleState(np.zeros(3), np.array([0.0, 0.0, np.pi / 2]), np.zeros(3), np.zeros(3))
-    js = kinematic_transform(state)
+    rot = vm.jacobian_inv(np.array([0.0, 0.0, np.pi / 2]))[:3, :3]
     # hand-composed Rz(pi/2)^T: inertial y maps onto body x
     expected = np.array([[0.0, 1.0, 0.0], [-1.0, 0.0, 0.0], [0.0, 0.0, 1.0]])
-    np.testing.assert_allclose(js.rot, expected, atol=1e-12)
-    np.testing.assert_allclose(js.rot @ np.array([0.0, 1.0, 0.0]), [1.0, 0.0, 0.0], atol=1e-12)
+    np.testing.assert_allclose(rot, expected, atol=1e-12)
+    np.testing.assert_allclose(rot @ np.array([0.0, 1.0, 0.0]), [1.0, 0.0, 0.0], atol=1e-12)
 
 
 def test_kinematic_transform_singularity():
-    state = VehicleState(np.zeros(3), np.array([0.0, np.pi / 2, 0.0]), np.zeros(3), np.zeros(3))
-    with pytest.raises(SingularityError):
-        kinematic_transform(state)
+    # the engine refuses a pose at the Euler-rate singularity
+    start = np.zeros(12)
+    start[:3] = [40.0, 40.0, -8.0]
+    start[4] = np.pi / 2
+    sc = Scenario(duration=0.02, initial_states=[start] * 3)
+    with pytest.raises(SimulationAbort, match="pitch"):
+        run(sc)
 
 
 def test_rotation_orthonormal():
     rng = np.random.default_rng(0)
-    for _ in range(100):
-        st = random_state(rng)
-        js = kinematic_transform(st)
-        np.testing.assert_allclose(js.rot @ js.rot.T, np.eye(3), atol=1e-10)
-        assert np.linalg.det(js.rot) == pytest.approx(1.0, abs=1e-10)
+    eta, _ = random_states(rng, 100)
+    rot = vm.rotation_body_to_inertial(eta[:, 3:])
+    eye = np.broadcast_to(np.eye(3), rot.shape)
+    np.testing.assert_allclose(rot @ np.swapaxes(rot, -1, -2), eye, atol=1e-10)
+    np.testing.assert_allclose(np.linalg.det(rot), 1.0, atol=1e-10)
 
 
 def test_jacobian_maps_body_rates():
     rng = np.random.default_rng(1)
-    for _ in range(20):
-        st = random_state(rng)
-        js = kinematic_transform(st)
-        eta_dot = js.full @ st.nu
-        # invert through the defining relations of rot/ang
-        np.testing.assert_allclose(js.rot @ eta_dot[:3], st.nu1, atol=1e-12)
-        np.testing.assert_allclose(js.ang @ eta_dot[3:], st.nu2, atol=1e-12)
+    eta, nu = random_states(rng, 20)
+    eta_dot = np.einsum("vij,vj->vi", vm.jacobian(eta[:, 3:]), nu)
+    # invert through the defining relations of the rotation and T
+    back = np.einsum("vij,vj->vi", vm.jacobian_inv(eta[:, 3:]), eta_dot)
+    np.testing.assert_allclose(back, nu, atol=1e-12)
 
 
 def test_dynamics_body_equilibrium():
     params = RigidBodyParams(restoring_gain=0.0)
-    state = VehicleState(np.zeros(3), np.zeros(3), np.zeros(3), np.zeros(3))
-    acc = dynamics_body(state, Wrench6.zero(), Wrench6.zero(), params)
+    acc = acceleration_body(np.zeros(6), np.zeros(6), np.zeros(6), np.zeros(6), params)
     np.testing.assert_allclose(acc, np.zeros(6), atol=1e-15)
 
 
@@ -87,45 +85,34 @@ def test_dynamics_body_pure_surge():
         d_quad=np.zeros(6),
         restoring_gain=0.0,
     )
-    state = VehicleState(np.zeros(3), np.zeros(3), np.zeros(3), np.zeros(3))
     force = 12.0
-    tau = Wrench6(np.array([force, 0, 0, 0, 0, 0.0]))
-    acc = dynamics_body(state, tau, Wrench6.zero(), params)
+    tau = np.array([force, 0, 0, 0, 0, 0.0])
+    acc = acceleration_body(np.zeros(6), np.zeros(6), tau, np.zeros(6), params)
     np.testing.assert_allclose(acc, [force / m, 0, 0, 0, 0, 0], atol=1e-14)
 
 
 def test_dynamics_body_disturbance_cancellation():
     params = RigidBodyParams(restoring_gain=0.0)
-    state = VehicleState(np.zeros(3), np.zeros(3), np.zeros(3), np.zeros(3))
-    tau = Wrench6(np.array([3.0, -2.0, 1.0, 0.0, 0.5, -0.5]))
-    acc = dynamics_body(state, tau, Wrench6(tau.vec.copy()), params)
+    tau = np.array([3.0, -2.0, 1.0, 0.0, 0.5, -0.5])
+    acc = acceleration_body(np.zeros(6), np.zeros(6), tau, tau.copy(), params)
     np.testing.assert_allclose(acc, np.zeros(6), atol=1e-14)
-
-
-def test_dynamics_body_rejects_inertial_wrench():
-    params = RigidBodyParams()
-    state = VehicleState(np.zeros(3), np.zeros(3), np.zeros(3), np.zeros(3))
-    with pytest.raises(ValueError):
-        dynamics_body(state, Wrench6.zero("inertial"), Wrench6.zero(), params)
 
 
 def test_inertial_terms_identity_pose():
     params = RigidBodyParams()
-    state = VehicleState(np.zeros(3), np.zeros(3), np.array([0.3, 0.1, -0.2]), np.zeros(3))
-    terms = dynamics_inertial_terms(state, params)
-    np.testing.assert_allclose(terms.m_e, params.inertia, atol=1e-12)
-    np.testing.assert_allclose(terms.d_e, params.damping(state.nu), atol=1e-12)
-    np.testing.assert_allclose(terms.g_e, params.restoring(state.eta2), atol=1e-12)
+    nu = np.array([0.3, 0.1, -0.2, 0.0, 0.0, 0.0])
+    m_e, _, d_e, g_e = inertial_matrices(np.zeros(3), nu, params)
+    np.testing.assert_allclose(m_e, params.inertia, atol=1e-12)
+    np.testing.assert_allclose(d_e, params.damping(nu), atol=1e-12)
+    np.testing.assert_allclose(g_e, params.restoring(np.zeros(3)), atol=1e-12)
 
 
 def test_inertial_mass_symmetric_positive_definite():
     rng = np.random.default_rng(2)
-    params = RigidBodyParams()
-    for _ in range(100):
-        st = random_state(rng)
-        m_e = dynamics_inertial_terms(st, params).m_e
-        assert np.max(np.abs(m_e - m_e.T)) < 1e-10
-        assert np.all(np.linalg.eigvalsh(m_e) > 0)
+    eta, nu = random_states(rng, 100)
+    m_e = inertial_matrices(eta[:, 3:], nu, RigidBodyParams())[0]
+    assert np.max(np.abs(m_e - np.swapaxes(m_e, -1, -2))) < 1e-10
+    assert np.all(np.linalg.eigvalsh(m_e) > 0)
 
 
 def test_skew_symmetry_of_inertial_terms():
@@ -134,11 +121,12 @@ def test_skew_symmetry_of_inertial_terms():
     params = RigidBodyParams()
     h = 1e-5
     for _ in range(100):
-        st = random_state(rng)
-        m_e, c_e, _, _ = vm.inertial_matrices(st.eta2, st.nu, params)
-        eta2_dot = vm.body_rate_to_euler(st.eta2) @ st.nu2
-        m_plus = vm.inertial_matrices(st.eta2 + eta2_dot * h, st.nu, params)[0]
-        m_minus = vm.inertial_matrices(st.eta2 - eta2_dot * h, st.nu, params)[0]
+        eta, nu = random_state(rng)
+        eta2 = eta[3:]
+        m_e, c_e, _, _ = inertial_matrices(eta2, nu, params)
+        eta2_dot = vm.body_rate_to_euler(eta2) @ nu[3:]
+        m_plus = inertial_matrices(eta2 + eta2_dot * h, nu, params)[0]
+        m_minus = inertial_matrices(eta2 - eta2_dot * h, nu, params)[0]
         m_dot = (m_plus - m_minus) / (2 * h)
         sigma = rng.uniform(-1.0, 1.0, 6)
         assert abs(sigma @ (m_dot - 2 * c_e) @ sigma) < 1e-6
@@ -150,49 +138,71 @@ def test_frame_consistency():
     rng = np.random.default_rng(4)
     params = RigidBodyParams()
     for _ in range(100):
-        st = random_state(rng)
+        eta, nu = random_state(rng)
+        eta2 = eta[3:]
         tau = rng.uniform(-20.0, 20.0, 6)
         tau_c = rng.uniform(-5.0, 5.0, 6)
-        qdot = vm.acceleration_body(st.eta, st.nu, tau, tau_c, params)
-        jac = vm.jacobian(st.eta2)
-        jac_dot = vm.jacobian_dot(st.eta2, st.nu2)
-        edd_body_route = jac_dot @ st.nu + jac @ qdot
+        qdot = acceleration_body(eta, nu, tau, tau_c, params)
+        jac = vm.jacobian(eta2)
+        jac_dot = vm.jacobian_dot(eta2, nu[3:])
+        edd_body_route = jac_dot @ nu + jac @ qdot
 
-        m_e, c_e, d_e, g_e = vm.inertial_matrices(st.eta2, st.nu, params)
-        e_dot = jac @ st.nu
-        rhs = vm.jacobian_inv(st.eta2).T @ (tau - tau_c) - c_e @ e_dot - d_e @ e_dot - g_e
+        m_e, c_e, d_e, g_e = inertial_matrices(eta2, nu, params)
+        e_dot = jac @ nu
+        rhs = vm.jacobian_inv(eta2).T @ (tau - tau_c) - c_e @ e_dot - d_e @ e_dot - g_e
         edd_inertial_route = np.linalg.solve(m_e, rhs)
         scale = max(1.0, np.max(np.abs(edd_body_route)))
         assert np.max(np.abs(edd_body_route - edd_inertial_route)) / scale < 1e-6
 
 
+def f_r(eta, nu, edd_r, ed_r, params, scale):
+    """f_r from the inertial terms at `scale`, as the engine forms f_hat_r."""
+    mats = inertial_matrices(eta[..., 3:], nu, params, scale=scale)
+    e_dot = np.einsum("...ij,...j->...i", vm.jacobian(eta[..., 3:]), nu)
+    return vm.reference_dynamics(mats, edd_r, ed_r, e_dot)
+
+
 def test_estimated_dynamics_perfect_model():
     rng = np.random.default_rng(5)
     params = RigidBodyParams(mismatch_factor=1.0)
-    st = random_state(rng)
+    eta, nu = random_state(rng)
     edd_r = rng.uniform(-1.0, 1.0, 6)
     ed_r = rng.uniform(-1.0, 1.0, 6)
-    f_hat = estimated_dynamics(st, edd_r, params, ed_r=ed_r)
-    f_true = vm.reference_dynamics(st.eta2, st.nu, edd_r, params, ed_r=ed_r, scale=1.0)
+    f_hat = f_r(eta, nu, edd_r, ed_r, params, params.mismatch_factor)
+    f_true = f_r(eta, nu, edd_r, ed_r, params, 1.0)
     np.testing.assert_allclose(f_hat, f_true, atol=1e-12)
 
 
 def test_estimated_dynamics_zero_case():
     params = RigidBodyParams(restoring_gain=0.0, mismatch_factor=0.7)
-    state = VehicleState(np.zeros(3), np.zeros(3), np.zeros(3), np.zeros(3))
-    f_hat = estimated_dynamics(state, np.zeros(6), params)
+    zero = np.zeros(6)
+    # ed_r = e_dot: zero sliding error at rest
+    f_hat = f_r(zero, zero, zero, zero, params, params.mismatch_factor)
     np.testing.assert_allclose(f_hat, np.zeros(6), atol=1e-14)
+
+
+def test_reference_dynamics_batched_rows():
+    # a fleet of poses gives, row by row, the single-vehicle result
+    rng = np.random.default_rng(8)
+    params = RigidBodyParams()
+    eta, nu = random_states(rng, 5)
+    edd_r, ed_r = rng.uniform(-1.0, 1.0, (2, 5, 6))
+    fleet = f_r(eta, nu, edd_r, ed_r, params, 0.9)
+    for v in range(5):
+        np.testing.assert_allclose(
+            fleet[v], f_r(eta[v], nu[v], edd_r[v], ed_r[v], params, 0.9), rtol=1e-12, atol=1e-12
+        )
 
 
 def test_model_split_is_exact():
     # f_hat + f_tilde = f, with f_tilde = (1 - a) f for the uniform scaling
     rng = np.random.default_rng(6)
     params = RigidBodyParams(mismatch_factor=0.8)
-    st = random_state(rng)
+    eta, nu = random_state(rng)
     edd_r = rng.uniform(-1.0, 1.0, 6)
     ed_r = rng.uniform(-1.0, 1.0, 6)
-    f_true = vm.reference_dynamics(st.eta2, st.nu, edd_r, params, ed_r=ed_r, scale=1.0)
-    f_hat = estimated_dynamics(st, edd_r, params, ed_r=ed_r)
+    f_true = f_r(eta, nu, edd_r, ed_r, params, 1.0)
+    f_hat = f_r(eta, nu, edd_r, ed_r, params, params.mismatch_factor)
     f_tilde = f_true - f_hat
     np.testing.assert_allclose(f_tilde, 0.2 * f_true, rtol=1e-10, atol=1e-12)
     np.testing.assert_allclose(f_hat + f_tilde, f_true, atol=1e-12)
