@@ -1,5 +1,7 @@
 """Scenario parsing, export, flow-grid and comparison-runner tests."""
 
+import dataclasses
+import hashlib
 import os
 import subprocess
 import sys
@@ -7,6 +9,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+import yaml
 
 import auvform
 from auvform.cli import main as cli_main
@@ -98,6 +101,114 @@ def test_round_trip(tmp_path):
     sc2 = parse_scenario(tmp_path / "round.yaml")
     assert scenario_to_dict(sc) == scenario_to_dict(sc2)
     assert serialize_scenario(sc2) == text
+
+
+# Every documented key at a valid value other than its default, each value
+# distinct, so a key wired to the wrong attribute changes a digest below.
+# b0, e_amp and wavenumber are spelled at their defaults: FlowParams.validate
+# rejects other values.
+EVERY_KEY = """
+sim: {dt_s: 0.02, duration_s: 3.0, seed: 11, convergence_threshold_m: 0.2}
+trajectory:
+  kind: waypoints
+  duration_s: 9.5
+  spiral: {center_m: [41.0, 39.0, -7.0], radius_m: 7.5, angular_rate_rad_s: 0.12,
+           vertical_rate_m_s: -0.03, phase_rad: 0.25}
+  line: {start_m: [11.0, 38.0, -4.0], velocity_m_s: [0.4, 0.1, -0.05]}
+  waypoints: {points_m: [[10.0, 20.0, -5.0], [30.0, 20.0, -5.5], [30.0, 42.0, -6.0]],
+              speed_m_s: 0.7}
+formation:
+  offsets:
+    - {xyz_m: [-2.5, 1.25, 0.5], yaw_rad: 0.05}
+    - {xyz_m: [-3.0, -1.75, -0.5], yaw_rad: -0.15}
+vehicle:
+  inertia_diag: [31.0, 32.0, 33.0, 1.5, 5.5, 6.5]
+  drag_linear: [6.0, 26.0, 27.0, 3.0, 9.0, 10.0]
+  drag_quadratic: [11.0, 151.0, 152.0, 6.0, 21.0, 22.0]
+  restoring_gain_nm: 31.5
+  buoyancy_net_n: 0.5
+  mismatch_factor: 0.8
+controller:
+  surface_gain: [0.7, 0.75, 0.85, 0.15, 0.12, 0.06]
+  integral_clamp: 0.35
+  lam: 2.5
+  rho: 0.4
+  w_gain: 0.35
+  phi: 0.15
+  gamma_big: 1.25
+  gamma_small: 1.5
+  adaptive_k: [40.0, 41.0, 42.0, 1.0, 2.0, 3.0]
+  adaptive_gamma: [60.0, 61.0, 90.0, 4.0, 5.0, 6.0]
+  f_est_clamp_n: 30.5
+  baseline: true
+  baseline_lam: 1.9
+  baseline_w_n: 3.5
+  rate_divider: 4
+flow:
+  enabled: false
+  b0: 1.2
+  e_amp: 0.3
+  omega_rad_s: 0.45
+  theta0_rad: 1.4
+  phase_speed_m_s: 0.13
+  wavenumber: 0.82
+  layers: {n_layers: 2, z_top_m: -1.0, z_bottom_m: -30.0, layer_scale: [1.0, 0.55],
+           speed_cap_m_s: 0.45, jet_origin_m: [5.0, 45.0], jet_scale: 16.0}
+  disturbance: {drag_gain: 35.0, drag_gain_yaw: 4.5, force_clamp_n: 18.0}
+mpc:
+  enabled: false
+  n_e: 6
+  n_u: 3
+  tau_lo_n: -70.0
+  tau_hi_n: 65.0
+  state_lo_m: -4.0
+  state_hi_m: 4.5
+  candidate_count: 20
+  rounds: 5
+  perturb_scale_n: 1.5
+  stride: 7
+thrusters: {k1: 0.31, k2: 0.32, k3: 0.71, l1: 0.41, l2: 0.42, t1: 0.51, t2: 0.52,
+            t3: 0.11, t4: 0.12, r1_m: -0.21, r2_m: -0.22, r3_m: 0.33, u_limit_n: 71.0}
+workspace: {x_m: [5.0, 75.0], y_m: [2.0, 78.0]}
+initial:
+  mode: explicit
+  states:
+    - [10.0, 20.0, -5.0, 0.0, 0.0, 0.1, 0.2, 0.0, 0.0, 0.0, 0.0, 0.0]
+    - [8.0, 21.0, -4.5, 0.0, 0.0, 0.2, 0.3, 0.0, 0.0, 0.0, 0.0, 0.0]
+    - [7.0, 18.0, -5.5, 0.0, 0.0, 0.3, 0.4, 0.0, 0.0, 0.0, 0.0, 0.0]
+"""
+EVERY_KEY_YAML_SHA = "6590b49ccef6109c4d16c75413a2018071356d21e48573bb4f499b9a9b5db20a"
+EVERY_KEY_FIELDS_SHA = "d0a686ef2bd585001ab3155942dd03fcab995e9e613b2c5f2f49fba944a2b75e"
+
+
+def _hash_fields(obj, h) -> None:
+    """Feed every dataclass field of obj, recursively, with names and types."""
+    if dataclasses.is_dataclass(obj):
+        for f in dataclasses.fields(obj):
+            # the workspace x/y bounds are covered through flow.layers
+            if f.name not in ("workspace_x", "workspace_y", "workspace_z"):
+                h.update(f.name.encode())
+                _hash_fields(getattr(obj, f.name), h)
+    elif isinstance(obj, np.ndarray):
+        h.update(f"{obj.dtype.str}{obj.shape}".encode())
+        h.update(np.ascontiguousarray(obj).tobytes())
+    elif isinstance(obj, (list, tuple)):
+        h.update(f"{type(obj).__name__}{len(obj)}".encode())
+        for item in obj:
+            _hash_fields(item, h)
+    else:
+        h.update(f"{type(obj).__name__}:{obj!r}".encode())
+
+
+def test_every_key_parses_and_serializes_to_pinned_digests():
+    sc = scenario_from_dict(yaml.safe_load(EVERY_KEY))
+    # workspace.z_m, which nothing read, is no longer written; dropping it
+    # keeps this digest comparable with the versions that wrote it
+    text = serialize_scenario(sc).replace("  z_m:\n  - -20.0\n  - 0.0\n", "")
+    assert hashlib.sha256(text.encode()).hexdigest() == EVERY_KEY_YAML_SHA
+    h = hashlib.sha256()
+    _hash_fields(sc, h)
+    assert h.hexdigest() == EVERY_KEY_FIELDS_SHA
 
 
 def test_shipped_spiral_scenario_parses():
