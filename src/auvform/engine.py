@@ -148,9 +148,6 @@ class Scenario:
     duration: float = 50.0
     seed: int = 0
     convergence_threshold: float = 0.1
-    workspace_x: tuple[float, float] = (0.0, 80.0)
-    workspace_y: tuple[float, float] = (0.0, 80.0)
-    workspace_z: tuple[float, float] = (-20.0, 0.0)
     initial_states: list[np.ndarray] | None = None
 
     def validate(self) -> None:

@@ -38,6 +38,8 @@ class FormationSpec:
     )
 
     def validate(self) -> None:
+        if any(o.xyz.shape != (3,) for o in self.offsets):
+            raise ValueError("each formation offset xyz needs 3 entries")
         pts = [tuple(o.xyz) + (o.yaw,) for o in self.offsets]
         if len(set(pts)) != len(pts):
             raise ValueError("formation offsets must be distinct")
@@ -81,11 +83,15 @@ class TrajectorySpec:
             raise ValueError(f"unknown trajectory kind {self.kind!r}")
         if self.duration <= 0:
             raise ValueError("duration must be positive")
+        for name in ("center", "start", "velocity"):
+            if getattr(self, name).shape != (3,):
+                raise ValueError(f"trajectory {name} needs 3 entries")
         if self.kind == "spiral" and self.radius <= 0:
             raise ValueError("spiral radius must be positive")
         if self.kind == "waypoints":
-            if self.waypoints is None or len(self.waypoints) < 2:
-                raise ValueError("waypoint trajectory needs at least 2 points")
+            pts = self.waypoints
+            if pts is None or pts.shape[1:] != (3,) or len(pts) < 2:
+                raise ValueError("waypoint trajectory needs at least 2 points of 3 entries")
             if self.speed <= 0:
                 raise ValueError("waypoint speed must be positive")
 

@@ -2,356 +2,223 @@
 
 Scenarios are YAML documents with one block per subsystem; key names carry
 their units.  Only `sim` and `trajectory` are required, everything else
-falls back to the documented defaults (see docs/scenario_reference.md and
-the shipped scenarios/spiral.yaml).  Unknown keys are rejected so typos
-cannot silently disable a setting.
+falls back to the defaults of the config dataclasses (listed in
+docs/scenario_reference.md).  Unknown keys are rejected so typos cannot
+silently disable a setting.
 """
 
 from __future__ import annotations
 
-import math
+from dataclasses import replace
+from functools import reduce
 from pathlib import Path
 
 import numpy as np
 import yaml
 
-from .controller import AdaptiveState, SuperTwistGains, SurfaceConfig, validate_gains
-from .engine import ControllerConfig, FlowConfig, Scenario
-from .flow import DisturbanceModel, FlowParams, LayeredField
-from .formation import FollowerOffset, FormationSpec, TrajectorySpec
-from .mpc import MpcConfig
-from .thrusters import ThrusterConfig
-from .vehicle import RigidBodyParams
+from .engine import Scenario
+from .formation import FollowerOffset
 
 
 class ScenarioError(ValueError):
     """Scenario file failed to parse or violated a documented invariant."""
 
 
-_SCHEMA = {
-    "sim": {
-        "dt_s": 0.01,
-        "duration_s": 50.0,
-        "seed": 0,
-        "convergence_threshold_m": 0.1,
-    },
-    "trajectory": {
-        "kind": "spiral",
-        "duration_s": None,
-        "spiral": {
-            "center_m": [40.0, 40.0, -8.0],
-            "radius_m": 8.0,
-            "angular_rate_rad_s": 0.1,
-            "vertical_rate_m_s": -0.04,
-            "phase_rad": 0.0,
-        },
-        "line": {
-            "start_m": [10.0, 40.0, -5.0],
-            "velocity_m_s": [0.5, 0.0, 0.0],
-        },
-        "waypoints": {
-            "points_m": None,
-            "speed_m_s": 0.5,
-        },
-    },
-    "formation": {
-        "offsets": [
-            {"xyz_m": [-2.0, 1.5, 0.0], "yaw_rad": 0.0},
-            {"xyz_m": [-2.0, -1.5, 0.0], "yaw_rad": 0.0},
-        ],
-    },
-    "vehicle": {
-        "inertia_diag": [30.0, 30.0, 30.0, 1.0, 5.0, 5.0],
-        "drag_linear": [5.0, 25.0, 25.0, 2.0, 8.0, 8.0],
-        "drag_quadratic": [10.0, 150.0, 150.0, 5.0, 20.0, 20.0],
-        "restoring_gain_nm": 30.0,
-        "buoyancy_net_n": 0.0,
-        "mismatch_factor": 0.9,
-    },
-    "controller": {
-        "surface_gain": [0.8, 0.8, 0.8, 0.1, 0.1, 0.05],
-        "integral_clamp": 0.3,
-        "lam": 2.1,
-        "rho": 0.36,
-        "w_gain": 0.3,
-        "phi": 0.2,
-        "gamma_big": 1.0,
-        "gamma_small": 1.0,
-        "adaptive_k": [50.0, 50.0, 50.0, 0.0, 0.0, 0.0],
-        "adaptive_gamma": [50.0, 50.0, 100.0, 0.0, 0.0, 0.0],
-        "f_est_clamp_n": 40.0,
-        "baseline": False,
-        "baseline_lam": 2.1,
-        "baseline_w_n": None,
-        "rate_divider": 1,
-    },
-    "flow": {
-        "enabled": True,
-        "b0": 1.2,
-        "e_amp": 0.3,
-        "omega_rad_s": 0.4,
-        "theta0_rad": math.pi / 2,
-        "phase_speed_m_s": 0.12,
-        "wavenumber": 0.82,
-        "layers": {
-            "n_layers": 3,
-            "z_top_m": 0.0,
-            "z_bottom_m": -20.0,
-            "layer_scale": [1.0, 1.0 / 2.4, 0.25],
-            "speed_cap_m_s": 0.5,
-            "jet_origin_m": [0.0, 52.0],
-            "jet_scale": 18.0,
-        },
-        "disturbance": {
-            "drag_gain": 40.0,
-            "drag_gain_yaw": 5.0,
-            "force_clamp_n": 20.0,
-        },
-    },
-    "mpc": {
-        "enabled": True,
-        "n_e": 5,
-        "n_u": 2,
-        "tau_lo_n": -60.0,
-        "tau_hi_n": 60.0,
-        "state_lo_m": -5.0,
-        "state_hi_m": 5.0,
-        "candidate_count": 32,
-        "rounds": 3,
-        "perturb_scale_n": 2.0,
-        "stride": 1,
-    },
-    "thrusters": {
-        "k1": 0.45,
-        "k2": 0.45,
-        "k3": 1.0,
-        "l1": 0.65,
-        "l2": 0.65,
-        "t1": 1.0,
-        "t2": 1.0,
-        "t3": 0.25,
-        "t4": 0.25,
-        "r1_m": -0.1,
-        "r2_m": -0.1,
-        "r3_m": 0.4,
-        "u_limit_n": 60.0,
-    },
-    "workspace": {
-        "x_m": [0.0, 80.0],
-        "y_m": [0.0, 80.0],
-        "z_m": [-20.0, 0.0],
-    },
-    "initial": {
-        "mode": "on_reference",
-        "states": None,
-    },
-}
+def _bool(value):
+    if not isinstance(value, bool):
+        raise ValueError(f"expected true or false, got {value!r}")
+    return value
 
+
+def _floats(n: int | None = None):
+    """Converter to a list of numbers as a float array; with n, exactly n of them."""
+
+    def convert(value) -> np.ndarray:
+        arr = np.array(value, dtype=float)
+        if arr.ndim != 1 or n not in (None, len(arr)):
+            raise ValueError(f"expected {n or 'a list of'} numbers, got {value!r}")
+        return arr
+
+    return convert
+
+
+def _float_tuple(n: int | None = None):
+    return lambda value: tuple(_floats(n)(value).tolist())
+
+
+def _offsets(entries) -> list[FollowerOffset]:
+    offsets = []
+    for entry in entries:
+        if not isinstance(entry, dict) or "xyz_m" not in entry:
+            raise ValueError(f"each entry needs xyz_m, got {entry!r}")
+        if set(entry) - {"xyz_m", "yaw_rad"}:
+            raise ValueError(f"unknown key in {entry!r}: an entry takes xyz_m and yaw_rad")
+        offsets.append(FollowerOffset(_floats()(entry["xyz_m"])))
+        offsets[-1].yaw = float(entry.get("yaw_rad", offsets[-1].yaw))
+    return offsets
+
+
+# One row per YAML key: (key path, attribute path on Scenario, converter).  Parsing
+# and serialization both walk it in order; rows without an attribute are hand-written.
+_TABLE = [
+    ("sim.dt_s", "dt", float),
+    ("sim.duration_s", "duration", float),
+    ("sim.seed", "seed", int),
+    ("sim.convergence_threshold_m", "convergence_threshold", float),
+    ("trajectory.kind", "trajectory.kind", str),
+    ("trajectory.duration_s", "trajectory.duration", float),
+    ("trajectory.spiral.center_m", "trajectory.center", _floats()),
+    ("trajectory.spiral.radius_m", "trajectory.radius", float),
+    ("trajectory.spiral.angular_rate_rad_s", "trajectory.angular_rate", float),
+    ("trajectory.spiral.vertical_rate_m_s", "trajectory.vertical_rate", float),
+    ("trajectory.spiral.phase_rad", "trajectory.phase", float),
+    ("trajectory.line.start_m", "trajectory.start", _floats()),
+    ("trajectory.line.velocity_m_s", "trajectory.velocity", _floats()),
+    ("trajectory.waypoints.points_m", "trajectory.waypoints", lambda v: np.array(v, dtype=float)),
+    ("trajectory.waypoints.speed_m_s", "trajectory.speed", float),
+    ("formation.offsets", "formation.offsets", _offsets),
+    ("vehicle.inertia_diag", "vehicle.inertia", lambda v: np.diag(_floats(6)(v))),
+    ("vehicle.drag_linear", "vehicle.d_linear", _floats(6)),
+    ("vehicle.drag_quadratic", "vehicle.d_quad", _floats(6)),
+    ("vehicle.restoring_gain_nm", "vehicle.restoring_gain", float),
+    ("vehicle.buoyancy_net_n", "vehicle.buoyancy_net", float),
+    ("vehicle.mismatch_factor", "vehicle.mismatch_factor", float),
+    ("controller.surface_gain", "controller.surface.lambda_s", _floats(6)),
+    ("controller.integral_clamp", "controller.surface.integral_clamp", float),
+    ("controller.lam", "controller.gains.lam", float),
+    ("controller.rho", "controller.gains.rho", float),
+    ("controller.w_gain", "controller.gains.w_gain", float),
+    ("controller.phi", "controller.gains.phi", float),
+    ("controller.gamma_big", "controller.gains.gamma_big", float),
+    ("controller.gamma_small", "controller.gains.gamma_small", float),
+    ("controller.adaptive_k", "controller.adaptive.k_gain", _floats(6)),
+    ("controller.adaptive_gamma", "controller.adaptive.gamma", _floats(6)),
+    ("controller.f_est_clamp_n", "controller.adaptive.f_est_clamp", float),
+    ("controller.baseline", "controller.baseline", _bool),
+    ("controller.baseline_lam", "controller.baseline_lam", float),
+    ("controller.baseline_w_n", "controller.baseline_w", float),
+    ("controller.rate_divider", "controller.rate_divider", int),
+    ("flow.enabled", "flow.enabled", _bool),
+    ("flow.b0", "flow.params.b0", float),
+    ("flow.e_amp", "flow.params.e_amp", float),
+    ("flow.omega_rad_s", "flow.params.omega", float),
+    ("flow.theta0_rad", "flow.params.theta0", float),
+    ("flow.phase_speed_m_s", "flow.params.c", float),
+    ("flow.wavenumber", "flow.params.k", float),
+    ("flow.layers.n_layers", "flow.layers.n_layers", int),
+    ("flow.layers.z_top_m", "flow.layers.z_top", float),
+    ("flow.layers.z_bottom_m", "flow.layers.z_bottom", float),
+    ("flow.layers.layer_scale", "flow.layers.layer_scale", _float_tuple()),
+    ("flow.layers.speed_cap_m_s", "flow.layers.speed_cap", float),
+    ("flow.layers.jet_origin_m", "flow.layers.jet_origin", _float_tuple(2)),
+    ("flow.layers.jet_scale", "flow.layers.jet_scale", float),
+    ("flow.disturbance.drag_gain", "flow.disturbance.drag_gain", float),
+    ("flow.disturbance.drag_gain_yaw", "flow.disturbance.drag_gain_yaw", float),
+    ("flow.disturbance.force_clamp_n", "flow.disturbance.force_clamp", float),
+    ("mpc.enabled", "mpc.enabled", _bool),
+    ("mpc.n_e", "mpc.n_e", int),
+    ("mpc.n_u", "mpc.n_u", int),
+    ("mpc.tau_lo_n", "mpc.tau_lo", float),
+    ("mpc.tau_hi_n", "mpc.tau_hi", float),
+    ("mpc.state_lo_m", "mpc.state_lo", float),
+    ("mpc.state_hi_m", "mpc.state_hi", float),
+    ("mpc.candidate_count", "mpc.candidate_count", int),
+    ("mpc.rounds", "mpc.rounds", int),
+    ("mpc.perturb_scale_n", "mpc.perturb_scale", float),
+    ("mpc.stride", "mpc.stride", int),
+    ("thrusters.k1", "thrusters.k1", float),
+    ("thrusters.k2", "thrusters.k2", float),
+    ("thrusters.k3", "thrusters.k3", float),
+    ("thrusters.l1", "thrusters.l1", float),
+    ("thrusters.l2", "thrusters.l2", float),
+    ("thrusters.t1", "thrusters.t1", float),
+    ("thrusters.t2", "thrusters.t2", float),
+    ("thrusters.t3", "thrusters.t3", float),
+    ("thrusters.t4", "thrusters.t4", float),
+    ("thrusters.r1_m", "thrusters.r1", float),
+    ("thrusters.r2_m", "thrusters.r2", float),
+    ("thrusters.r3_m", "thrusters.r3", float),
+    ("thrusters.u_limit_n", "thrusters.u_limit", float),
+    # [min, max] along x and y: one column each of flow.layers.xy_min/xy_max
+    ("workspace.x_m", None, _floats(2)),
+    ("workspace.y_m", None, _floats(2)),
+    ("initial.mode", None, str),
+    ("initial.states", "initial_states", lambda v: [_floats(12)(s) for s in v]),
+]
+
+_KEYS = {key: (attr, convert) for key, attr, convert in _TABLE}
+_BLOCKS = {key.rsplit(".", i)[0] for key in _KEYS for i in range(1, key.count(".") + 1)}
 _REQUIRED_BLOCKS = ("sim", "trajectory")
 
 
-def _check_keys(data: dict, schema: dict, path: str) -> None:
-    for key in data:
-        if key not in schema:
-            raise ScenarioError(f"unknown key {path}{key!r}")
-        sub = schema[key]
-        if isinstance(sub, dict) and isinstance(data[key], dict):
-            _check_keys(data[key], sub, f"{path}{key}.")
-
-
-def _merged(data: dict, schema: dict) -> dict:
-    out = {}
-    for key, default in schema.items():
-        if key in data and data[key] is not None:
-            if isinstance(default, dict) and isinstance(data[key], dict):
-                out[key] = _merged(data[key], default)
-            else:
-                out[key] = data[key]
+def _leaves(doc: dict, prefix: str = ""):
+    """(key path, value) for every non-null leaf of doc; unknown keys raise."""
+    for name, value in doc.items():
+        key = f"{prefix}{name}"
+        if key in _BLOCKS:
+            if value is None:
+                continue
+            if not isinstance(value, dict):
+                raise ScenarioError(f"{key}: expected a mapping, got {value!r}")
+            yield from _leaves(value, f"{key}.")
+        elif key in _KEYS:
+            if value is not None:
+                yield key, value
         else:
-            out[key] = (
-                _merged({}, default) if isinstance(default, dict) else default
-            )
-    return out
+            raise ScenarioError(f"unknown key {prefix}{name!r}")
+
+
+def _replaced(obj, changes: dict):
+    """obj with attribute paths ('a.b.c') set: one dataclasses.replace per object."""
+    own, nested = {}, {}
+    for path, value in changes.items():
+        name, _, rest = path.partition(".")
+        if rest:
+            nested.setdefault(name, {})[rest] = value
+        else:
+            own[name] = value
+    for name, sub in nested.items():
+        own[name] = _replaced(getattr(obj, name), sub)
+    return replace(obj, **own)
 
 
 def scenario_from_dict(raw: dict) -> Scenario:
-    """Validate a raw mapping against the schema and build a Scenario."""
+    """Validate a raw mapping against the key table and build a Scenario."""
     if not isinstance(raw, dict):
         raise ScenarioError("scenario document must be a mapping")
-    _check_keys(raw, _SCHEMA, "")
+    leaves = dict(_leaves(raw))
     for block in _REQUIRED_BLOCKS:
         if block not in raw:
             raise ScenarioError(f"missing required block {block!r}")
-    cfg = _merged(raw, _SCHEMA)
+    values = {}
+    for key, value in leaves.items():
+        try:
+            values[key] = _KEYS[key][1](value)
+        except (TypeError, ValueError) as exc:
+            raise ScenarioError(f"{key}: {exc}") from exc
+    base = Scenario()
+    changes = {_KEYS[key][0]: v for key, v in values.items() if _KEYS[key][0]}
 
-    sim = cfg["sim"]
-    traj_cfg = cfg["trajectory"]
-    traj_duration = traj_cfg["duration_s"]
-    if traj_duration is None:
-        traj_duration = sim["duration_s"]
-    kind = traj_cfg["kind"]
-    sp = traj_cfg["spiral"]
-    ln = traj_cfg["line"]
-    wp = traj_cfg["waypoints"]
-    trajectory = TrajectorySpec(
-        kind=kind,
-        duration=float(max(traj_duration, sim["duration_s"])),
-        center=np.asarray(sp["center_m"], dtype=float),
-        radius=float(sp["radius_m"]),
-        angular_rate=float(sp["angular_rate_rad_s"]),
-        vertical_rate=float(sp["vertical_rate_m_s"]),
-        phase=float(sp["phase_rad"]),
-        start=np.asarray(ln["start_m"], dtype=float),
-        velocity=np.asarray(ln["velocity_m_s"], dtype=float),
-        waypoints=(
-            np.asarray(wp["points_m"], dtype=float)
-            if wp["points_m"] is not None
-            else None
-        ),
-        speed=float(wp["speed_m_s"]),
-    )
+    # the reference must cover the whole run; null means the sim duration
+    duration = changes.get("duration", base.duration)
+    changes["trajectory.duration"] = max(changes.get("trajectory.duration", duration), duration)
 
-    offsets = [
-        FollowerOffset(np.asarray(o["xyz_m"], dtype=float), float(o.get("yaw_rad", 0.0)))
-        for o in cfg["formation"]["offsets"]
-    ]
-    formation = FormationSpec(offsets=offsets)
+    layers = base.flow.layers
+    x = values.get("workspace.x_m", (layers.xy_min[0], layers.xy_max[0]))
+    y = values.get("workspace.y_m", (layers.xy_min[1], layers.xy_max[1]))
+    changes["flow.layers.xy_min"] = (float(x[0]), float(y[0]))
+    changes["flow.layers.xy_max"] = (float(x[1]), float(y[1]))
 
-    veh = cfg["vehicle"]
-    vehicle = RigidBodyParams(
-        inertia=np.diag(np.asarray(veh["inertia_diag"], dtype=float)),
-        d_linear=np.asarray(veh["drag_linear"], dtype=float),
-        d_quad=np.asarray(veh["drag_quadratic"], dtype=float),
-        restoring_gain=float(veh["restoring_gain_nm"]),
-        buoyancy_net=float(veh["buoyancy_net_n"]),
-        mismatch_factor=float(veh["mismatch_factor"]),
-    )
+    mode = values.get("initial.mode", "on_reference")
+    if mode not in ("on_reference", "explicit"):
+        raise ScenarioError(f"unknown initial mode {mode!r}")
+    if mode == "on_reference":
+        changes.pop("initial_states", None)
+    elif "initial_states" not in changes:
+        raise ScenarioError("initial.mode explicit requires initial.states")
 
-    ctl = cfg["controller"]
-    gains = SuperTwistGains(
-        lam=float(ctl["lam"]),
-        rho=float(ctl["rho"]),
-        w_gain=float(ctl["w_gain"]),
-        phi=float(ctl["phi"]),
-        gamma_big=float(ctl["gamma_big"]),
-        gamma_small=float(ctl["gamma_small"]),
-    )
-    problems = validate_gains(gains)
-    if problems:
-        raise ScenarioError("controller gains infeasible: " + "; ".join(problems))
-    controller = ControllerConfig(
-        surface=SurfaceConfig(
-            lambda_s=np.asarray(ctl["surface_gain"], dtype=float),
-            integral_clamp=float(ctl["integral_clamp"]),
-        ),
-        gains=gains,
-        adaptive=AdaptiveState(
-            k_gain=np.asarray(ctl["adaptive_k"], dtype=float),
-            gamma=np.asarray(ctl["adaptive_gamma"], dtype=float),
-            f_est_clamp=float(ctl["f_est_clamp_n"]),
-        ),
-        baseline=bool(ctl["baseline"]),
-        baseline_lam=float(ctl["baseline_lam"]),
-        baseline_w=(
-            None if ctl["baseline_w_n"] is None else float(ctl["baseline_w_n"])
-        ),
-        rate_divider=int(ctl["rate_divider"]),
-    )
-
-    fl = cfg["flow"]
-    lay = fl["layers"]
-    dist = fl["disturbance"]
-    flow = FlowConfig(
-        params=FlowParams(
-            b0=float(fl["b0"]),
-            e_amp=float(fl["e_amp"]),
-            omega=float(fl["omega_rad_s"]),
-            theta0=float(fl["theta0_rad"]),
-            c=float(fl["phase_speed_m_s"]),
-            k=float(fl["wavenumber"]),
-        ),
-        layers=LayeredField(
-            n_layers=int(lay["n_layers"]),
-            z_top=float(lay["z_top_m"]),
-            z_bottom=float(lay["z_bottom_m"]),
-            layer_scale=tuple(float(s) for s in lay["layer_scale"]),
-            speed_cap=float(lay["speed_cap_m_s"]),
-            jet_origin=tuple(float(v) for v in lay["jet_origin_m"]),
-            jet_scale=float(lay["jet_scale"]),
-            xy_min=(float(cfg["workspace"]["x_m"][0]), float(cfg["workspace"]["y_m"][0])),
-            xy_max=(float(cfg["workspace"]["x_m"][1]), float(cfg["workspace"]["y_m"][1])),
-        ),
-        disturbance=DisturbanceModel(
-            drag_gain=float(dist["drag_gain"]),
-            drag_gain_yaw=float(dist["drag_gain_yaw"]),
-            force_clamp=float(dist["force_clamp_n"]),
-        ),
-        enabled=bool(fl["enabled"]),
-    )
-
-    mp = cfg["mpc"]
-    mpc = MpcConfig(
-        enabled=bool(mp["enabled"]),
-        n_e=int(mp["n_e"]),
-        n_u=int(mp["n_u"]),
-        tau_lo=float(mp["tau_lo_n"]),
-        tau_hi=float(mp["tau_hi_n"]),
-        state_lo=float(mp["state_lo_m"]),
-        state_hi=float(mp["state_hi_m"]),
-        candidate_count=int(mp["candidate_count"]),
-        rounds=int(mp["rounds"]),
-        perturb_scale=float(mp["perturb_scale_n"]),
-        stride=int(mp["stride"]),
-    )
-
-    th = cfg["thrusters"]
-    thrusters = ThrusterConfig(
-        k1=float(th["k1"]),
-        k2=float(th["k2"]),
-        k3=float(th["k3"]),
-        l1=float(th["l1"]),
-        l2=float(th["l2"]),
-        t1=float(th["t1"]),
-        t2=float(th["t2"]),
-        t3=float(th["t3"]),
-        t4=float(th["t4"]),
-        r1=float(th["r1_m"]),
-        r2=float(th["r2_m"]),
-        r3=float(th["r3_m"]),
-        u_limit=float(th["u_limit_n"]),
-    )
-
-    init = cfg["initial"]
-    if init["mode"] not in ("on_reference", "explicit"):
-        raise ScenarioError(f"unknown initial mode {init['mode']!r}")
-    initial_states = None
-    if init["mode"] == "explicit":
-        if init["states"] is None:
-            raise ScenarioError("initial.mode explicit requires initial.states")
-        initial_states = [np.asarray(s, dtype=float) for s in init["states"]]
-        for s in initial_states:
-            if s.shape != (12,):
-                raise ScenarioError("each initial state needs 12 entries (eta, nu)")
-
-    ws = cfg["workspace"]
-    scenario = Scenario(
-        trajectory=trajectory,
-        formation=formation,
-        vehicle=vehicle,
-        thrusters=thrusters,
-        controller=controller,
-        flow=flow,
-        mpc=mpc,
-        dt=float(sim["dt_s"]),
-        duration=float(sim["duration_s"]),
-        seed=int(sim["seed"]),
-        convergence_threshold=float(sim["convergence_threshold_m"]),
-        workspace_x=tuple(float(v) for v in ws["x_m"]),
-        workspace_y=tuple(float(v) for v in ws["y_m"]),
-        workspace_z=tuple(float(v) for v in ws["z_m"]),
-        initial_states=initial_states,
-    )
     try:
+        scenario = _replaced(base, changes)
         scenario.validate()
     except ValueError as exc:
         raise ScenarioError(str(exc)) from exc
@@ -373,133 +240,36 @@ def parse_scenario(path: str | Path) -> Scenario:
     return scenario_from_dict(raw)
 
 
+def _plain(value):
+    """YAML-safe form of an attribute value: arrays and tuples become lists."""
+    if isinstance(value, np.ndarray):
+        return value.tolist()
+    if isinstance(value, (list, tuple)):
+        return [_plain(v) for v in value]
+    return value
+
+
 def scenario_to_dict(sc: Scenario) -> dict:
     """Canonical mapping form, round-trippable through scenario_from_dict."""
-    traj = sc.trajectory
-    return {
-        "sim": {
-            "dt_s": sc.dt,
-            "duration_s": sc.duration,
-            "seed": sc.seed,
-            "convergence_threshold_m": sc.convergence_threshold,
-        },
-        "trajectory": {
-            "kind": traj.kind,
-            "duration_s": traj.duration,
-            "spiral": {
-                "center_m": traj.center.tolist(),
-                "radius_m": traj.radius,
-                "angular_rate_rad_s": traj.angular_rate,
-                "vertical_rate_m_s": traj.vertical_rate,
-                "phase_rad": traj.phase,
-            },
-            "line": {
-                "start_m": traj.start.tolist(),
-                "velocity_m_s": traj.velocity.tolist(),
-            },
-            "waypoints": {
-                "points_m": (
-                    traj.waypoints.tolist() if traj.waypoints is not None else None
-                ),
-                "speed_m_s": traj.speed,
-            },
-        },
-        "formation": {
-            "offsets": [
-                {"xyz_m": o.xyz.tolist(), "yaw_rad": o.yaw}
-                for o in sc.formation.offsets
-            ],
-        },
-        "vehicle": {
-            "inertia_diag": np.diag(sc.vehicle.inertia).tolist(),
-            "drag_linear": sc.vehicle.d_linear.tolist(),
-            "drag_quadratic": sc.vehicle.d_quad.tolist(),
-            "restoring_gain_nm": sc.vehicle.restoring_gain,
-            "buoyancy_net_n": sc.vehicle.buoyancy_net,
-            "mismatch_factor": sc.vehicle.mismatch_factor,
-        },
-        "controller": {
-            "surface_gain": sc.controller.surface.lambda_s.tolist(),
-            "integral_clamp": sc.controller.surface.integral_clamp,
-            "lam": sc.controller.gains.lam,
-            "rho": sc.controller.gains.rho,
-            "w_gain": sc.controller.gains.w_gain,
-            "phi": sc.controller.gains.phi,
-            "gamma_big": sc.controller.gains.gamma_big,
-            "gamma_small": sc.controller.gains.gamma_small,
-            "adaptive_k": sc.controller.adaptive.k_gain.tolist(),
-            "adaptive_gamma": sc.controller.adaptive.gamma.tolist(),
-            "f_est_clamp_n": sc.controller.adaptive.f_est_clamp,
-            "baseline": sc.controller.baseline,
-            "baseline_lam": sc.controller.baseline_lam,
-            "baseline_w_n": sc.controller.baseline_w,
-            "rate_divider": sc.controller.rate_divider,
-        },
-        "flow": {
-            "enabled": sc.flow.enabled,
-            "b0": sc.flow.params.b0,
-            "e_amp": sc.flow.params.e_amp,
-            "omega_rad_s": sc.flow.params.omega,
-            "theta0_rad": sc.flow.params.theta0,
-            "phase_speed_m_s": sc.flow.params.c,
-            "wavenumber": sc.flow.params.k,
-            "layers": {
-                "n_layers": sc.flow.layers.n_layers,
-                "z_top_m": sc.flow.layers.z_top,
-                "z_bottom_m": sc.flow.layers.z_bottom,
-                "layer_scale": list(sc.flow.layers.layer_scale),
-                "speed_cap_m_s": sc.flow.layers.speed_cap,
-                "jet_origin_m": list(sc.flow.layers.jet_origin),
-                "jet_scale": sc.flow.layers.jet_scale,
-            },
-            "disturbance": {
-                "drag_gain": sc.flow.disturbance.drag_gain,
-                "drag_gain_yaw": sc.flow.disturbance.drag_gain_yaw,
-                "force_clamp_n": sc.flow.disturbance.force_clamp,
-            },
-        },
-        "mpc": {
-            "enabled": sc.mpc.enabled,
-            "n_e": sc.mpc.n_e,
-            "n_u": sc.mpc.n_u,
-            "tau_lo_n": sc.mpc.tau_lo,
-            "tau_hi_n": sc.mpc.tau_hi,
-            "state_lo_m": sc.mpc.state_lo,
-            "state_hi_m": sc.mpc.state_hi,
-            "candidate_count": sc.mpc.candidate_count,
-            "rounds": sc.mpc.rounds,
-            "perturb_scale_n": sc.mpc.perturb_scale,
-            "stride": sc.mpc.stride,
-        },
-        "thrusters": {
-            "k1": sc.thrusters.k1,
-            "k2": sc.thrusters.k2,
-            "k3": sc.thrusters.k3,
-            "l1": sc.thrusters.l1,
-            "l2": sc.thrusters.l2,
-            "t1": sc.thrusters.t1,
-            "t2": sc.thrusters.t2,
-            "t3": sc.thrusters.t3,
-            "t4": sc.thrusters.t4,
-            "r1_m": sc.thrusters.r1,
-            "r2_m": sc.thrusters.r2,
-            "r3_m": sc.thrusters.r3,
-            "u_limit_n": sc.thrusters.u_limit,
-        },
-        "workspace": {
-            "x_m": list(sc.workspace_x),
-            "y_m": list(sc.workspace_y),
-            "z_m": list(sc.workspace_z),
-        },
-        "initial": {
-            "mode": "on_reference" if sc.initial_states is None else "explicit",
-            "states": (
-                None
-                if sc.initial_states is None
-                else [np.asarray(s).tolist() for s in sc.initial_states]
-            ),
-        },
+    layers = sc.flow.layers
+    hand_written = {
+        "formation.offsets": [
+            {"xyz_m": o.xyz.tolist(), "yaw_rad": o.yaw} for o in sc.formation.offsets
+        ],
+        "vehicle.inertia_diag": np.diag(sc.vehicle.inertia).tolist(),
+        "workspace.x_m": [layers.xy_min[0], layers.xy_max[0]],
+        "workspace.y_m": [layers.xy_min[1], layers.xy_max[1]],
+        "initial.mode": "on_reference" if sc.initial_states is None else "explicit",
     }
+    out: dict = {}
+    for key, attr, _ in _TABLE:
+        *blocks, name = key.split(".")
+        node = reduce(lambda d, b: d.setdefault(b, {}), blocks, out)
+        node[name] = (
+            hand_written[key] if key in hand_written
+            else _plain(reduce(getattr, attr.split("."), sc))
+        )
+    return out
 
 
 def serialize_scenario(sc: Scenario, path: str | Path | None = None) -> str:

@@ -252,11 +252,11 @@ def test_criterion_10_determinism(spiral, tmp_path):
 
 def test_spiral_stays_inside_workspace(spiral):
     sc, log = spiral.scenario, spiral.log
-    eta = log.eta
+    eta, box = log.eta, sc.flow.layers
     inside = (
-        np.all((eta[:, :, 0] >= sc.workspace_x[0]) & (eta[:, :, 0] <= sc.workspace_x[1]))
-        and np.all((eta[:, :, 1] >= sc.workspace_y[0]) & (eta[:, :, 1] <= sc.workspace_y[1]))
-        and np.all((eta[:, :, 2] >= sc.workspace_z[0]) & (eta[:, :, 2] <= sc.workspace_z[1]))
+        np.all((eta[:, :, 0] >= box.xy_min[0]) & (eta[:, :, 0] <= box.xy_max[0]))
+        and np.all((eta[:, :, 1] >= box.xy_min[1]) & (eta[:, :, 1] <= box.xy_max[1]))
+        and np.all((eta[:, :, 2] >= box.z_bottom) & (eta[:, :, 2] <= box.z_top))
     )
     assert inside
 

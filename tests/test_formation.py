@@ -168,6 +168,27 @@ def test_formation_spec_distinct_offsets():
         spec.validate()
 
 
+def test_formation_spec_offsets_need_three_entries():
+    spec = FormationSpec(offsets=[FollowerOffset(np.array([1.0, 2.0]))])
+    with pytest.raises(ValueError, match="3 entries"):
+        spec.validate()
+
+
+@pytest.mark.parametrize(
+    "fields",
+    [
+        {"center": [1.0, 2.0]},
+        {"start": [1.0, 2.0, 3.0, 4.0]},
+        {"velocity": [0.5]},
+        {"kind": "waypoints", "waypoints": [[0.0, 0.0], [1.0, 1.0]]},
+    ],
+    ids=["center", "start", "velocity", "waypoints"],
+)
+def test_trajectory_spec_points_need_three_entries(fields):
+    with pytest.raises(ValueError, match="3 entries"):
+        TrajectorySpec(**fields).validate()
+
+
 def test_waypoint_trajectory():
     spec = TrajectorySpec(
         kind="waypoints", duration=100.0,

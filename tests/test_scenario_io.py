@@ -22,12 +22,15 @@ from auvform.export import (
 )
 from auvform.flow import FlowParams, LayeredField, layered_velocity
 from auvform.scenario import (
+    _TABLE,
     ScenarioError,
     parse_scenario,
     scenario_from_dict,
     scenario_to_dict,
     serialize_scenario,
 )
+
+ROOT = Path(__file__).resolve().parents[1]
 
 MINIMAL = """
 sim:
@@ -211,8 +214,41 @@ def test_every_key_parses_and_serializes_to_pinned_digests():
     assert h.hexdigest() == EVERY_KEY_FIELDS_SHA
 
 
+def test_reference_docs_list_every_key():
+    keys, block = [], None
+    for line in (ROOT / "docs" / "scenario_reference.md").read_text().splitlines():
+        if line.startswith("## "):
+            block = line.split()[1]
+        elif block and line.startswith("| `"):
+            keys.append(f"{block}.{line.split('|')[1].strip().strip('`')}")
+    assert keys == [key for key, _, _ in _TABLE]
+
+
+@pytest.mark.parametrize(
+    "doc", ['mpc: {enabled: "false"}', 'flow: {enabled: "no"}', "controller: {baseline: 1}"]
+)
+def test_boolean_keys_take_only_yaml_booleans(tmp_path, doc):
+    with pytest.raises(ScenarioError, match="expected true or false"):
+        parse_scenario(write(tmp_path, MINIMAL + doc + "\n"))
+
+
+@pytest.mark.parametrize(
+    ("doc", "match"),
+    [
+        (MINIMAL + "formation: {offsets: [{xyz_m: [1.0, 2.0]}]}", "3 entries"),
+        ("sim: {duration_s: 1.0}\ntrajectory: {spiral: {center_m: [1.0, 2.0]}}", "3 entries"),
+        (MINIMAL + "formation: {offsets: [{xyz_m: [1.0, 2.0, 0.0], yawz: 0.1}]}",
+         "formation.offsets: unknown key"),
+    ],
+    ids=["offset-xyz-2-entries", "spiral-center-2-entries", "offset-unknown-key"],
+)
+def test_malformed_formation_and_trajectory_rejected(tmp_path, doc, match):
+    with pytest.raises(ScenarioError, match=match):
+        parse_scenario(write(tmp_path, doc))
+
+
 def test_shipped_spiral_scenario_parses():
-    sc = parse_scenario(Path(__file__).resolve().parents[1] / "scenarios" / "spiral.yaml")
+    sc = parse_scenario(ROOT / "scenarios" / "spiral.yaml")
     assert sc.n_vehicles == 3
     assert sc.flow.enabled and sc.mpc.enabled
     assert sc.thrusters.u_limit == 80.0
@@ -335,26 +371,45 @@ def test_cli_bad_dt_override_is_a_scenario_error(tmp_path, capsys, verb, dt):
     assert not out.exists()
 
 
+BAD_DOCS = {
+    "seed_yaml": MINIMAL.replace("duration_s: 1.0", "seed: -1"),
+    "jet_yaml": MINIMAL + "flow: {b0: 0.5, wavenumber: 2}\n",
+    "seed_abc": "sim: {seed: abc}\ntrajectory: {kind: spiral}\n",
+    "inertia_3": MINIMAL + "vehicle: {inertia_diag: [1, 2, 3]}\n",
+    "adaptive_k_2": MINIMAL + "controller: {adaptive_k: [1, 2]}\n",
+    "workspace_1": MINIMAL + "workspace: {x_m: [0]}\n",
+    "layers_list": MINIMAL + "flow: {layers: [1, 2]}\n",
+    "sim_list": "sim: [1, 2]\ntrajectory: {kind: spiral}\n",
+}
+
+
 @pytest.mark.parametrize(
-    "argv",
+    ("argv", "key"),
     [
-        ["validate", "{missing}"],
-        ["run", "{scenario}", "-o", "{out}", "--seed", "-1"],
-        ["flow-grid", "{scenario}", "-o", "{out}", "--t", "abc"],
-        ["flow-grid", "{scenario}", "-o", "{out}", "--t", "1,nan"],
-        ["validate", "{seed_yaml}"],
-        ["validate", "{jet_yaml}"],
+        (["validate", "{missing}"], ""),
+        (["run", "{scenario}", "-o", "{out}", "--seed", "-1"], ""),
+        (["flow-grid", "{scenario}", "-o", "{out}", "--t", "abc"], ""),
+        (["flow-grid", "{scenario}", "-o", "{out}", "--t", "1,nan"], ""),
+        (["validate", "{seed_yaml}"], ""),
+        (["validate", "{jet_yaml}"], ""),
+        (["validate", "{seed_abc}"], "sim.seed: "),
+        (["validate", "{inertia_3}"], "vehicle.inertia_diag: "),
+        (["validate", "{adaptive_k_2}"], "controller.adaptive_k: "),
+        (["validate", "{workspace_1}"], "workspace.x_m: "),
+        (["validate", "{layers_list}"], "flow.layers: "),
+        (["validate", "{sim_list}"], "sim: "),
     ],
     ids=["missing-file", "negative-seed", "t-not-a-number", "t-not-finite",
-         "negative-seed-yaml", "jet-shape-yaml"],
+         "negative-seed-yaml", "jet-shape-yaml", "seed-not-an-int", "inertia-3-entries",
+         "adaptive-k-2-entries", "workspace-1-entry", "layers-not-a-mapping",
+         "sim-not-a-mapping"],
 )
-def test_cli_bad_input_is_a_scenario_error(tmp_path, argv):
+def test_cli_bad_input_is_a_scenario_error(tmp_path, argv, key):
     paths = {
         "missing": tmp_path / "missing.yaml",
         "scenario": write(tmp_path, quick_scenario_yaml(duration=0.5)),
         "out": tmp_path / "out",
-        "seed_yaml": write(tmp_path, MINIMAL.replace("duration_s: 1.0", "seed: -1"), "s.yaml"),
-        "jet_yaml": write(tmp_path, MINIMAL + "flow: {b0: 0.5, wavenumber: 2}\n", "j.yaml"),
+        **{name: write(tmp_path, doc, f"{name}.yaml") for name, doc in BAD_DOCS.items()},
     }
     env = dict(os.environ, PYTHONPATH=str(Path(auvform.__file__).parents[1]))
     done = subprocess.run(
@@ -362,7 +417,7 @@ def test_cli_bad_input_is_a_scenario_error(tmp_path, argv):
         capture_output=True, text=True, env=env, timeout=120,
     )
     assert done.returncode == 1
-    assert done.stderr.startswith("scenario error:")
+    assert done.stderr.startswith(f"scenario error: {key}")
     assert "Traceback" not in done.stderr
     assert not paths["out"].exists()
 
