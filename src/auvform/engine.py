@@ -1,13 +1,14 @@
 """Fixed-step closed-loop simulator for the leader-follower formation.
 
 One step per vehicle runs: references -> tracking errors -> sliding surface
--> equivalent + adaptive control -> MPC smoothing -> thrust allocation ->
-plant advance (RK4, disturbance inside the derivative) -> adaptation update.
-All vehicles are advanced together as stacked arrays; the leader's actual
-state feeds the follower references within the same step.
+-> equivalent + adaptive control -> MPC shell (command clip and predicted
+cost) -> thrust allocation -> plant advance (RK4, disturbance inside the
+derivative) -> adaptation update.  All vehicles are advanced together as
+stacked arrays; the leader's actual state feeds the follower references
+within the same step.
 
-Runs are deterministic for a given scenario and seed: the only random
-stream is the MPC sampler, seeded from the scenario.
+Runs are deterministic for a given scenario: nothing in a run draws random
+numbers, so Scenario.seed changes no output.
 """
 
 from __future__ import annotations
@@ -263,7 +264,6 @@ class SimRuntime:
         self.tcm = build_tcm(scenario.thrusters)
         self.sampler = scenario.flow.sampler()
         self.dist_model = scenario.flow.disturbance if scenario.flow.enabled else None
-        self.rng = np.random.default_rng(scenario.seed)
         n_v = scenario.n_vehicles
         self.y = self._initial_states()
         adaptive = scenario.controller.adaptive
@@ -284,12 +284,7 @@ class SimRuntime:
         self.shell = None
         if scenario.mpc.enabled:
             self.shell = MpcShell(
-                scenario.mpc,
-                self.params,
-                self.dist_model,
-                self.sampler,
-                scenario.dt,
-                self.rng,
+                scenario.mpc, self.params, self.dist_model, self.sampler, scenario.dt
             )
         w = scenario.controller.baseline_w
         if w is None:

@@ -198,7 +198,7 @@ def chatter_count(u: np.ndarray) -> int:
 def compare_runs(scenario: Scenario, out_dir: str | Path | None = None) -> ComparisonResult:
     """Run the proposed and first-order baseline controllers on identical terms.
 
-    Both variants share the scenario's seed and flow.  RMSE is taken over the
+    Both variants share the scenario and its flow.  RMSE is taken over the
     whole run (from t = 0) so transients count for both sides; chatter counts
     consecutive-step sign flips of the commanded wrench.
     """

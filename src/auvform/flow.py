@@ -89,6 +89,11 @@ class LayeredField:
             raise ValueError("speed_cap must be nonnegative")
         if self.jet_scale <= 0:
             raise ValueError("jet_scale must be positive")
+        if not all(lo < hi for lo, hi in zip(self.xy_min, self.xy_max)):
+            raise ValueError(
+                f"workspace bounds must be ordered (min < max on x and y), got "
+                f"xy_min {self.xy_min}, xy_max {self.xy_max}"
+            )
 
     def layer_index(self, z):
         """Layer of each depth, 0 = surface band; -1 marks out-of-range."""

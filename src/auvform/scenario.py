@@ -30,6 +30,19 @@ def _bool(value):
     return value
 
 
+def _int(value) -> int:
+    """An integral number: 3, 3.0, or a string such as '1.0e9' that YAML leaves unresolved."""
+    if isinstance(value, int) and not isinstance(value, bool):
+        return value
+    try:
+        number = float(value) if isinstance(value, (float, str)) else None
+    except ValueError:
+        number = None
+    if number is None or not number.is_integer():
+        raise ValueError(f"expected an integer, got {value!r}")
+    return int(number)
+
+
 def _floats(n: int | None = None):
     """Converter to a list of numbers as a float array; with n, exactly n of them."""
 
@@ -63,7 +76,7 @@ def _offsets(entries) -> list[FollowerOffset]:
 _TABLE = [
     ("sim.dt_s", "dt", float),
     ("sim.duration_s", "duration", float),
-    ("sim.seed", "seed", int),
+    ("sim.seed", "seed", _int),
     ("sim.convergence_threshold_m", "convergence_threshold", float),
     ("trajectory.kind", "trajectory.kind", str),
     ("trajectory.duration_s", "trajectory.duration", float),
@@ -97,7 +110,7 @@ _TABLE = [
     ("controller.baseline", "controller.baseline", _bool),
     ("controller.baseline_lam", "controller.baseline_lam", float),
     ("controller.baseline_w_n", "controller.baseline_w", float),
-    ("controller.rate_divider", "controller.rate_divider", int),
+    ("controller.rate_divider", "controller.rate_divider", _int),
     ("flow.enabled", "flow.enabled", _bool),
     ("flow.b0", "flow.params.b0", float),
     ("flow.e_amp", "flow.params.e_amp", float),
@@ -105,7 +118,7 @@ _TABLE = [
     ("flow.theta0_rad", "flow.params.theta0", float),
     ("flow.phase_speed_m_s", "flow.params.c", float),
     ("flow.wavenumber", "flow.params.k", float),
-    ("flow.layers.n_layers", "flow.layers.n_layers", int),
+    ("flow.layers.n_layers", "flow.layers.n_layers", _int),
     ("flow.layers.z_top_m", "flow.layers.z_top", float),
     ("flow.layers.z_bottom_m", "flow.layers.z_bottom", float),
     ("flow.layers.layer_scale", "flow.layers.layer_scale", _float_tuple()),
@@ -116,16 +129,12 @@ _TABLE = [
     ("flow.disturbance.drag_gain_yaw", "flow.disturbance.drag_gain_yaw", float),
     ("flow.disturbance.force_clamp_n", "flow.disturbance.force_clamp", float),
     ("mpc.enabled", "mpc.enabled", _bool),
-    ("mpc.n_e", "mpc.n_e", int),
-    ("mpc.n_u", "mpc.n_u", int),
+    ("mpc.n_e", "mpc.n_e", _int),
     ("mpc.tau_lo_n", "mpc.tau_lo", float),
     ("mpc.tau_hi_n", "mpc.tau_hi", float),
     ("mpc.state_lo_m", "mpc.state_lo", float),
     ("mpc.state_hi_m", "mpc.state_hi", float),
-    ("mpc.candidate_count", "mpc.candidate_count", int),
-    ("mpc.rounds", "mpc.rounds", int),
-    ("mpc.perturb_scale_n", "mpc.perturb_scale", float),
-    ("mpc.stride", "mpc.stride", int),
+    ("mpc.stride", "mpc.stride", _int),
     ("thrusters.k1", "thrusters.k1", float),
     ("thrusters.k2", "thrusters.k2", float),
     ("thrusters.k3", "thrusters.k3", float),

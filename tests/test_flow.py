@@ -110,6 +110,13 @@ def test_layered_velocity_outside_workspace_is_zero():
     np.testing.assert_allclose(layered_velocity(10.0, 90.0, -1.0, 0.0, field, p), np.zeros(3))
 
 
+@pytest.mark.parametrize(("xy_min", "xy_max"), [((70.0, 0.0), (10.0, 80.0)),
+                                               ((0.0, 40.0), (80.0, 40.0))])
+def test_unordered_workspace_rejected(xy_min, xy_max):
+    with pytest.raises(ValueError, match="workspace bounds must be ordered"):
+        LayeredField(xy_min=xy_min, xy_max=xy_max).validate()
+
+
 def test_speed_cap_respected():
     p = FlowParams()
     field = LayeredField()

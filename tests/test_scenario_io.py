@@ -161,14 +161,10 @@ flow:
 mpc:
   enabled: false
   n_e: 6
-  n_u: 3
   tau_lo_n: -70.0
   tau_hi_n: 65.0
   state_lo_m: -4.0
   state_hi_m: 4.5
-  candidate_count: 20
-  rounds: 5
-  perturb_scale_n: 1.5
   stride: 7
 thrusters: {k1: 0.31, k2: 0.32, k3: 0.71, l1: 0.41, l2: 0.42, t1: 0.51, t2: 0.52,
             t3: 0.11, t4: 0.12, r1_m: -0.21, r2_m: -0.22, r3_m: 0.33, u_limit_n: 71.0}
@@ -180,8 +176,8 @@ initial:
     - [8.0, 21.0, -4.5, 0.0, 0.0, 0.2, 0.3, 0.0, 0.0, 0.0, 0.0, 0.0]
     - [7.0, 18.0, -5.5, 0.0, 0.0, 0.3, 0.4, 0.0, 0.0, 0.0, 0.0, 0.0]
 """
-EVERY_KEY_YAML_SHA = "6590b49ccef6109c4d16c75413a2018071356d21e48573bb4f499b9a9b5db20a"
-EVERY_KEY_FIELDS_SHA = "d0a686ef2bd585001ab3155942dd03fcab995e9e613b2c5f2f49fba944a2b75e"
+EVERY_KEY_YAML_SHA = "b66b982ee72dd9544a2ca9d75f0d83cce9743fb850e28a3bd1c9044221f502f6"
+EVERY_KEY_FIELDS_SHA = "5fe6a28c15d9f11fb62ac138e89247abbc004944925b027c2dfb52a6d8f3c67f"
 
 
 def _hash_fields(obj, h) -> None:
@@ -380,6 +376,9 @@ BAD_DOCS = {
     "workspace_1": MINIMAL + "workspace: {x_m: [0]}\n",
     "layers_list": MINIMAL + "flow: {layers: [1, 2]}\n",
     "sim_list": "sim: [1, 2]\ntrajectory: {kind: spiral}\n",
+    "seed_fraction": "sim: {seed: 2.7}\ntrajectory: {kind: spiral}\n",
+    "n_e_fraction": MINIMAL + "mpc: {n_e: 4.9}\n",
+    "workspace_unordered": MINIMAL + "workspace: {x_m: [70, 10]}\n",
 }
 
 
@@ -398,11 +397,15 @@ BAD_DOCS = {
         (["validate", "{workspace_1}"], "workspace.x_m: "),
         (["validate", "{layers_list}"], "flow.layers: "),
         (["validate", "{sim_list}"], "sim: "),
+        (["validate", "{seed_fraction}"], "sim.seed: expected an integer"),
+        (["validate", "{n_e_fraction}"], "mpc.n_e: expected an integer"),
+        (["validate", "{workspace_unordered}"], "workspace bounds must be ordered"),
     ],
     ids=["missing-file", "negative-seed", "t-not-a-number", "t-not-finite",
          "negative-seed-yaml", "jet-shape-yaml", "seed-not-an-int", "inertia-3-entries",
          "adaptive-k-2-entries", "workspace-1-entry", "layers-not-a-mapping",
-         "sim-not-a-mapping"],
+         "sim-not-a-mapping", "seed-fraction", "n-e-fraction",
+         "workspace-unordered"],
 )
 def test_cli_bad_input_is_a_scenario_error(tmp_path, argv, key):
     paths = {
@@ -428,6 +431,26 @@ def test_removed_controller_keys_rejected(tmp_path, key):
     path = write(tmp_path, MINIMAL + f"\ncontroller: {{{key}}}\n")
     with pytest.raises(ScenarioError, match="unknown key"):
         parse_scenario(path)
+
+
+@pytest.mark.parametrize("key", ["n_u: 2", "candidate_count: 12", "rounds: 1",
+                                 "perturb_scale_n: 2.0"])
+def test_removed_mpc_keys_rejected(tmp_path, key):
+    path = write(tmp_path, MINIMAL + f"\nmpc: {{{key}}}\n")
+    with pytest.raises(ScenarioError, match="unknown key"):
+        parse_scenario(path)
+
+
+def test_integer_keys_take_integral_values(tmp_path):
+    # YAML leaves 1.0e9 (no exponent sign) as a string; it is still integral
+    doc = MINIMAL.replace("duration_s: 1.0", "duration_s: 1.0\n  seed: 1.0e9")
+    sc = parse_scenario(write(tmp_path, doc + "mpc: {n_e: 3.0, stride: 2}\n"))
+    assert (sc.seed, sc.mpc.n_e, sc.mpc.stride) == (10**9, 3, 2)
+    assert all(type(v) is int for v in (sc.seed, sc.mpc.n_e, sc.mpc.stride))
+    for bad in ("controller: {rate_divider: 1.5}", "flow: {layers: {n_layers: true}}",
+                "mpc: {stride: [1]}"):
+        with pytest.raises(ScenarioError, match="expected an integer"):
+            parse_scenario(write(tmp_path, MINIMAL + bad + "\n"))
 
 
 def test_cli_validation_error_exit_code(tmp_path):
