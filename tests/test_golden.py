@@ -1,7 +1,9 @@
 """Golden digests: the shipped spiral's outputs are pinned byte for byte.
 
-Runs the first second of scenarios/spiral.yaml with the MPC shell on and
-with the first-order baseline controller, and hashes each SimLog the way
+Runs the first second of scenarios/spiral.yaml with the MPC shell on, with
+the first-order baseline controller, and with the shell off from a start
+1-3 m and 0.3 rad of yaw off the reference (saturated allocation and
+large-angle poses), and hashes each SimLog the way
 perfbench/harness.py::simlog_sha256 does (field name, dtype, shape, then
 the raw bytes, in field order), plus the timeseries.csv exported from the
 MPC run.  A refactor that claims to keep outputs byte-identical must leave
@@ -20,14 +22,18 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from auvform.engine import run
+from auvform.engine import SimRuntime, run
 from auvform.export import export_results
 from auvform.scenario import parse_scenario
 
 SPIRAL = Path(__file__).resolve().parents[1] / "scenarios" / "spiral.yaml"
 
+# per vehicle: (dx, dy, dz) [m] and yaw offset [rad] added to the on-reference start
+OFFSETS = [((2.0, -1.5, 1.0), 0.3), ((-3.0, 2.5, -1.5), -0.3), ((1.25, 3.0, -2.0), 0.3)]
+
 SIMLOG_MPC = "7b36ca4c862eecb0cb25c7652c91e8c331d4e1971ae60e80598d318b04c43ee2"
 SIMLOG_BASELINE = "52498f452ee89032bbe3ed6a978502646f2fbc538fa14f887dae1d2f1e73ef4a"
+SIMLOG_OFFSET = "b401431cde1cc671cc187c2a3205c816592a11425fc6e287bcf841ab434cbd8a"
 TIMESERIES_MPC = "9eaf995b27f2b631f2084af4930cdae845efb7d7027a534343bc9a4909b113a5"
 
 
@@ -63,3 +69,14 @@ def test_spiral_timeseries_digest(mpc_log, tmp_path):
 def test_baseline_simlog_digest(spiral_1s):
     sc = replace(spiral_1s, controller=replace(spiral_1s.controller, baseline=True))
     assert simlog_sha256(run(sc)) == SIMLOG_BASELINE
+
+
+def test_offset_start_mpc_off_simlog_digest(spiral_1s):
+    sc = replace(spiral_1s, mpc=replace(spiral_1s.mpc, enabled=False))
+    y = SimRuntime(sc).y.copy()
+    for row, (dxyz, dyaw) in zip(y, OFFSETS, strict=True):
+        row[:3] += dxyz
+        row[5] += dyaw
+    log = run(replace(sc, initial_states=list(y)))
+    assert np.any(np.abs(log.u_t) >= sc.thrusters.u_limit)
+    assert simlog_sha256(log) == SIMLOG_OFFSET
