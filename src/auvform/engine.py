@@ -53,6 +53,7 @@ from .thrusters import (
 from .vehicle import (
     PITCH_SINGULARITY_TOL,
     RigidBodyParams,
+    euler_pose,
     inertial_matrices,
     jacobian,
     jacobian_inv,
@@ -77,9 +78,6 @@ class ControllerConfig:
 
     The proposed law (equivalent control plus the continuous adaptive term)
     runs unless baseline selects the first-order sliding-mode comparison.
-    rate_divider > 1 runs the control law every that many integration steps
-    and holds the command in between (zero-order hold); controller state
-    updates use the slower rate.
     """
 
     surface: SurfaceConfig = field(default_factory=SurfaceConfig)
@@ -88,12 +86,9 @@ class ControllerConfig:
     baseline: bool = False
     baseline_lam: float = 2.1
     baseline_w: float | None = None  # None: disturbance clamp when flow is on
-    rate_divider: int = 1
 
     def validate(self) -> None:
         self.surface.validate()
-        if self.rate_divider < 1:
-            raise ValueError("rate_divider must be at least 1")
         problems = validate_gains(self.gains)
         if problems:
             raise ValueError("; ".join(problems))
@@ -152,6 +147,8 @@ class Scenario:
     initial_states: list[np.ndarray] | None = None
 
     def validate(self) -> None:
+        if not (np.isfinite(self.dt) and np.isfinite(self.duration)):
+            raise ValueError("dt and duration must be finite")
         if self.dt <= 0:
             raise ValueError("dt must be positive")
         if self.duration < self.dt:
@@ -278,8 +275,6 @@ class SimRuntime:
         )
         self.prev_ed_d: np.ndarray | None = None
         self.prev_f_tilde: np.ndarray | None = None
-        self.held_u = None
-        self.held_actuation = None
         self.step_index = 0
         self.shell = None
         if scenario.mpc.enabled:
@@ -327,11 +322,11 @@ def _references(rt: SimRuntime, t: float, eta: np.ndarray, etadot: np.ndarray):
     return e_d, ed_d, edd_d
 
 
-def _control_and_diagnostics(rt: SimRuntime, t: float, tick: bool = True):
+def _control_and_diagnostics(rt: SimRuntime, t: float):
     """Controller evaluation at the current state; mutates integral state.
 
-    tick=False keeps the held command (zero-order hold between controller
-    steps) but still refreshes errors and diagnostics for the log.
+    The pose's trig and rotation are evaluated once (euler_pose) and shared
+    by J, the inertial-frame matrices and the disturbance wrench.
     """
     sc = rt.scenario
     ctr = sc.controller
@@ -340,47 +335,40 @@ def _control_and_diagnostics(rt: SimRuntime, t: float, tick: bool = True):
     if np.any(np.abs(eta[:, 4]) >= np.pi / 2 - PITCH_SINGULARITY_TOL):
         raise SimulationAbort("pitch reached the transform singularity")
 
-    jac = jacobian(eta[:, 3:])
+    eta2 = eta[:, 3:]
+    pose = euler_pose(eta2)
+    jac = jacobian(eta2, pose)
     etadot = np.einsum("vij,vj->vi", jac, nu)
     e_d, ed_d, edd_d = _references(rt, t, eta, etadot)
     eps, deps = tracking_error(eta, etadot, e_d, ed_d)
 
-    if tick:
-        clamp = ctr.surface.integral_clamp
-        dt_ctrl = sc.dt * ctr.rate_divider
-        rt.cstate.integral_eps = np.clip(
-            rt.cstate.integral_eps + eps * dt_ctrl, -clamp, clamp
-        )
+    clamp = ctr.surface.integral_clamp
+    rt.cstate.integral_eps = np.clip(rt.cstate.integral_eps + eps * sc.dt, -clamp, clamp)
     integral = rt.cstate.integral_eps
 
     sigma = sliding_surface(eps, deps, integral, ctr.surface)
     ed_r = reference_rate(ed_d, eps, integral, ctr.surface)
     edd_r = reference_accel(edd_d, eps, deps, ctr.surface)
 
-    mats_h = inertial_matrices(eta[:, 3:], nu, rt.params, scale=rt.alpha)
+    mats_h = inertial_matrices(eta2, nu, rt.params, scale=rt.alpha, pose=pose)
     m_e_h, c_e_h, _, _ = mats_h
     f_hat_r = reference_dynamics(mats_h, edd_r, ed_r, etadot)
     adaptive = rt.cstate.adaptive
 
-    if not tick and rt.held_u is not None:
-        u1, u2, u = rt.held_u
+    if ctr.baseline:
+        u1 = first_order_smc(sigma, f_hat_r, jac, rt.baseline_w, ctr.baseline_lam)
+        u2 = np.zeros_like(u1)
     else:
-        if ctr.baseline:
-            u1 = first_order_smc(sigma, f_hat_r, jac, rt.baseline_w, ctr.baseline_lam)
-            u2 = np.zeros_like(u1)
-        else:
-            u1 = equivalent_control(sigma, f_hat_r, jac, ctr.gains)
-            u2 = adaptive_control(sigma, adaptive, c_e_h, jac)
-        u = u1 + u2
-        u[:, 3] = 0.0  # roll is not actuated
-    if tick:
-        rt.held_u = (u1, u2, u)
+        u1 = equivalent_control(sigma, f_hat_r, jac, ctr.gains)
+        u2 = adaptive_control(sigma, adaptive, c_e_h, jac)
+    u = u1 + u2
+    u[:, 3] = 0.0  # roll is not actuated
 
     # stability diagnostics against the computable truth
     f_r_true = f_hat_r / rt.alpha
     if rt.sampler is not None:
         flow_v = rt.sampler(eta[:, :3], t)
-        d_o = disturbance_force(flow_v, eta, nu, sc.flow.disturbance)
+        d_o = disturbance_force(flow_v, eta, nu, sc.flow.disturbance, rot=pose[1])
     else:
         flow_v = np.zeros((sc.n_vehicles, 3))
         d_o = np.zeros((sc.n_vehicles, 6))
@@ -425,28 +413,20 @@ def step(rt: SimRuntime) -> dict:
     """Advance the runtime one step; returns the record logged at step start."""
     sc = rt.scenario
     t = rt.t
-    tick = rt.step_index % sc.controller.rate_divider == 0
-    rec = _control_and_diagnostics(rt, t, tick=tick)
-    u = rec["u"]
-
-    if tick:
-        if rt.shell is not None and rt.step_index % sc.mpc.stride == 0:
-            seqs, costs, _ = rt.shell.solve(
-                rt.y, t, u, rec["e_d"], rec["ed_d"], rec["edd_d"]
-            )
-            u_cmd = seqs[:, 0, :]
-            rec["mpc_cost"] = costs
-        else:
-            u_cmd = u
-            rec["mpc_cost"] = np.full(sc.n_vehicles, np.nan)
-        u5 = body_to_wrench5(u_cmd)
-        u_t = np.empty((sc.n_vehicles, 3))
-        for v in range(sc.n_vehicles):
-            u_t[v], _ = allocate(u5[v], sc.thrusters)
-        rt.held_actuation = (u_cmd, u_t, wrench5_to_body((rt.tcm @ u_t.T).T))
+    rec = _control_and_diagnostics(rt, t)
+    u_cmd = rec["u"]
+    if rt.shell is not None:
+        seqs, rec["mpc_cost"], _ = rt.shell.solve(
+            rt.y, t, u_cmd, rec["e_d"], rec["ed_d"], rec["edd_d"]
+        )
+        u_cmd = seqs[:, 0, :]
     else:
         rec["mpc_cost"] = np.full(sc.n_vehicles, np.nan)
-    u_cmd, u_t, tau6 = rt.held_actuation
+    u5 = body_to_wrench5(u_cmd)
+    u_t = np.empty((sc.n_vehicles, 3))
+    for v in range(sc.n_vehicles):
+        u_t[v], _ = allocate(u5[v], sc.thrusters)
+    tau6 = wrench5_to_body((rt.tcm @ u_t.T).T)
     rec["u_cmd"] = u_cmd
     rec["u_t"] = u_t
 
@@ -457,9 +437,7 @@ def step(rt: SimRuntime) -> dict:
     if not np.all(np.isfinite(rt.y)):
         raise SimulationAbort("state became non-finite")
 
-    if tick:
-        dt_ctrl = sc.dt * sc.controller.rate_divider
-        adaptive_update(rt.cstate.adaptive, rec["sigma"], dt_ctrl)
+    adaptive_update(rt.cstate.adaptive, rec["sigma"], sc.dt)
 
     rt.step_index += 1
     return rec

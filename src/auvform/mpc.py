@@ -24,7 +24,7 @@ from .vehicle import RigidBodyParams, jacobian, wrap_angle
 
 @dataclass
 class MpcConfig:
-    """Prediction horizon, control and pose-error bounds, and solve stride."""
+    """Prediction horizon and the control and pose-error bounds, applied every step."""
 
     enabled: bool = True
     n_e: int = 5
@@ -32,11 +32,10 @@ class MpcConfig:
     tau_hi: float = 60.0
     state_lo: float = -5.0
     state_hi: float = 5.0
-    stride: int = 1
 
     def validate(self) -> None:
-        if self.n_e < 1 or self.stride < 1:
-            raise ValueError("n_e and stride must be at least 1")
+        if self.n_e < 1:
+            raise ValueError("n_e must be at least 1")
         if self.tau_lo > self.tau_hi or self.state_lo > self.state_hi:
             raise ValueError("bounds must be well ordered (lower <= upper)")
 

@@ -30,6 +30,14 @@ def _bool(value):
     return value
 
 
+def _float(value) -> float:
+    """A finite number; booleans, which float() reads as 0 and 1, are rejected."""
+    number = np.nan if isinstance(value, bool) else float(value)
+    if not np.isfinite(number):
+        raise ValueError(f"expected a finite number, got {value!r}")
+    return number
+
+
 def _int(value) -> int:
     """An integral number: 3, 3.0, or a string such as '1.0e9' that YAML leaves unresolved."""
     if isinstance(value, int) and not isinstance(value, bool):
@@ -47,10 +55,9 @@ def _floats(n: int | None = None):
     """Converter to a list of numbers as a float array; with n, exactly n of them."""
 
     def convert(value) -> np.ndarray:
-        arr = np.array(value, dtype=float)
-        if arr.ndim != 1 or n not in (None, len(arr)):
+        if np.ndim(value) != 1 or n not in (None, len(value)):
             raise ValueError(f"expected {n or 'a list of'} numbers, got {value!r}")
-        return arr
+        return np.array([_float(v) for v in value], dtype=float)
 
     return convert
 
@@ -67,87 +74,86 @@ def _offsets(entries) -> list[FollowerOffset]:
         if set(entry) - {"xyz_m", "yaw_rad"}:
             raise ValueError(f"unknown key in {entry!r}: an entry takes xyz_m and yaw_rad")
         offsets.append(FollowerOffset(_floats()(entry["xyz_m"])))
-        offsets[-1].yaw = float(entry.get("yaw_rad", offsets[-1].yaw))
+        offsets[-1].yaw = _float(entry.get("yaw_rad", offsets[-1].yaw))
     return offsets
 
 
 # One row per YAML key: (key path, attribute path on Scenario, converter).  Parsing
 # and serialization both walk it in order; rows without an attribute are hand-written.
 _TABLE = [
-    ("sim.dt_s", "dt", float),
-    ("sim.duration_s", "duration", float),
+    ("sim.dt_s", "dt", _float),
+    ("sim.duration_s", "duration", _float),
     ("sim.seed", "seed", _int),
-    ("sim.convergence_threshold_m", "convergence_threshold", float),
+    ("sim.convergence_threshold_m", "convergence_threshold", _float),
     ("trajectory.kind", "trajectory.kind", str),
-    ("trajectory.duration_s", "trajectory.duration", float),
+    ("trajectory.duration_s", "trajectory.duration", _float),
     ("trajectory.spiral.center_m", "trajectory.center", _floats()),
-    ("trajectory.spiral.radius_m", "trajectory.radius", float),
-    ("trajectory.spiral.angular_rate_rad_s", "trajectory.angular_rate", float),
-    ("trajectory.spiral.vertical_rate_m_s", "trajectory.vertical_rate", float),
-    ("trajectory.spiral.phase_rad", "trajectory.phase", float),
+    ("trajectory.spiral.radius_m", "trajectory.radius", _float),
+    ("trajectory.spiral.angular_rate_rad_s", "trajectory.angular_rate", _float),
+    ("trajectory.spiral.vertical_rate_m_s", "trajectory.vertical_rate", _float),
+    ("trajectory.spiral.phase_rad", "trajectory.phase", _float),
     ("trajectory.line.start_m", "trajectory.start", _floats()),
     ("trajectory.line.velocity_m_s", "trajectory.velocity", _floats()),
-    ("trajectory.waypoints.points_m", "trajectory.waypoints", lambda v: np.array(v, dtype=float)),
-    ("trajectory.waypoints.speed_m_s", "trajectory.speed", float),
+    ("trajectory.waypoints.points_m", "trajectory.waypoints",
+     lambda v: np.array([_floats(3)(p) for p in v])),
+    ("trajectory.waypoints.speed_m_s", "trajectory.speed", _float),
     ("formation.offsets", "formation.offsets", _offsets),
     ("vehicle.inertia_diag", "vehicle.inertia", lambda v: np.diag(_floats(6)(v))),
     ("vehicle.drag_linear", "vehicle.d_linear", _floats(6)),
     ("vehicle.drag_quadratic", "vehicle.d_quad", _floats(6)),
-    ("vehicle.restoring_gain_nm", "vehicle.restoring_gain", float),
-    ("vehicle.buoyancy_net_n", "vehicle.buoyancy_net", float),
-    ("vehicle.mismatch_factor", "vehicle.mismatch_factor", float),
+    ("vehicle.restoring_gain_nm", "vehicle.restoring_gain", _float),
+    ("vehicle.buoyancy_net_n", "vehicle.buoyancy_net", _float),
+    ("vehicle.mismatch_factor", "vehicle.mismatch_factor", _float),
     ("controller.surface_gain", "controller.surface.lambda_s", _floats(6)),
-    ("controller.integral_clamp", "controller.surface.integral_clamp", float),
-    ("controller.lam", "controller.gains.lam", float),
-    ("controller.rho", "controller.gains.rho", float),
-    ("controller.w_gain", "controller.gains.w_gain", float),
-    ("controller.phi", "controller.gains.phi", float),
-    ("controller.gamma_big", "controller.gains.gamma_big", float),
-    ("controller.gamma_small", "controller.gains.gamma_small", float),
+    ("controller.integral_clamp", "controller.surface.integral_clamp", _float),
+    ("controller.lam", "controller.gains.lam", _float),
+    ("controller.rho", "controller.gains.rho", _float),
+    ("controller.w_gain", "controller.gains.w_gain", _float),
+    ("controller.phi", "controller.gains.phi", _float),
+    ("controller.gamma_big", "controller.gains.gamma_big", _float),
+    ("controller.gamma_small", "controller.gains.gamma_small", _float),
     ("controller.adaptive_k", "controller.adaptive.k_gain", _floats(6)),
     ("controller.adaptive_gamma", "controller.adaptive.gamma", _floats(6)),
-    ("controller.f_est_clamp_n", "controller.adaptive.f_est_clamp", float),
+    ("controller.f_est_clamp_n", "controller.adaptive.f_est_clamp", _float),
     ("controller.baseline", "controller.baseline", _bool),
-    ("controller.baseline_lam", "controller.baseline_lam", float),
-    ("controller.baseline_w_n", "controller.baseline_w", float),
-    ("controller.rate_divider", "controller.rate_divider", _int),
+    ("controller.baseline_lam", "controller.baseline_lam", _float),
+    ("controller.baseline_w_n", "controller.baseline_w", _float),
     ("flow.enabled", "flow.enabled", _bool),
-    ("flow.b0", "flow.params.b0", float),
-    ("flow.e_amp", "flow.params.e_amp", float),
-    ("flow.omega_rad_s", "flow.params.omega", float),
-    ("flow.theta0_rad", "flow.params.theta0", float),
-    ("flow.phase_speed_m_s", "flow.params.c", float),
-    ("flow.wavenumber", "flow.params.k", float),
+    ("flow.b0", "flow.params.b0", _float),
+    ("flow.e_amp", "flow.params.e_amp", _float),
+    ("flow.omega_rad_s", "flow.params.omega", _float),
+    ("flow.theta0_rad", "flow.params.theta0", _float),
+    ("flow.phase_speed_m_s", "flow.params.c", _float),
+    ("flow.wavenumber", "flow.params.k", _float),
     ("flow.layers.n_layers", "flow.layers.n_layers", _int),
-    ("flow.layers.z_top_m", "flow.layers.z_top", float),
-    ("flow.layers.z_bottom_m", "flow.layers.z_bottom", float),
+    ("flow.layers.z_top_m", "flow.layers.z_top", _float),
+    ("flow.layers.z_bottom_m", "flow.layers.z_bottom", _float),
     ("flow.layers.layer_scale", "flow.layers.layer_scale", _float_tuple()),
-    ("flow.layers.speed_cap_m_s", "flow.layers.speed_cap", float),
+    ("flow.layers.speed_cap_m_s", "flow.layers.speed_cap", _float),
     ("flow.layers.jet_origin_m", "flow.layers.jet_origin", _float_tuple(2)),
-    ("flow.layers.jet_scale", "flow.layers.jet_scale", float),
-    ("flow.disturbance.drag_gain", "flow.disturbance.drag_gain", float),
-    ("flow.disturbance.drag_gain_yaw", "flow.disturbance.drag_gain_yaw", float),
-    ("flow.disturbance.force_clamp_n", "flow.disturbance.force_clamp", float),
+    ("flow.layers.jet_scale", "flow.layers.jet_scale", _float),
+    ("flow.disturbance.drag_gain", "flow.disturbance.drag_gain", _float),
+    ("flow.disturbance.drag_gain_yaw", "flow.disturbance.drag_gain_yaw", _float),
+    ("flow.disturbance.force_clamp_n", "flow.disturbance.force_clamp", _float),
     ("mpc.enabled", "mpc.enabled", _bool),
     ("mpc.n_e", "mpc.n_e", _int),
-    ("mpc.tau_lo_n", "mpc.tau_lo", float),
-    ("mpc.tau_hi_n", "mpc.tau_hi", float),
-    ("mpc.state_lo_m", "mpc.state_lo", float),
-    ("mpc.state_hi_m", "mpc.state_hi", float),
-    ("mpc.stride", "mpc.stride", _int),
-    ("thrusters.k1", "thrusters.k1", float),
-    ("thrusters.k2", "thrusters.k2", float),
-    ("thrusters.k3", "thrusters.k3", float),
-    ("thrusters.l1", "thrusters.l1", float),
-    ("thrusters.l2", "thrusters.l2", float),
-    ("thrusters.t1", "thrusters.t1", float),
-    ("thrusters.t2", "thrusters.t2", float),
-    ("thrusters.t3", "thrusters.t3", float),
-    ("thrusters.t4", "thrusters.t4", float),
-    ("thrusters.r1_m", "thrusters.r1", float),
-    ("thrusters.r2_m", "thrusters.r2", float),
-    ("thrusters.r3_m", "thrusters.r3", float),
-    ("thrusters.u_limit_n", "thrusters.u_limit", float),
+    ("mpc.tau_lo_n", "mpc.tau_lo", _float),
+    ("mpc.tau_hi_n", "mpc.tau_hi", _float),
+    ("mpc.state_lo_m", "mpc.state_lo", _float),
+    ("mpc.state_hi_m", "mpc.state_hi", _float),
+    ("thrusters.k1", "thrusters.k1", _float),
+    ("thrusters.k2", "thrusters.k2", _float),
+    ("thrusters.k3", "thrusters.k3", _float),
+    ("thrusters.l1", "thrusters.l1", _float),
+    ("thrusters.l2", "thrusters.l2", _float),
+    ("thrusters.t1", "thrusters.t1", _float),
+    ("thrusters.t2", "thrusters.t2", _float),
+    ("thrusters.t3", "thrusters.t3", _float),
+    ("thrusters.t4", "thrusters.t4", _float),
+    ("thrusters.r1_m", "thrusters.r1", _float),
+    ("thrusters.r2_m", "thrusters.r2", _float),
+    ("thrusters.r3_m", "thrusters.r3", _float),
+    ("thrusters.u_limit_n", "thrusters.u_limit", _float),
     # [min, max] along x and y: one column each of flow.layers.xy_min/xy_max
     ("workspace.x_m", None, _floats(2)),
     ("workspace.y_m", None, _floats(2)),

@@ -231,11 +231,10 @@ def rotation_body_to_inertial(eta2: np.ndarray, trig: tuple | None = None) -> np
     return m
 
 
-def euler_rate_to_body(eta2: np.ndarray) -> np.ndarray:
+def euler_rate_to_body(eta2: np.ndarray, trig: tuple | None = None) -> np.ndarray:
     """T(e): maps Euler-angle rates to body angular velocity, nu2 = T @ eta2_dot."""
     eta2 = np.asarray(eta2, dtype=float)
-    cphi, sphi = np.cos(eta2[..., 0]), np.sin(eta2[..., 0])
-    cth, sth = np.cos(eta2[..., 1]), np.sin(eta2[..., 1])
+    cphi, sphi, cth, sth = (trig if trig is not None else euler_trig(eta2))[:4]
     m = np.zeros(eta2.shape[:-1] + (3, 3))
     m[..., 0, 0] = 1.0
     m[..., 0, 2] = -sth
@@ -269,18 +268,27 @@ def _block_diag_3(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return out
 
 
-def jacobian(eta2: np.ndarray) -> np.ndarray:
+def euler_pose(eta2: np.ndarray) -> tuple[tuple, np.ndarray]:
+    """(euler_trig, R) of a pose: one evaluation, which the J-family takes as `pose`."""
+    trig = euler_trig(eta2)
+    return trig, rotation_body_to_inertial(eta2, trig)
+
+
+def jacobian(eta2: np.ndarray, pose: tuple | None = None) -> np.ndarray:
     """J(e) with eta_dot = J @ q, batched."""
-    return _block_diag_3(rotation_body_to_inertial(eta2), body_rate_to_euler(eta2))
+    trig, rot = pose if pose is not None else euler_pose(eta2)
+    return _block_diag_3(rot, body_rate_to_euler(eta2, trig))
 
 
-def jacobian_inv(eta2: np.ndarray) -> np.ndarray:
+def jacobian_inv(eta2: np.ndarray, pose: tuple | None = None) -> np.ndarray:
     """Analytic inverse of J(e) (rotation transpose, Euler-rate matrix)."""
-    rot = rotation_body_to_inertial(eta2)
-    return _block_diag_3(np.swapaxes(rot, -1, -2), euler_rate_to_body(eta2))
+    trig, rot = pose if pose is not None else euler_pose(eta2)
+    return _block_diag_3(np.swapaxes(rot, -1, -2), euler_rate_to_body(eta2, trig))
 
 
-def jacobian_dot(eta2: np.ndarray, nu2: np.ndarray) -> np.ndarray:
+def jacobian_dot(
+    eta2: np.ndarray, nu2: np.ndarray, pose: tuple | None = None
+) -> np.ndarray:
     """Time derivative of J(e) along the motion, from the Euler-rate chain rule.
 
     Uses R_dot = R @ skew(nu2) for the rotation block and the phi/theta
@@ -288,15 +296,14 @@ def jacobian_dot(eta2: np.ndarray, nu2: np.ndarray) -> np.ndarray:
     """
     eta2 = np.asarray(eta2, dtype=float)
     nu2 = np.asarray(nu2, dtype=float)
-    rot = rotation_body_to_inertial(eta2)
+    trig, rot = pose if pose is not None else euler_pose(eta2)
     rot_dot = rot @ skew(nu2)
 
-    cphi, sphi = np.cos(eta2[..., 0]), np.sin(eta2[..., 0])
-    cth, sth = np.cos(eta2[..., 1]), np.sin(eta2[..., 1])
+    cphi, sphi, cth, sth = trig[:4]
     tth = sth / cth
     sec2 = 1.0 / cth**2
 
-    eta2_dot = np.einsum("...ij,...j->...i", body_rate_to_euler(eta2), nu2)
+    eta2_dot = np.einsum("...ij,...j->...i", body_rate_to_euler(eta2, trig), nu2)
     phid = eta2_dot[..., 0]
     thd = eta2_dot[..., 1]
 
@@ -334,9 +341,15 @@ def acceleration_body(
 
 
 def inertial_matrices(
-    eta2: np.ndarray, nu: np.ndarray, params: RigidBodyParams, scale: float = 1.0
+    eta2: np.ndarray,
+    nu: np.ndarray,
+    params: RigidBodyParams,
+    scale: float = 1.0,
+    pose: tuple | None = None,
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
     """(M_e, C_e, D_e, g_e) batched; `scale` yields the hatted (estimated) model.
+
+    pose (euler_pose of eta2) serves J^-1, J_dot and g from one evaluation.
 
     M_e = J^-T M J^-1
     C_e = J^-T [C - M J^-1 J_dot] J^-1
@@ -345,14 +358,15 @@ def inertial_matrices(
     """
     eta2 = np.asarray(eta2, dtype=float)
     nu = np.asarray(nu, dtype=float)
-    jinv = jacobian_inv(eta2)
+    pose = pose if pose is not None else euler_pose(eta2)
+    jinv = jacobian_inv(eta2, pose)
     jinv_t = np.swapaxes(jinv, -1, -2)
-    jdot = jacobian_dot(eta2, nu[..., ANG])
+    jdot = jacobian_dot(eta2, nu[..., ANG], pose)
 
     m = scale * params.inertia
     c = scale * params.coriolis(nu)
     d = scale * params.damping(nu)
-    g = scale * params.restoring(eta2)
+    g = scale * params.restoring(eta2, pose[0])
 
     m_e = jinv_t @ m @ jinv
     c_e = jinv_t @ (c - m @ jinv @ jdot) @ jinv

@@ -210,15 +210,3 @@ def test_controller_config_rejects_bad_gains():
     cfg = ControllerConfig(gains=SuperTwistGains(rho=0.6))
     with pytest.raises(ValueError):
         cfg.validate()
-
-
-def test_rate_divider_holds_commands():
-    from dataclasses import replace
-
-    base = quiet_scenario(duration=1.0, flow=FlowConfig(enabled=True))
-    slow = replace(base, controller=ControllerConfig(rate_divider=5))
-    log = run(slow)
-    blocks = log.u_cmd[:-1].reshape(-1, 5, 1, 6)
-    assert np.all(blocks == blocks[:, :1])  # zero-order hold between ticks
-    log1 = run(base)
-    assert not np.array_equal(log1.u_cmd, log.u_cmd)

@@ -146,7 +146,6 @@ controller:
   baseline: true
   baseline_lam: 1.9
   baseline_w_n: 3.5
-  rate_divider: 4
 flow:
   enabled: false
   b0: 1.2
@@ -165,7 +164,6 @@ mpc:
   tau_hi_n: 65.0
   state_lo_m: -4.0
   state_hi_m: 4.5
-  stride: 7
 thrusters: {k1: 0.31, k2: 0.32, k3: 0.71, l1: 0.41, l2: 0.42, t1: 0.51, t2: 0.52,
             t3: 0.11, t4: 0.12, r1_m: -0.21, r2_m: -0.22, r3_m: 0.33, u_limit_n: 71.0}
 workspace: {x_m: [5.0, 75.0], y_m: [2.0, 78.0]}
@@ -176,8 +174,8 @@ initial:
     - [8.0, 21.0, -4.5, 0.0, 0.0, 0.2, 0.3, 0.0, 0.0, 0.0, 0.0, 0.0]
     - [7.0, 18.0, -5.5, 0.0, 0.0, 0.3, 0.4, 0.0, 0.0, 0.0, 0.0, 0.0]
 """
-EVERY_KEY_YAML_SHA = "b66b982ee72dd9544a2ca9d75f0d83cce9743fb850e28a3bd1c9044221f502f6"
-EVERY_KEY_FIELDS_SHA = "5fe6a28c15d9f11fb62ac138e89247abbc004944925b027c2dfb52a6d8f3c67f"
+EVERY_KEY_YAML_SHA = "6f1c10a25491e7271f37951f8603a44e0b5642e8349b4943a38db83e14e003c2"
+EVERY_KEY_FIELDS_SHA = "72bd3637853e59208a53ee15c53fd8ed9df9c4b2a5b171517920c3d69cf46eb8"
 
 
 def _hash_fields(obj, h) -> None:
@@ -357,13 +355,21 @@ def test_cli_validate_and_run(tmp_path):
     assert (out / "timeseries.csv").exists()
 
 
+DT_ERRORS = {
+    "-1": "dt must be positive",
+    "0": "dt must be positive",
+    "nan": "dt and duration must be finite",
+    "inf": "dt and duration must be finite",
+}
+
+
 @pytest.mark.parametrize("verb", ["run", "compare"])
-@pytest.mark.parametrize("dt", ["-1", "0"])
+@pytest.mark.parametrize("dt", list(DT_ERRORS))
 def test_cli_bad_dt_override_is_a_scenario_error(tmp_path, capsys, verb, dt):
     path = write(tmp_path, quick_scenario_yaml(duration=0.5))
     out = tmp_path / "results"
     assert cli_main([verb, str(path), "-o", str(out), "--dt", dt]) == 1
-    assert capsys.readouterr().err.strip() == "scenario error: dt must be positive"
+    assert capsys.readouterr().err.strip() == f"scenario error: {DT_ERRORS[dt]}"
     assert not out.exists()
 
 
@@ -379,6 +385,12 @@ BAD_DOCS = {
     "seed_fraction": "sim: {seed: 2.7}\ntrajectory: {kind: spiral}\n",
     "n_e_fraction": MINIMAL + "mpc: {n_e: 4.9}\n",
     "workspace_unordered": MINIMAL + "workspace: {x_m: [70, 10]}\n",
+    "dt_nan": "sim: {dt_s: .nan}\ntrajectory: {kind: spiral}\n",
+    "duration_inf": "sim: {duration_s: .inf}\ntrajectory: {kind: spiral}\n",
+    "duration_bool": "sim: {duration_s: true}\ntrajectory: {kind: spiral}\n",
+    "tau_hi_nan": MINIMAL + "mpc: {tau_hi_n: .nan}\n",
+    "surface_gain_nan": MINIMAL + "controller: {surface_gain: [1, 1, 1, 1, 1, .nan]}\n",
+    "yaw_bool": MINIMAL + "formation: {offsets: [{xyz_m: [1, 2, 0], yaw_rad: true}]}\n",
 }
 
 
@@ -400,12 +412,19 @@ BAD_DOCS = {
         (["validate", "{seed_fraction}"], "sim.seed: expected an integer"),
         (["validate", "{n_e_fraction}"], "mpc.n_e: expected an integer"),
         (["validate", "{workspace_unordered}"], "workspace bounds must be ordered"),
+        (["validate", "{dt_nan}"], "sim.dt_s: expected a finite number"),
+        (["run", "{duration_inf}", "-o", "{out}"], "sim.duration_s: expected a finite"),
+        (["run", "{duration_bool}", "-o", "{out}"], "sim.duration_s: expected a finite"),
+        (["validate", "{tau_hi_nan}"], "mpc.tau_hi_n: expected a finite number"),
+        (["validate", "{surface_gain_nan}"], "controller.surface_gain: expected a finite"),
+        (["validate", "{yaw_bool}"], "formation.offsets: expected a finite number"),
     ],
     ids=["missing-file", "negative-seed", "t-not-a-number", "t-not-finite",
          "negative-seed-yaml", "jet-shape-yaml", "seed-not-an-int", "inertia-3-entries",
          "adaptive-k-2-entries", "workspace-1-entry", "layers-not-a-mapping",
          "sim-not-a-mapping", "seed-fraction", "n-e-fraction",
-         "workspace-unordered"],
+         "workspace-unordered", "dt-nan", "duration-inf", "duration-bool", "tau-hi-nan",
+         "surface-gain-nan", "yaw-bool"],
 )
 def test_cli_bad_input_is_a_scenario_error(tmp_path, argv, key):
     paths = {
@@ -426,7 +445,7 @@ def test_cli_bad_input_is_a_scenario_error(tmp_path, argv, key):
 
 
 @pytest.mark.parametrize("key", ["u1_saturated: true", "u2_mode: supertwist",
-                                 "sigma0: 0.1", "u_max: 1.0"])
+                                 "sigma0: 0.1", "u_max: 1.0", "rate_divider: 1"])
 def test_removed_controller_keys_rejected(tmp_path, key):
     path = write(tmp_path, MINIMAL + f"\ncontroller: {{{key}}}\n")
     with pytest.raises(ScenarioError, match="unknown key"):
@@ -434,7 +453,7 @@ def test_removed_controller_keys_rejected(tmp_path, key):
 
 
 @pytest.mark.parametrize("key", ["n_u: 2", "candidate_count: 12", "rounds: 1",
-                                 "perturb_scale_n: 2.0"])
+                                 "perturb_scale_n: 2.0", "stride: 1"])
 def test_removed_mpc_keys_rejected(tmp_path, key):
     path = write(tmp_path, MINIMAL + f"\nmpc: {{{key}}}\n")
     with pytest.raises(ScenarioError, match="unknown key"):
@@ -444,11 +463,12 @@ def test_removed_mpc_keys_rejected(tmp_path, key):
 def test_integer_keys_take_integral_values(tmp_path):
     # YAML leaves 1.0e9 (no exponent sign) as a string; it is still integral
     doc = MINIMAL.replace("duration_s: 1.0", "duration_s: 1.0\n  seed: 1.0e9")
-    sc = parse_scenario(write(tmp_path, doc + "mpc: {n_e: 3.0, stride: 2}\n"))
-    assert (sc.seed, sc.mpc.n_e, sc.mpc.stride) == (10**9, 3, 2)
-    assert all(type(v) is int for v in (sc.seed, sc.mpc.n_e, sc.mpc.stride))
-    for bad in ("controller: {rate_divider: 1.5}", "flow: {layers: {n_layers: true}}",
-                "mpc: {stride: [1]}"):
+    doc += "flow: {layers: {n_layers: 2.0, layer_scale: [1, 0.5]}}\nmpc: {n_e: 3.0}\n"
+    sc = parse_scenario(write(tmp_path, doc))
+    n_layers = sc.flow.layers.n_layers
+    assert (sc.seed, sc.mpc.n_e, n_layers) == (10**9, 3, 2)
+    assert all(type(v) is int for v in (sc.seed, sc.mpc.n_e, n_layers))
+    for bad in ("mpc: {n_e: 1.5}", "flow: {layers: {n_layers: true}}", "mpc: {n_e: [1]}"):
         with pytest.raises(ScenarioError, match="expected an integer"):
             parse_scenario(write(tmp_path, MINIMAL + bad + "\n"))
 

@@ -240,3 +240,144 @@ def test_wrap_angle_range():
     assert np.all(wrapped > -np.pi) and np.all(wrapped <= np.pi)
     np.testing.assert_allclose(np.sin(wrapped), np.sin(angles), atol=1e-12)
     np.testing.assert_allclose(np.cos(wrapped), np.cos(angles), atol=1e-12)
+
+
+# --- shared pose evaluation: the J-family against an unfused reference ----
+# Each reference transform evaluates its own cos/sin from the angles; the
+# library must give the same bytes with and without a passed euler_pose.
+
+POLE = np.pi / 2 - vm.PITCH_SINGULARITY_TOL
+
+
+def ref_trig(eta2):
+    return (np.cos(eta2[..., 0]), np.sin(eta2[..., 0]),
+            np.cos(eta2[..., 1]), np.sin(eta2[..., 1]),
+            np.cos(eta2[..., 2]), np.sin(eta2[..., 2]))
+
+
+def ref_rotation(eta2):
+    cphi, sphi, cth, sth, cpsi, spsi = ref_trig(eta2)
+    m = np.empty(eta2.shape[:-1] + (3, 3))
+    m[..., 0, 0] = cpsi * cth
+    m[..., 0, 1] = cpsi * sth * sphi - spsi * cphi
+    m[..., 0, 2] = cpsi * sth * cphi + spsi * sphi
+    m[..., 1, 0] = spsi * cth
+    m[..., 1, 1] = spsi * sth * sphi + cpsi * cphi
+    m[..., 1, 2] = spsi * sth * cphi - cpsi * sphi
+    m[..., 2, 0] = -sth
+    m[..., 2, 1] = cth * sphi
+    m[..., 2, 2] = cth * cphi
+    return m
+
+
+def ref_body_rate_to_euler(eta2):
+    cphi, sphi, cth, sth = ref_trig(eta2)[:4]
+    m = np.zeros(eta2.shape[:-1] + (3, 3))
+    m[..., 0, 0] = 1.0
+    m[..., 0, 1] = sphi * (sth / cth)
+    m[..., 0, 2] = cphi * (sth / cth)
+    m[..., 1, 1] = cphi
+    m[..., 1, 2] = -sphi
+    m[..., 2, 1] = sphi / cth
+    m[..., 2, 2] = cphi / cth
+    return m
+
+
+def ref_euler_rate_to_body(eta2):
+    cphi, sphi, cth, sth = ref_trig(eta2)[:4]
+    m = np.zeros(eta2.shape[:-1] + (3, 3))
+    m[..., 0, 0] = 1.0
+    m[..., 0, 2] = -sth
+    m[..., 1, 1] = cphi
+    m[..., 1, 2] = cth * sphi
+    m[..., 2, 1] = -sphi
+    m[..., 2, 2] = cth * cphi
+    return m
+
+
+def ref_block(a, b):
+    out = np.zeros(a.shape[:-2] + (6, 6))
+    out[..., :3, :3] = a
+    out[..., 3:, 3:] = b
+    return out
+
+
+def ref_jacobian(eta2):
+    return ref_block(ref_rotation(eta2), ref_body_rate_to_euler(eta2))
+
+
+def ref_jacobian_inv(eta2):
+    return ref_block(np.swapaxes(ref_rotation(eta2), -1, -2), ref_euler_rate_to_body(eta2))
+
+
+def ref_jacobian_dot(eta2, nu2):
+    cphi, sphi, cth, sth = ref_trig(eta2)[:4]
+    tth, sec2 = sth / cth, 1.0 / cth**2
+    eta2_dot = np.einsum("...ij,...j->...i", ref_body_rate_to_euler(eta2), nu2)
+    phid, thd = eta2_dot[..., 0], eta2_dot[..., 1]
+    ang = np.zeros(eta2.shape[:-1] + (3, 3))
+    ang[..., 0, 1] = cphi * tth * phid + sphi * sec2 * thd
+    ang[..., 0, 2] = -sphi * tth * phid + cphi * sec2 * thd
+    ang[..., 1, 1] = -sphi * phid
+    ang[..., 1, 2] = -cphi * phid
+    ang[..., 2, 1] = (cphi * phid + sphi * sth * thd / cth) / cth
+    ang[..., 2, 2] = (-sphi * phid + cphi * sth * thd / cth) / cth
+    return ref_block(ref_rotation(eta2) @ vm.skew(nu2), ang)
+
+
+def ref_inertial_matrices(eta2, nu, p: RigidBodyParams, scale):
+    cphi, sphi, cth, sth = ref_trig(eta2)[:4]
+    g = np.zeros(eta2.shape[:-1] + (6,))
+    g[..., 0] = -p.buoyancy_net * -sth
+    g[..., 1] = -p.buoyancy_net * (cth * sphi)
+    g[..., 2] = -p.buoyancy_net * (cth * cphi)
+    g[..., 3] = p.restoring_gain * cth * sphi
+    g[..., 4] = p.restoring_gain * sth
+    jinv = ref_jacobian_inv(eta2)
+    jinv_t = np.swapaxes(jinv, -1, -2)
+    m = scale * p.inertia
+    c_term = scale * p.coriolis(nu) - m @ jinv @ ref_jacobian_dot(eta2, nu[..., 3:])
+    return (
+        jinv_t @ m @ jinv,
+        jinv_t @ c_term @ jinv,
+        jinv_t @ (scale * p.damping(nu)) @ jinv,
+        np.einsum("...ij,...j->...i", jinv_t, scale * g),
+    )
+
+
+def pose_rows(shape, seed):
+    """Pose angles as column slices of [eta, nu] rows; every third pitch is at the pole."""
+    rng = np.random.default_rng(seed)
+    n = int(np.prod(shape[:-1]))
+    y = rng.normal(0.0, 0.8, (n, 12))
+    y[:, 3] = rng.uniform(-0.6, 0.6, n)
+    y[:, 4] = rng.uniform(-1.2, 1.2, n)
+    y[:, 5] = rng.uniform(-np.pi, np.pi, n)
+    y[::3, 4] = (POLE - rng.uniform(0.0, 1e-3, len(y[::3]))) * rng.choice([-1.0, 1.0])
+    y = y.reshape(shape[:-1] + (12,))
+    return y[..., 3:6], y[..., 6:]
+
+
+def assert_same_bytes(got, want):
+    assert got.shape == want.shape and got.dtype == want.dtype
+    assert got.tobytes() == want.tobytes(), np.max(np.abs(got - want))
+
+
+@pytest.mark.parametrize("shape", [(3,), (3, 3), (36, 3)], ids=["1", "3", "36"])
+def test_shared_pose_transforms_match_unfused_reference_bytes(shape):
+    params = RigidBodyParams(buoyancy_net=0.7)
+    for seed in range(4):
+        eta2, nu = pose_rows(shape, seed)
+        assert np.max(np.abs(eta2[..., 1])) > POLE - 1e-3
+        pose = vm.euler_pose(eta2)
+        for kw in ({}, {"pose": pose}):
+            assert_same_bytes(vm.jacobian(eta2, **kw), ref_jacobian(eta2))
+            assert_same_bytes(vm.jacobian_inv(eta2, **kw), ref_jacobian_inv(eta2))
+            assert_same_bytes(
+                vm.jacobian_dot(eta2, nu[..., 3:], **kw), ref_jacobian_dot(eta2, nu[..., 3:])
+            )
+            got = vm.inertial_matrices(eta2, nu, params, scale=0.9, **kw)
+            for g, w in zip(got, ref_inertial_matrices(eta2, nu, params, 0.9), strict=True):
+                assert_same_bytes(g, w)
+        for trig in (None, pose[0]):
+            assert_same_bytes(vm.euler_rate_to_body(eta2, trig), ref_euler_rate_to_body(eta2))
