@@ -1,11 +1,12 @@
 """Fixed-step closed-loop simulator for the leader-follower formation.
 
 One step per vehicle runs: references -> tracking errors -> sliding surface
--> equivalent + adaptive control -> MPC shell (command clip and predicted
-cost) -> thrust allocation -> plant advance (RK4, disturbance inside the
-derivative) -> adaptation update.  All vehicles are advanced together as
-stacked arrays; the leader's actual state feeds the follower references
-within the same step.
+-> equivalent + adaptive control -> MPC clip of the command -> thrust
+allocation -> plant advance (RK4, disturbance inside the derivative) -> MPC
+predicted cost -> adaptation update.  All vehicles are advanced together as
+stacked arrays; with the MPC shell on, the same advance also runs the first
+step of the shell's rollout (see step).  The leader's actual state feeds the
+follower references within the same step.
 
 Runs are deterministic for a given scenario: nothing in a run draws random
 numbers, so Scenario.seed changes no output.
@@ -410,29 +411,45 @@ def _control_and_diagnostics(rt: SimRuntime, t: float):
 
 
 def step(rt: SimRuntime) -> dict:
-    """Advance the runtime one step; returns the record logged at step start."""
+    """Advance the runtime one step; returns the record logged at step start.
+
+    Order: control -> MPC clip -> allocation -> one stacked plant advance ->
+    MPC cost -> adaptation.  With the shell on, the fleet (true model, the
+    allocated wrench) and the first step of the shell's rollout (estimated
+    model, the clipped command) start from the same (y, t), so one
+    advance_plant call runs both over [y; y].  Either way, k1 of the advance
+    reuses the disturbance the diagnostics built at (y, t) for the log.
+    """
     sc = rt.scenario
+    n_v = sc.n_vehicles
     t = rt.t
     rec = _control_and_diagnostics(rt, t)
-    u_cmd = rec["u"]
-    if rt.shell is not None:
-        seqs, rec["mpc_cost"], _ = rt.shell.solve(
-            rt.y, t, u_cmd, rec["e_d"], rec["ed_d"], rec["edd_d"]
-        )
-        u_cmd = seqs[:, 0, :]
-    else:
-        rec["mpc_cost"] = np.full(sc.n_vehicles, np.nan)
+    u_cmd = rec["u"] if rt.shell is None else rt.shell.clip(rec["u"])
     u5 = body_to_wrench5(u_cmd)
-    u_t = np.empty((sc.n_vehicles, 3))
-    for v in range(sc.n_vehicles):
+    u_t = np.empty((n_v, 3))
+    for v in range(n_v):
         u_t[v], _ = allocate(u5[v], sc.thrusters)
     tau6 = wrench5_to_body((rt.tcm @ u_t.T).T)
     rec["u_cmd"] = u_cmd
     rec["u_t"] = u_t
 
-    rt.y = advance_plant(
-        rt.y, t, tau6, sc.dt, rt.params, rt.sampler, rt.dist_model
-    )
+    d_o = rec["dist"]
+    if rt.shell is None:
+        y = advance_plant(
+            rt.y, t, tau6, sc.dt, rt.params, rt.sampler, rt.dist_model, d_o
+        )
+        rec["mpc_cost"] = np.full(n_v, np.nan)
+    else:
+        y = advance_plant(
+            np.concatenate([rt.y, rt.y]), t, np.concatenate([tau6, u_cmd]), sc.dt,
+            (rt.params, rt.shell.params_est), rt.sampler, rt.dist_model,
+            np.concatenate([d_o, d_o]),
+        )
+        _, rec["mpc_cost"], _ = rt.shell.solve(
+            y[n_v:], t, rec["u"], rec["e_d"], rec["ed_d"], rec["edd_d"]
+        )
+        y = y[:n_v]
+    rt.y = y
     rt.y[:, 3:6] = wrap_angle(rt.y[:, 3:6])
     if not np.all(np.isfinite(rt.y)):
         raise SimulationAbort("state became non-finite")

@@ -1,14 +1,17 @@
 """Control bounds and predicted tracking cost around the sliding-mode command.
 
 Each solve clips the raw SMC command to [tau_lo, tau_hi] per axis; the
-clipped command is the one applied.  It then rolls the estimated vehicle
-model out for n_e steps holding that command, which gives the logged cost
+clipped command is the one applied.  The estimated vehicle model, rolled out
+for n_e steps holding that command, gives the logged cost
 
     J = sum_k ||ed_pred(k) - ed_d(k)||^2        (k = 1..n_e)
 
 and a feasibility flag: every predicted pose error stays inside
-[state_lo, state_hi].  Solves are batched over vehicles and draw no random
-numbers.
+[state_lo, state_hi].  The rollout's first step starts from the fleet's own
+state and time, so the engine runs it stacked under the fleet's advance
+(plant.advance_plant with params (true, estimated)); solve takes that first
+state and advances the other n_e - 1 steps itself.  Solves are batched over
+vehicles and draw no random numbers.
 """
 
 from __future__ import annotations
@@ -17,9 +20,16 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from ._numpy_fast import einsum as _einsum
 from .flow import DisturbanceModel
 from .plant import FlowSampler, advance_plant
-from .vehicle import RigidBodyParams, jacobian, wrap_angle
+from .vehicle import (
+    RigidBodyParams,
+    body_rate_to_euler,
+    euler_trig,
+    rotation_body_to_inertial,
+    wrap_angle,
+)
 
 
 @dataclass
@@ -58,9 +68,13 @@ class MpcShell:
         self.flow_sampler = flow_sampler
         self.dt = dt
 
+    def clip(self, nominal: np.ndarray) -> np.ndarray:
+        """The command to apply: nominal clipped to [tau_lo, tau_hi] per axis."""
+        return np.clip(nominal, self.cfg.tau_lo, self.cfg.tau_hi)
+
     def solve(
         self,
-        y0: np.ndarray,
+        y1: np.ndarray,
         t: float,
         nominal: np.ndarray,
         e_d: np.ndarray,
@@ -69,13 +83,15 @@ class MpcShell:
     ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """Batched solve for every vehicle at once.
 
-        y0 (V, 12); nominal (V, 6); references (V, 6) at the current time.
-        Returns (sequences (V, n_e, 6), costs (V,), feasible (V,)); each
-        sequence holds the clipped nominal, and sequence[:, 0] is the
-        command to apply.
+        y1 (V, 12) is the rollout's first state: the estimated model advanced
+        one step from the fleet state at t holding clip(nominal), with the
+        same flow sampler and disturbance model.  nominal (V, 6); references
+        (V, 6) at t.  Returns (sequences (V, n_e, 6), costs (V,),
+        feasible (V,)); each sequence holds the clipped nominal, and
+        sequence[:, 0] is the command to apply.
         """
         cfg = self.cfg
-        u = np.clip(nominal, cfg.tau_lo, cfg.tau_hi)
+        u = self.clip(nominal)
 
         steps = self.dt * np.arange(1, cfg.n_e + 1)[:, None]
         # first-order extrapolation of the references over the horizon
@@ -86,26 +102,37 @@ class MpcShell:
             + 0.5 * edd_d[:, None, :] * steps**2
         )
 
-        rates, poses = self._predict(y0, t, u)
+        rates, poses = self._predict(y1, t, u)
         cost = np.sum((rates - ed_seq) ** 2, axis=(-1, -2))
         err = poses - e_seq
         err[..., 3:] = wrap_angle(err[..., 3:])
         feasible = np.all((err >= cfg.state_lo) & (err <= cfg.state_hi), axis=(-1, -2))
         return np.repeat(u[:, None], cfg.n_e, axis=1), cost, feasible
 
-    def _predict(self, y0: np.ndarray, t: float, u: np.ndarray):
-        """Batched rollout holding u (B, 6) -> rates and poses (B, n_e, 6)."""
+    def _predict(self, y1: np.ndarray, t: float, u: np.ndarray):
+        """Rollout from its first state y1 (B, 12) holding u (B, 6).
+
+        Returns the inertial rates J q and the poses (B, n_e, 6) at
+        t + dt, ..., t + n_e dt.
+        """
         n_e = self.cfg.n_e
-        y = y0
+        y = y1
         rates = np.empty(u.shape[:-1] + (n_e, 6))
         poses = np.empty_like(rates)
         for k in range(n_e):
-            y = advance_plant(
-                y, t + k * self.dt, u, self.dt,
-                self.params_est, self.flow_sampler, self.dist_model,
+            if k:
+                y = advance_plant(
+                    y, t + k * self.dt, u, self.dt,
+                    self.params_est, self.flow_sampler, self.dist_model,
+                )
+            # J q blockwise: R nu1 and T^-1 nu2
+            eta2 = y[..., 3:6]
+            trig = euler_trig(eta2)
+            rates[..., k, :3] = _einsum(
+                "...ij,...j->...i", rotation_body_to_inertial(eta2, trig), y[..., 6:9]
             )
-            rates[..., k, :] = np.einsum(
-                "...ij,...j->...i", jacobian(y[..., 3:6]), y[..., 6:]
+            rates[..., k, 3:] = _einsum(
+                "...ij,...j->...i", body_rate_to_euler(eta2, trig), y[..., 9:]
             )
             poses[..., k, :] = y[..., :6]
         return rates, poses

@@ -3,7 +3,15 @@
 State y = [eta, nu] (12 per vehicle), batched over leading axes.  The applied
 body wrench is zero-order-held across one step; the flow disturbance is part
 of the continuous dynamics and is re-evaluated inside each integrator
-substep.
+substep.  A caller that already holds the disturbance d_o at the step start
+(y, t) hands it in as `d_o`, and k1 uses it instead of sampling the flow.
+
+Stacked models: `params` is either one RigidBodyParams for every row or a
+tuple of them, one per equal block of rows of a (rows, 12) y.  The engine
+advances [fleet; rollout] this way, the true model on the first block and
+the estimated one on the second.  Everything but the body acceleration is
+evaluated once over all rows; acceleration_body runs per block, each at the
+block's own rows, so every row gets the bytes a separate call would give.
 
 Per-derivative contract: plant_derivative evaluates cos/sin of the Euler
 angles once (euler_trig, on the same column slices of y as each transform
@@ -33,11 +41,13 @@ from .vehicle import (
 )
 
 FlowSampler = Callable[[np.ndarray, float], np.ndarray]
+Params = RigidBodyParams | tuple[RigidBodyParams, ...]
 
 
-def rk4_step(f, y: np.ndarray, t: float, dt: float) -> np.ndarray:
-    """One classic Runge-Kutta step of y' = f(y, t)."""
-    k1 = f(y, t)
+def rk4_step(f, y: np.ndarray, t: float, dt: float, k1: np.ndarray | None = None) -> np.ndarray:
+    """One classic Runge-Kutta step of y' = f(y, t); k1 = f(y, t) when given."""
+    if k1 is None:
+        k1 = f(y, t)
     k2 = f(y + 0.5 * dt * k1, t + 0.5 * dt)
     k3 = f(y + 0.5 * dt * k2, t + 0.5 * dt)
     k4 = f(y + dt * k3, t + dt)
@@ -48,11 +58,16 @@ def plant_derivative(
     y: np.ndarray,
     t: float,
     tau: np.ndarray,
-    params: RigidBodyParams,
+    params: Params,
     flow_sampler: FlowSampler | None = None,
     dist_model: DisturbanceModel | None = None,
+    d_o: np.ndarray | None = None,
 ) -> np.ndarray:
-    """d/dt [eta, nu] under a held body wrench and the current disturbance."""
+    """d/dt [eta, nu] under a held body wrench and the current disturbance.
+
+    d_o, when given, is the inertial disturbance wrench at (y, t); the flow
+    is then not sampled.  It is only used while the flow is on.
+    """
     y = np.asarray(y, dtype=float)
     eta = y[..., :6]
     nu = y[..., 6:]
@@ -63,9 +78,10 @@ def plant_derivative(
     out[..., :3] = _einsum("...ij,...j->...i", rot, nu[..., :3])
     out[..., 3:6] = _einsum("...ij,...j->...i", body_rate_to_euler(eta2, trig), nu[..., 3:])
     if flow_sampler is not None:
-        model = dist_model if dist_model is not None else DisturbanceModel()
-        flow_vel = flow_sampler(eta[..., :3], t)
-        d_o = disturbance_force(flow_vel, eta, nu, model, rot=rot)
+        if d_o is None:
+            model = dist_model if dist_model is not None else DisturbanceModel()
+            flow_vel = flow_sampler(eta[..., :3], t)
+            d_o = disturbance_force(flow_vel, eta, nu, model, rot=rot)
         # tau_c = J^T d_o, blockwise: rotation and Euler-rate blocks
         tau_c = np.empty_like(nu)
         tau_c[..., :3] = _einsum("...ji,...j->...i", rot, d_o[..., :3])
@@ -77,7 +93,15 @@ def plant_derivative(
         )
     else:
         tau_c = np.zeros_like(nu)
-    out[..., 6:] = acceleration_body(eta, nu, tau, tau_c, params, trig)
+    if isinstance(params, RigidBodyParams):
+        out[..., 6:] = acceleration_body(eta, nu, tau, tau_c, params, trig)
+    else:
+        rows = len(y) // len(params)
+        for i, block_params in enumerate(params):
+            b = slice(i * rows, (i + 1) * rows)
+            out[b, 6:] = acceleration_body(
+                eta[b], nu[b], tau[b], tau_c[b], block_params, tuple(c[b] for c in trig)
+            )
     return out
 
 
@@ -86,14 +110,18 @@ def advance_plant(
     t: float,
     tau: np.ndarray,
     dt: float,
-    params: RigidBodyParams,
+    params: Params,
     flow_sampler: FlowSampler | None = None,
     dist_model: DisturbanceModel | None = None,
+    d_o: np.ndarray | None = None,
 ) -> np.ndarray:
-    """RK4-advance the plant by dt with the wrench held constant."""
-    return rk4_step(
-        lambda yy, tt: plant_derivative(yy, tt, tau, params, flow_sampler, dist_model),
-        np.asarray(y, dtype=float),
-        t,
-        dt,
-    )
+    """RK4-advance the plant by dt with the wrench held constant.
+
+    d_o, when given, is the disturbance wrench at (y, t), used by k1.
+    """
+    y = np.asarray(y, dtype=float)
+
+    def f(yy, tt, d_o=None):
+        return plant_derivative(yy, tt, tau, params, flow_sampler, dist_model, d_o)
+
+    return rk4_step(f, y, t, dt, k1=f(y, t, d_o))

@@ -66,16 +66,25 @@ def _float_tuple(n: int | None = None):
     return lambda value: tuple(_floats(n)(value).tolist())
 
 
-def _offsets(entries) -> list[FollowerOffset]:
-    offsets = []
-    for entry in entries:
-        if not isinstance(entry, dict) or "xyz_m" not in entry:
-            raise ValueError(f"each entry needs xyz_m, got {entry!r}")
-        if set(entry) - {"xyz_m", "yaw_rad"}:
-            raise ValueError(f"unknown key in {entry!r}: an entry takes xyz_m and yaw_rad")
-        offsets.append(FollowerOffset(_floats()(entry["xyz_m"])))
-        offsets[-1].yaw = _float(entry.get("yaw_rad", offsets[-1].yaw))
-    return offsets
+def _list_of(convert, what: str):
+    """Converter to a list, each entry through convert; `what` names the entries."""
+
+    def convert_list(value) -> list:
+        if not isinstance(value, list):
+            raise ValueError(f"expected a list of {what}, got {value!r}")
+        return [convert(entry) for entry in value]
+
+    return convert_list
+
+
+def _offset(entry) -> FollowerOffset:
+    if not isinstance(entry, dict) or "xyz_m" not in entry:
+        raise ValueError(f"each entry needs xyz_m, got {entry!r}")
+    if set(entry) - {"xyz_m", "yaw_rad"}:
+        raise ValueError(f"unknown key in {entry!r}: an entry takes xyz_m and yaw_rad")
+    offset = FollowerOffset(_floats()(entry["xyz_m"]))
+    offset.yaw = _float(entry.get("yaw_rad", offset.yaw))
+    return offset
 
 
 # One row per YAML key: (key path, attribute path on Scenario, converter).  Parsing
@@ -95,9 +104,10 @@ _TABLE = [
     ("trajectory.line.start_m", "trajectory.start", _floats()),
     ("trajectory.line.velocity_m_s", "trajectory.velocity", _floats()),
     ("trajectory.waypoints.points_m", "trajectory.waypoints",
-     lambda v: np.array([_floats(3)(p) for p in v])),
+     lambda v: np.array(_list_of(_floats(3), "[x, y, z] points")(v))),
     ("trajectory.waypoints.speed_m_s", "trajectory.speed", _float),
-    ("formation.offsets", "formation.offsets", _offsets),
+    ("formation.offsets", "formation.offsets",
+     _list_of(_offset, "{xyz_m, yaw_rad} entries")),
     ("vehicle.inertia_diag", "vehicle.inertia", lambda v: np.diag(_floats(6)(v))),
     ("vehicle.drag_linear", "vehicle.d_linear", _floats(6)),
     ("vehicle.drag_quadratic", "vehicle.d_quad", _floats(6)),
@@ -158,7 +168,7 @@ _TABLE = [
     ("workspace.x_m", None, _floats(2)),
     ("workspace.y_m", None, _floats(2)),
     ("initial.mode", None, str),
-    ("initial.states", "initial_states", lambda v: [_floats(12)(s) for s in v]),
+    ("initial.states", "initial_states", _list_of(_floats(12), "[eta, nu] 12-vectors")),
 ]
 
 _KEYS = {key: (attr, convert) for key, attr, convert in _TABLE}

@@ -1,12 +1,24 @@
-"""MPC shell tests: clip, predicted cost, rollout oracle, bounds, feasibility."""
+"""MPC shell tests: clip, predicted cost, rollout oracle, bounds, feasibility.
+
+The rollout's first step is run by the engine, stacked under the fleet's own
+advance; MpcShell.solve and _predict take the state it gives.  Here that
+step is one plain advance_plant call (first_state); the engine's stacked
+call gives the same bytes (tests/test_plant.py).
+"""
+
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+from auvform.engine import SimRuntime, step
 from auvform.flow import DisturbanceModel, FlowParams, LayeredField, layered_velocity
 from auvform.mpc import MpcConfig, MpcShell
 from auvform.plant import advance_plant
-from auvform.vehicle import RigidBodyParams, jacobian
+from auvform.scenario import parse_scenario
+from auvform.vehicle import RigidBodyParams, jacobian, wrap_angle
+
+SPIRAL = Path(__file__).resolve().parents[1] / "scenarios" / "spiral.yaml"
 
 
 def make_sampler():
@@ -20,10 +32,19 @@ def make_sampler():
     return sample
 
 
+def first_state(shell, y0, t, u):
+    """The rollout's first step: the estimated model advanced from (y0, t) holding u."""
+    return advance_plant(
+        y0, t, u, shell.dt, shell.params_est, shell.flow_sampler, shell.dist_model
+    )
+
+
 def rollout(params, y0, tau, n_e, sampler=None, dist=None, dt=0.01, t0=0.0):
-    """Rates predicted by MpcShell._predict for one vehicle holding tau."""
+    """Rates of the n_e-step rollout for one vehicle holding tau."""
     shell = MpcShell(MpcConfig(n_e=n_e), params, dist, sampler, dt)
-    rates, _ = shell._predict(np.asarray(y0, dtype=float)[None], t0, np.asarray(tau)[None])
+    u = np.asarray(tau, dtype=float)[None]
+    y1 = first_state(shell, np.asarray(y0, dtype=float)[None], t0, u)
+    rates, _ = shell._predict(y1, t0, u)
     return rates[0]
 
 
@@ -83,7 +104,7 @@ def _cost_of_predicted_rates(offset):
     """Solve cost of one vehicle whose _predict returns the desired rates plus offset."""
     cfg, shell, y0, e_d, ed_d, edd_d = _solve_setup(n_e=5)
     rates = _desired_rates(cfg, ed_d, edd_d) + offset
-    shell._predict = lambda y, t, u: (rates, np.broadcast_to(e_d[:, None], rates.shape))
+    shell._predict = lambda y1, t, u: (rates, np.broadcast_to(e_d[:, None], rates.shape))
     return shell.solve(y0, 0.0, np.zeros((1, 6)), e_d, ed_d, edd_d)[1][0]
 
 
@@ -102,11 +123,13 @@ def test_solve_applies_clipped_nominal_and_scores_holding_it():
     y0, e_d, ed_d, edd_d = (np.vstack([a, a]) for a in (y0, e_d, ed_d, edd_d))
     y0[1, :3] += [0.5, -0.3, 0.2]
     nominal = np.array([[70.0, -45.0, 3.0, 0.0, -2.5, 29.0], [-31.0, 12.0, 0.0, 0.0, 0.0, 51.0]])
-    seqs, cost, feas = shell.solve(y0, 0.5, nominal, e_d, ed_d, edd_d)
     held = np.clip(nominal, cfg.tau_lo, cfg.tau_hi)
+    assert np.array_equal(shell.clip(nominal), held)
+    y1 = first_state(shell, y0, 0.5, held)
+    seqs, cost, feas = shell.solve(y1, 0.5, nominal, e_d, ed_d, edd_d)
     assert seqs.shape == (2, cfg.n_e, 6)
     assert np.array_equal(seqs, np.repeat(held[:, None], cfg.n_e, axis=1))
-    rates, _ = shell._predict(y0, 0.5, held)
+    rates, _ = shell._predict(y1, 0.5, held)
     expected = np.sum((rates - _desired_rates(cfg, ed_d, edd_d)) ** 2, axis=(-1, -2))
     assert np.array_equal(cost, expected)
     assert feas.all()
@@ -117,9 +140,10 @@ def test_solve_never_worse_than_clipped_nominal():
     rng = np.random.default_rng(1)
     for _ in range(5):
         nominal = rng.uniform(-80, 80, 6)
-        seqs, cost, feas = shell.solve(y0, 0.0, nominal[None], e_d, ed_d, edd_d)
         clipped = np.clip(nominal, cfg.tau_lo, cfg.tau_hi)
-        rates, _ = shell._predict(y0, 0.0, clipped[None])
+        y1 = first_state(shell, y0, 0.0, clipped[None])
+        seqs, cost, feas = shell.solve(y1, 0.0, nominal[None], e_d, ed_d, edd_d)
+        rates, _ = shell._predict(y1, 0.0, clipped[None])
         nominal_cost = np.sum((rates[0] - _desired_rates(cfg, ed_d, edd_d)[0]) ** 2)
         assert cost[0] <= nominal_cost + 1e-9
 
@@ -127,7 +151,8 @@ def test_solve_never_worse_than_clipped_nominal():
 def test_solve_clips_out_of_bound_nominal():
     cfg, shell, y0, e_d, ed_d, edd_d = _solve_setup()
     nominal = np.full(6, 500.0)
-    seqs, _, _ = shell.solve(y0, 0.0, nominal[None], e_d, ed_d, edd_d)
+    y1 = first_state(shell, y0, 0.0, shell.clip(nominal[None]))
+    seqs, _, _ = shell.solve(y1, 0.0, nominal[None], e_d, ed_d, edd_d)
     assert np.all(seqs <= cfg.tau_hi) and np.all(seqs >= cfg.tau_lo)
 
 
@@ -136,14 +161,16 @@ def test_solve_bounds_always_respected():
     rng = np.random.default_rng(2)
     for _ in range(10):
         nominal = rng.uniform(-100, 100, 6)
-        seqs, _, _ = shell.solve(y0, 0.0, nominal[None], e_d, ed_d, edd_d)
+        y1 = first_state(shell, y0, 0.0, shell.clip(nominal[None]))
+        seqs, _, _ = shell.solve(y1, 0.0, nominal[None], e_d, ed_d, edd_d)
         assert np.all(np.abs(seqs) <= cfg.tau_hi + 1e-12)
 
 
 def test_solve_infeasible_flag():
     # pose error bounds so tight that the held command violates them
     cfg, shell, y0, e_d, ed_d, edd_d = _solve_setup(state_lo=-1e-6, state_hi=1e-6)
-    seqs, _, feas = shell.solve(y0, 0.0, np.zeros((1, 6)), e_d, ed_d, edd_d)
+    zero = np.zeros((1, 6))
+    seqs, _, feas = shell.solve(first_state(shell, y0, 0.0, zero), 0.0, zero, e_d, ed_d, edd_d)
     assert not feas[0]
 
 
@@ -154,7 +181,50 @@ def test_mpc_optimize_nominal_already_optimal():
     shell = MpcShell(cfg, params, None, None, 0.01)
     y0 = np.concatenate([[5.0, 5.0, -5.0], np.zeros(9)])[None]
     zero = np.zeros((1, 6))
-    seqs, costs, feasible = shell.solve(y0, 0.0, zero, y0[:, :6], zero, zero)
+    y1 = first_state(shell, y0, 0.0, zero)
+    seqs, costs, feasible = shell.solve(y1, 0.0, zero, y0[:, :6], zero, zero)
     assert costs[0] == pytest.approx(0.0, abs=1e-18)
     np.testing.assert_allclose(seqs[0], np.zeros((cfg.n_e, 6)))
     assert feasible[0]
+
+
+def full_rollout_cost(shell, y0, t, nominal, e_d, ed_d, edd_d):
+    """mpc_cost as the shell computed it with its own first step (the reference).
+
+    Every one of the n_e steps advances from y0 separately of the fleet, the
+    disturbance is sampled inside each k1, and the rates go through the 6x6
+    jacobian.
+    """
+    cfg, dt = shell.cfg, shell.dt
+    u = np.clip(nominal, cfg.tau_lo, cfg.tau_hi)
+    steps = dt * np.arange(1, cfg.n_e + 1)[:, None]
+    ed_seq = ed_d[:, None, :] + edd_d[:, None, :] * steps
+    rates = np.empty(u.shape[:-1] + (cfg.n_e, 6))
+    y = y0
+    for k in range(cfg.n_e):
+        y = advance_plant(
+            y, t + k * dt, u, dt, shell.params_est, shell.flow_sampler, shell.dist_model
+        )
+        rates[..., k, :] = np.einsum("...ij,...j->...i", jacobian(y[..., 3:6]), y[..., 6:])
+    return np.sum((rates - ed_seq) ** 2, axis=(-1, -2))
+
+
+@pytest.mark.parametrize("start", ["on-reference", "offset"])
+def test_engine_mpc_cost_matches_full_rollout(start):
+    sc = parse_scenario(SPIRAL)
+    assert sc.flow.enabled and sc.mpc.enabled
+    rt = SimRuntime(sc)
+    if start == "offset":
+        # 1-3 m and 0.3 rad of yaw off: the command clip is active
+        rt.y[:, :3] += [[2.0, -1.5, 1.0], [-3.0, 2.5, -1.5], [1.25, 3.0, -2.0]]
+        rt.y[:, 5] = wrap_angle(rt.y[:, 5] + [0.3, -0.3, 0.3])
+    clipped = 0
+    for _ in range(20):
+        y0, t = rt.y.copy(), rt.t
+        rec = step(rt)
+        want = full_rollout_cost(
+            rt.shell, y0, t, rec["u"], rec["e_d"], rec["ed_d"], rec["edd_d"]
+        )
+        assert rec["mpc_cost"].tobytes() == want.tobytes()
+        clipped += int(np.any(rec["u_cmd"] != rec["u"]))
+    assert (clipped > 0) == (start == "offset")

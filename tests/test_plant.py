@@ -1,20 +1,29 @@
-"""Byte-exactness of the fused plant derivative.
+"""Byte-exactness of the fused plant derivative and of the stacked advance.
 
 plant_derivative evaluates the pose trig once and shares R and T^-1 across
 the kinematics, the disturbance wrench and tau_c = J^T d_o.  The reference
 below is the unfused form: every transform rebuilt from the angles, the flow
 sampled through np.stack/np.clip/np.linalg.norm, the Coriolis term through
 per-product cross products.  Both must give the same bytes, signed zeros
-included, because the SimLog digest is taken over them.
+included, because the SimLog digest is taken over them.  So must the two
+shortcuts the engine takes: one advance over stacked row blocks with a model
+per block, against one call per block; and k1 fed the step-start disturbance
+the diagnostics built, against k1 sampling the flow itself.
 """
 
 import numpy as np
 import pytest
 
 from auvform.engine import FlowConfig
-from auvform.flow import RAW_SPEED_MAX, DisturbanceModel, FlowParams, LayeredField
+from auvform.flow import (
+    RAW_SPEED_MAX,
+    DisturbanceModel,
+    FlowParams,
+    LayeredField,
+    disturbance_force,
+)
 from auvform.plant import advance_plant, plant_derivative
-from auvform.vehicle import PITCH_SINGULARITY_TOL, RigidBodyParams
+from auvform.vehicle import PITCH_SINGULARITY_TOL, RigidBodyParams, euler_pose
 
 # --- reference: the unfused arithmetic -------------------------------------
 
@@ -292,3 +301,68 @@ def test_cases_reach_every_branch():
     model = FLOWS["default"].disturbance
     d_o = ref_disturbance(FlowConfig().sampler()(y[:, :3], 7.3), y[:, :6], y[:, 6:], model)
     assert np.any(np.abs(d_o) == model.force_clamp)
+
+
+# --- stacked models and the handed-in step-start disturbance ----------------
+
+
+def step_start_disturbance(y, t, flow):
+    """d_o at (y, t) the way the engine's diagnostics build it for the log."""
+    pose = euler_pose(y[:, 3:6])
+    flow_vel = flow.sampler()(y[:, :3], t)
+    return disturbance_force(flow_vel, y[:, :6], y[:, 6:], flow.disturbance, rot=pose[1])
+
+
+@pytest.mark.parametrize("same_start", [True, False], ids=["same-start", "two-starts"])
+@pytest.mark.parametrize("flow_name", ["default", "off"])
+@pytest.mark.parametrize("n_v", [1, 3])
+def test_stacked_advance_matches_separate_calls(n_v, flow_name, same_start):
+    flow = FLOWS[flow_name]
+    est = PARAMS.estimated()
+    y_true = states(12, 5)[:n_v]
+    y_est = y_true if same_start else states(12, 6)[6 : 6 + n_v]
+    tau_true, tau_est = wrench(n_v, 5), wrench(n_v, 6) + 1.5
+    for t in (0.0, 7.3):
+        for _ in range(3):
+            stacked = advance_plant(
+                np.concatenate([y_true, y_est]), t, np.concatenate([tau_true, tau_est]),
+                0.01, (PARAMS, est), *flow_args(flow),
+            )
+            want_true = advance_plant(y_true, t, tau_true, 0.01, PARAMS, *flow_args(flow))
+            want_est = advance_plant(y_est, t, tau_est, 0.01, est, *flow_args(flow))
+            assert_same_bytes(stacked[:n_v], want_true)
+            assert_same_bytes(stacked[n_v:], want_est)
+            y_true, y_est = want_true, want_est
+
+
+@pytest.mark.parametrize("flow_name", ["default", "capped"])
+@pytest.mark.parametrize("n_v", [1, 3, 36])
+def test_handed_in_disturbance_matches_sampled(n_v, flow_name):
+    flow = FLOWS[flow_name]
+    y, tau = states(max(n_v, 12), 2)[:n_v], wrench(n_v, 2)
+    for t in (0.0, 7.3, 41.25):
+        d_o = step_start_disturbance(y, t, flow)
+        sampled = plant_derivative(y, t, tau, PARAMS, *flow_args(flow))
+        got = plant_derivative(y, t, tau, PARAMS, *flow_args(flow), d_o=d_o)
+        assert_same_bytes(got, sampled)
+        # the handed-in wrench is the one used
+        shifted = plant_derivative(y, t, tau, PARAMS, *flow_args(flow), d_o=d_o + 1.0)
+        assert not np.any(shifted[:, 6:] == sampled[:, 6:])
+        got = advance_plant(y, t, tau, 0.01, PARAMS, *flow_args(flow), d_o=d_o)
+        assert_same_bytes(got, advance_plant(y, t, tau, 0.01, PARAMS, *flow_args(flow)))
+
+
+@pytest.mark.parametrize("n_v", [1, 3])
+def test_stacked_advance_with_handed_in_disturbance(n_v):
+    # the engine's MPC-on call: [y; y], the two wrenches, d_o at (y, t) twice
+    flow = FLOWS["default"]
+    est = PARAMS.estimated()
+    y = states(12, 9)[:n_v]
+    tau_true, tau_est = wrench(n_v, 9), wrench(n_v, 10)
+    d_o = step_start_disturbance(y, 7.3, flow)
+    stacked = advance_plant(
+        np.concatenate([y, y]), 7.3, np.concatenate([tau_true, tau_est]), 0.01,
+        (PARAMS, est), *flow_args(flow), d_o=np.concatenate([d_o, d_o]),
+    )
+    assert_same_bytes(stacked[:n_v], advance_plant(y, 7.3, tau_true, 0.01, PARAMS, *flow_args(flow)))
+    assert_same_bytes(stacked[n_v:], advance_plant(y, 7.3, tau_est, 0.01, est, *flow_args(flow)))

@@ -391,6 +391,9 @@ BAD_DOCS = {
     "tau_hi_nan": MINIMAL + "mpc: {tau_hi_n: .nan}\n",
     "surface_gain_nan": MINIMAL + "controller: {surface_gain: [1, 1, 1, 1, 1, .nan]}\n",
     "yaw_bool": MINIMAL + "formation: {offsets: [{xyz_m: [1, 2, 0], yaw_rad: true}]}\n",
+    "points_scalar": "sim: {duration_s: 1.0}\ntrajectory: {kind: waypoints, waypoints: {points_m: 5}}\n",
+    "offsets_scalar": MINIMAL + "formation: {offsets: 5}\n",
+    "states_scalar": MINIMAL + "initial: {mode: explicit, states: 5}\n",
 }
 
 
@@ -418,13 +421,20 @@ BAD_DOCS = {
         (["validate", "{tau_hi_nan}"], "mpc.tau_hi_n: expected a finite number"),
         (["validate", "{surface_gain_nan}"], "controller.surface_gain: expected a finite"),
         (["validate", "{yaw_bool}"], "formation.offsets: expected a finite number"),
+        (["validate", "{points_scalar}"],
+         "trajectory.waypoints.points_m: expected a list of [x, y, z] points, got 5"),
+        (["validate", "{offsets_scalar}"],
+         "formation.offsets: expected a list of {xyz_m, yaw_rad} entries, got 5"),
+        (["validate", "{states_scalar}"],
+         "initial.states: expected a list of [eta, nu] 12-vectors, got 5"),
     ],
     ids=["missing-file", "negative-seed", "t-not-a-number", "t-not-finite",
          "negative-seed-yaml", "jet-shape-yaml", "seed-not-an-int", "inertia-3-entries",
          "adaptive-k-2-entries", "workspace-1-entry", "layers-not-a-mapping",
          "sim-not-a-mapping", "seed-fraction", "n-e-fraction",
          "workspace-unordered", "dt-nan", "duration-inf", "duration-bool", "tau-hi-nan",
-         "surface-gain-nan", "yaw-bool"],
+         "surface-gain-nan", "yaw-bool", "points-scalar", "offsets-scalar",
+         "states-scalar"],
 )
 def test_cli_bad_input_is_a_scenario_error(tmp_path, argv, key):
     paths = {
