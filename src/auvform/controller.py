@@ -96,6 +96,8 @@ class AdaptiveState:
         self.gamma = np.broadcast_to(np.asarray(self.gamma, dtype=float), (6,)).copy()
         if np.any(self.k_gain < 0) or np.any(self.gamma < 0):
             raise ValueError("adaptation gains must be nonnegative")
+        if self.f_est_clamp < 0:
+            raise ValueError(f"f_est_clamp must be nonnegative: got {self.f_est_clamp}")
 
     def gamma_pinv(self) -> np.ndarray:
         out = np.zeros(6)
@@ -151,6 +153,8 @@ def reference_accel(
 def validate_gains(g: SuperTwistGains) -> list[str]:
     """Check the finite-time convergence conditions; empty list means feasible."""
     violations = []
+    if not g.lam > 0:
+        violations.append(f"lam must be positive: got {g.lam}")
     if not g.w_gain > g.phi / g.gamma_big:
         violations.append(
             f"w_gain must exceed phi/gamma_big: {g.w_gain} <= "

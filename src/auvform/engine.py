@@ -156,6 +156,8 @@ class Scenario:
             raise ValueError("duration must be at least one step")
         if self.seed < 0:
             raise ValueError("seed must be nonnegative")
+        if self.convergence_threshold <= 0:
+            raise ValueError("convergence threshold must be positive")
         self.trajectory.validate()
         self.formation.validate()
         self.vehicle.validate()
@@ -465,13 +467,12 @@ def run(scenario: Scenario) -> SimLog:
     rt = SimRuntime(scenario)
     n_steps = round(scenario.duration / scenario.dt)
     log = SimLog.allocate(n_steps + 1, scenario.n_vehicles)
+    _, *logged = SimLog.__dataclass_fields__
 
     def write(k: int, rec: dict) -> None:
         log.t[k] = k * scenario.dt
-        for key in ("eta", "nu", "eps", "deps", "sigma", "u1", "u2", "u_cmd",
-                    "u_t", "f_est", "lyap", "assumption", "flow", "dist",
-                    "mpc_cost"):
-            getattr(log, key)[k] = rec[key]
+        for name in logged:
+            getattr(log, name)[k] = rec[name]
 
     try:
         for k in range(n_steps):

@@ -1,14 +1,18 @@
 """Result export, flow-grid dumps and the adaptive-vs-baseline comparison.
 
 All tables are comma-separated with a header row, LF line endings and UTF-8
-encoding.  Floats are written with the shortest representation that
-round-trips to the same binary value, so re-exporting the same log is
-byte-identical.
+encoding.  Every table is built as columns, turned into rows by `_rows` and
+written by `_write_csv`.  Floats are written with the shortest
+representation that round-trips to the same binary value, so re-exporting
+the same log is byte-identical.  The timeseries.csv columns are t_s and
+vehicle, then the columns `_COLUMNS` gives each SimLog field after t; the
+SimLog's field order decides their order.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
+from itertools import chain
 from pathlib import Path
 
 import numpy as np
@@ -52,42 +56,51 @@ class ComparisonResult:
     log_baseline: SimLog
 
 
-def _fmt(value) -> str:
-    if isinstance(value, str):
-        return value
-    if isinstance(value, (bool, np.bool_)):
-        return "1" if value else "0"
-    if isinstance(value, (int, np.integer)):
-        return str(int(value))
-    return repr(float(value))
+def _vector(name: str, parts=_VEC6) -> tuple[str, ...]:
+    return tuple(f"{name}_{p}" for p in parts)
+
+
+# timeseries.csv columns of each SimLog field after t, in SimLog field order;
+# a test checks the names and widths against SimLog
+_COLUMNS = {
+    "eta": _vector("eta"),
+    "nu": _vector("nu", ("u", "v", "w", "p", "q", "r")),
+    **{name: _vector(name) for name in ("eps", "deps", "sigma", "u1", "u2", "u_cmd")},
+    "u_t": ("u_t1_n", "u_t2_n", "u_t3_n"),
+    "f_est": _vector("f_est"),
+    "lyap": ("lyapunov",),
+    "assumption": ("assumption",),
+    "flow": ("flow_u_mps", "flow_v_mps", "flow_w_mps"),
+    "dist": _vector("dist"),
+    "mpc_cost": ("mpc_cost",),
+}
+_CHUNK_ROWS = 64  # rows converted to Python values at a time; bounds the export's memory
+
+
+def _rows(*columns):
+    """Rows of equal-length columns, each 1-D or a 2-D block of several cells.
+
+    Yields flat lists of Python floats, ints and strings; booleans become
+    0/1 ints.  A chunk of rows is converted with ndarray.tolist() at a time.
+    """
+    blocks = []
+    for col in map(np.asarray, columns):
+        if col.dtype == bool:
+            col = col.view(np.uint8)
+        blocks.append(col[:, None] if col.ndim == 1 else col)
+    n = len(blocks[0])
+    for a in range(0, n, _CHUNK_ROWS):
+        for parts in zip(*(b[a:a + _CHUNK_ROWS].tolist() for b in blocks)):
+            yield list(chain.from_iterable(parts))
 
 
 def _write_csv(path: Path, header: list[str], rows) -> None:
+    # cells must be Python scalars, as _rows yields: str of a Python float is
+    # its shortest round-trip repr, which a numpy scalar's str need not be
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
         fh.write(",".join(header) + "\n")
         for row in rows:
-            fh.write(",".join(_fmt(v) for v in row) + "\n")
-
-
-def _timeseries_header() -> list[str]:
-    cols = ["t_s", "vehicle"]
-    for name, parts in (
-        ("eta", _VEC6),
-        ("nu", ("u", "v", "w", "p", "q", "r")),
-        ("eps", _VEC6),
-        ("deps", _VEC6),
-        ("sigma", _VEC6),
-        ("u1", _VEC6),
-        ("u2", _VEC6),
-        ("u_cmd", _VEC6),
-    ):
-        cols += [f"{name}_{p}" for p in parts]
-    cols += [f"u_t{i}_n" for i in (1, 2, 3)]
-    cols += [f"f_est_{p}" for p in _VEC6]
-    cols += ["lyapunov", "assumption", "flow_u_mps", "flow_v_mps", "flow_w_mps"]
-    cols += [f"dist_{p}" for p in _VEC6]
-    cols += ["mpc_cost"]
-    return cols
+            fh.write(",".join(map(str, row)) + "\n")
 
 
 def export_results(log: SimLog, metrics: Metrics | None, out_dir: str | Path) -> ExportBundle:
@@ -96,59 +109,35 @@ def export_results(log: SimLog, metrics: Metrics | None, out_dir: str | Path) ->
     out.mkdir(parents=True, exist_ok=True)
 
     ts_path = out / "timeseries.csv"
-
-    def rows():
-        for k in range(log.n_steps):
-            for v in range(log.n_vehicles):
-                yield (
-                    [log.t[k], v]
-                    + list(log.eta[k, v])
-                    + list(log.nu[k, v])
-                    + list(log.eps[k, v])
-                    + list(log.deps[k, v])
-                    + list(log.sigma[k, v])
-                    + list(log.u1[k, v])
-                    + list(log.u2[k, v])
-                    + list(log.u_cmd[k, v])
-                    + list(log.u_t[k, v])
-                    + list(log.f_est[k, v])
-                    + [log.lyap[k, v], log.assumption[k, v]]
-                    + list(log.flow[k, v])
-                    + list(log.dist[k, v])
-                    + [log.mpc_cost[k, v]]
-                )
-
-    _write_csv(ts_path, _timeseries_header(), rows())
+    steps, vehicles = log.n_steps, log.n_vehicles
+    n = steps * vehicles
+    _write_csv(
+        ts_path,
+        ["t_s", "vehicle", *chain.from_iterable(_COLUMNS.values())],
+        _rows(
+            np.repeat(log.t, vehicles),
+            np.tile(np.arange(vehicles), steps),
+            *(getattr(log, name).reshape(n, len(cols)) for name, cols in _COLUMNS.items()),
+        ),
+    )
 
     metrics_path = out / "metrics.csv"
-    header = [
-        "axis",
-        "speed_min_mps", "speed_max_mps", "speed_rmse_mps",
-        "pos_min_m", "pos_max_m", "pos_rmse_m",
-        "t_c_s",
-    ]
-    mrows = []
-    if metrics is not None:
-        for i, ax in enumerate(AXES):
-            mrows.append(
-                [
-                    ax,
-                    metrics.speed_min[i], metrics.speed_max[i], metrics.speed_rmse[i],
-                    metrics.pos_min[i], metrics.pos_max[i], metrics.pos_rmse[i],
-                    metrics.t_c,
-                ]
-            )
-    _write_csv(metrics_path, header, mrows)
+    _write_csv(
+        metrics_path,
+        ["axis", "speed_min_mps", "speed_max_mps", "speed_rmse_mps",
+         "pos_min_m", "pos_max_m", "pos_rmse_m", "t_c_s"],
+        () if metrics is None else _rows(
+            AXES,
+            metrics.speed_min, metrics.speed_max, metrics.speed_rmse,
+            metrics.pos_min, metrics.pos_max, metrics.pos_rmse,
+            np.full(len(AXES), metrics.t_c),
+        ),
+    )
 
-    phase_paths = {}
-    for ax in AXES:
-        p = out / f"phase_{ax}.csv"
-        if log.n_steps:
-            pairs = phase_trajectory(log, ax)
-            _write_csv(p, ["pos_err_m", "speed_err_mps"], pairs)
-        else:
-            _write_csv(p, ["pos_err_m", "speed_err_mps"], [])
-        phase_paths[ax] = p
+    phase_paths = {ax: out / f"phase_{ax}.csv" for ax in AXES}
+    for ax, path in phase_paths.items():
+        _write_csv(path, ["pos_err_m", "speed_err_mps"],
+                   _rows(phase_trajectory(log, ax)) if log.n_steps else ())
     return ExportBundle(timeseries=ts_path, metrics=metrics_path, phase=phase_paths)
 
 
@@ -167,23 +156,19 @@ def export_flow_grid(
     n = layers.n_layers
     band = (layers.z_top - layers.z_bottom) / n
     zs = np.array([layers.z_top - (i + 0.5) * band for i in range(n)])
-
-    def rows():
-        for t in t_samples:
-            for z in zs:
-                gx, gy = np.meshgrid(xs, ys, indexing="ij")
-                vel = layered_velocity(gx, gy, np.full_like(gx, z), t, layers, params)
-                for i in range(gx.shape[0]):
-                    for j in range(gx.shape[1]):
-                        yield [
-                            gx[i, j], gy[i, j], z, t,
-                            vel[i, j, 0], vel[i, j, 1], vel[i, j, 2],
-                        ]
-
+    gx, gy = np.meshgrid(xs, ys, indexing="ij")
+    cells = gx.size
     _write_csv(
         out_path,
         ["x_m", "y_m", "z_m", "t_s", "u_mps", "v_mps", "w_mps"],
-        rows(),
+        chain.from_iterable(
+            _rows(
+                gx.ravel(), gy.ravel(), np.full(cells, z), np.full(cells, t),
+                layered_velocity(gx, gy, np.full_like(gx, z), t, layers, params).reshape(cells, 3),
+            )
+            for t in t_samples
+            for z in zs
+        ),
     )
     return out_path
 
@@ -230,31 +215,15 @@ def compare_runs(scenario: Scenario, out_dir: str | Path | None = None) -> Compa
 
     if out_dir is not None:
         out = Path(out_dir)
-        for name, log in (("proposed", log_p), ("baseline", log_b)):
-            t_c = detect_convergence(log, scenario.convergence_threshold)
+        for name, log, t_c in (("proposed", log_p, result.t_c_proposed),
+                               ("baseline", log_b, result.t_c_baseline)):
             metrics = compute_metrics(log, t_c) if t_c is not None else None
             export_results(log, metrics, out / name)
-        rows = [
-            [
-                ax,
-                rmse_p[i],
-                rmse_b[i],
-                ratio[i],
-                chat_p,
-                chat_b,
-            ]
-            for i, ax in enumerate(AXES)
-        ]
         _write_csv(
             out / "comparison.csv",
-            [
-                "axis",
-                "pos_rmse_proposed_m",
-                "pos_rmse_baseline_m",
-                "rmse_ratio",
-                "chatter_proposed",
-                "chatter_baseline",
-            ],
-            rows,
+            ["axis", "pos_rmse_proposed_m", "pos_rmse_baseline_m", "rmse_ratio",
+             "chatter_proposed", "chatter_baseline"],
+            _rows(AXES, rmse_p, rmse_b, ratio,
+                  np.full(len(AXES), chat_p), np.full(len(AXES), chat_b)),
         )
     return result

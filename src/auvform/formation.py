@@ -94,6 +94,13 @@ class TrajectorySpec:
                 raise ValueError("waypoint trajectory needs at least 2 points of 3 entries")
             if self.speed <= 0:
                 raise ValueError("waypoint speed must be positive")
+            advances = np.diff(_segments(self)[1]) > 0
+            if not advances.all():
+                i = int(np.argmin(advances))
+                raise ValueError(
+                    f"waypoints must not repeat: points_m[{i}] and points_m[{i + 1}] "
+                    "make a zero-length segment"
+                )
 
 
 def _spiral(t: float, spec: TrajectorySpec):
@@ -119,11 +126,16 @@ def _line(t: float, spec: TrajectorySpec):
     return pos, vel, np.zeros(3), psi, 0.0, 0.0
 
 
+def _segments(spec: TrajectorySpec) -> tuple[np.ndarray, np.ndarray]:
+    """Waypoint segment vectors and the time each waypoint is reached."""
+    seg = np.diff(spec.waypoints, axis=0)
+    lengths = np.linalg.norm(seg, axis=1)
+    return seg, np.concatenate([[0.0], np.cumsum(lengths / spec.speed)])
+
+
 def _waypoints(t: float, spec: TrajectorySpec):
     pts = spec.waypoints
-    seg = np.diff(pts, axis=0)
-    lengths = np.linalg.norm(seg, axis=1)
-    times = np.concatenate([[0.0], np.cumsum(lengths / spec.speed)])
+    seg, times = _segments(spec)
     tt = min(t, times[-1])
     i = int(np.searchsorted(times, tt, side="right") - 1)
     i = min(i, len(seg) - 1)

@@ -81,6 +81,7 @@ def test_validate_gains_rejects_each_violation():
         "w_gain" in v for v in validate_gains(SuperTwistGains(w_gain=0.1, phi=0.2))
     )
     assert any("lam" in v for v in validate_gains(SuperTwistGains(lam=1.9)))
+    assert any("lam must be positive" in v for v in validate_gains(SuperTwistGains(lam=-2.1)))
 
 
 def test_equivalent_control_zero_case():

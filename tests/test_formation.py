@@ -189,6 +189,14 @@ def test_trajectory_spec_points_need_three_entries(fields):
         TrajectorySpec(**fields).validate()
 
 
+def test_trajectory_spec_rejects_repeated_waypoint():
+    spec = TrajectorySpec(
+        kind="waypoints", waypoints=[[10.0, 40, -5], [12.0, 40, -5], [12.0, 40, -5]]
+    )
+    with pytest.raises(ValueError, match=r"points_m\[1\] and points_m\[2\]"):
+        spec.validate()
+
+
 def test_waypoint_trajectory():
     spec = TrajectorySpec(
         kind="waypoints", duration=100.0,

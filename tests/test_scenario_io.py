@@ -15,6 +15,7 @@ import auvform
 from auvform.cli import main as cli_main
 from auvform.engine import SimLog, compute_metrics, detect_convergence, run
 from auvform.export import (
+    _COLUMNS,
     chatter_count,
     compare_runs,
     export_flow_grid,
@@ -90,6 +91,22 @@ def test_infeasible_rho_rejected(tmp_path):
     path = write(tmp_path, MINIMAL + "\ncontroller: {rho: 0.6}\n")
     with pytest.raises(ScenarioError, match="rho"):
         parse_scenario(path)
+
+
+@pytest.mark.parametrize(
+    ("doc", "match"),
+    [
+        (MINIMAL + "controller: {f_est_clamp_n: -1.0}\n", "f_est_clamp must be nonnegative"),
+        (MINIMAL + "controller: {lam: -2.1}\n", "lam must be positive"),
+        (MINIMAL + "controller: {lam: 0.0}\n", "lam must be positive"),
+        (MINIMAL.replace("duration_s: 1.0", "duration_s: 1.0\n  convergence_threshold_m: 0.0"),
+         "convergence threshold must be positive"),
+    ],
+    ids=["f-est-clamp-negative", "lam-negative", "lam-zero", "convergence-threshold-zero"],
+)
+def test_out_of_range_values_rejected(doc, match):
+    with pytest.raises(ScenarioError, match=match):
+        scenario_from_dict(yaml.safe_load(doc))
 
 
 def test_coefficient_range_rejected(tmp_path):
@@ -263,6 +280,15 @@ def test_export_results_deterministic(tmp_path):
         assert b1.phase[ax].read_bytes() == b2.phase[ax].read_bytes()
 
 
+def test_timeseries_columns_follow_simlog_fields():
+    names = list(SimLog.__dataclass_fields__)
+    assert names[0] == "t" and list(_COLUMNS) == names[1:]
+    log = SimLog.allocate(1, 1)
+    assert {name: getattr(log, name)[0, 0].size for name in _COLUMNS} == {
+        name: len(cols) for name, cols in _COLUMNS.items()
+    }
+
+
 def test_export_empty_log_header_only(tmp_path):
     bundle = export_results(SimLog.empty(0), None, tmp_path)
     lines = bundle.timeseries.read_text().splitlines()
@@ -394,6 +420,8 @@ BAD_DOCS = {
     "points_scalar": "sim: {duration_s: 1.0}\ntrajectory: {kind: waypoints, waypoints: {points_m: 5}}\n",
     "offsets_scalar": MINIMAL + "formation: {offsets: 5}\n",
     "states_scalar": MINIMAL + "initial: {mode: explicit, states: 5}\n",
+    "points_repeat": "sim: {duration_s: 1.0}\ntrajectory: {kind: waypoints, waypoints: "
+                     "{points_m: [[10, 40, -5], [12, 40, -5], [12, 40, -5]]}}\n",
 }
 
 
@@ -427,6 +455,7 @@ BAD_DOCS = {
          "formation.offsets: expected a list of {xyz_m, yaw_rad} entries, got 5"),
         (["validate", "{states_scalar}"],
          "initial.states: expected a list of [eta, nu] 12-vectors, got 5"),
+        (["validate", "{points_repeat}"], "waypoints must not repeat: points_m[1] and points_m[2]"),
     ],
     ids=["missing-file", "negative-seed", "t-not-a-number", "t-not-finite",
          "negative-seed-yaml", "jet-shape-yaml", "seed-not-an-int", "inertia-3-entries",
@@ -434,7 +463,7 @@ BAD_DOCS = {
          "sim-not-a-mapping", "seed-fraction", "n-e-fraction",
          "workspace-unordered", "dt-nan", "duration-inf", "duration-bool", "tau-hi-nan",
          "surface-gain-nan", "yaw-bool", "points-scalar", "offsets-scalar",
-         "states-scalar"],
+         "states-scalar", "points-repeat"],
 )
 def test_cli_bad_input_is_a_scenario_error(tmp_path, argv, key):
     paths = {
