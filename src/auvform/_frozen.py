@@ -1,0 +1,20 @@
+"""Read-only arrays for the frozen config dataclasses: an in-place write would
+otherwise change a validated config behind the tables it caches."""
+
+import numpy as np
+
+
+def read_only(value, shape=None) -> np.ndarray:
+    """A read-only float copy of value, broadcast to shape when one is given."""
+    array = np.asarray(value, dtype=float)
+    array = (array if shape is None else np.broadcast_to(array, shape)).copy()
+    array.setflags(write=False)
+    return array
+
+
+def freeze_arrays(config, **shapes) -> None:
+    """Set each named field of a frozen dataclass to read_only(value, shape); None stays None."""
+    for name, shape in shapes.items():
+        value = getattr(config, name)
+        if value is not None:
+            object.__setattr__(config, name, read_only(value, shape))

@@ -23,13 +23,10 @@ def _load(args) -> "Scenario":
         overrides["seed"] = args.seed
     if getattr(args, "dt", None) is not None:
         overrides["dt"] = args.dt
-    if overrides:
-        scenario = replace(scenario, **overrides)
-        try:
-            scenario.validate()
-        except ValueError as exc:
-            raise ScenarioError(str(exc)) from exc
-    return scenario
+    try:
+        return replace(scenario, **overrides) if overrides else scenario
+    except ValueError as exc:
+        raise ScenarioError(str(exc)) from exc
 
 
 def _cmd_run(args) -> int:

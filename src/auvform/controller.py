@@ -27,8 +27,10 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from ._frozen import freeze_arrays
 
-@dataclass
+
+@dataclass(frozen=True)
 class SurfaceConfig:
     """Diagonal surface gain (entries of the 6x6 positive diagonal matrix).
 
@@ -45,21 +47,19 @@ class SurfaceConfig:
     integral_clamp: float = 0.3
 
     def __post_init__(self):
-        self.lambda_s = np.broadcast_to(
-            np.asarray(self.lambda_s, dtype=float), (6,)
-        ).copy()
-        self.validate()
-
-    def validate(self) -> None:
+        freeze_arrays(self, lambda_s=(6,))
         if np.any(self.lambda_s <= 0):
             raise ValueError("surface gain entries must be positive")
         if self.integral_clamp <= 0:
             raise ValueError("integral clamp must be positive")
 
 
-@dataclass
+@dataclass(frozen=True)
 class SuperTwistGains:
-    """Gains of the reaching term plus the convergence-condition constants."""
+    """Gains of the reaching term plus the convergence-condition constants.
+
+    Unchecked, so validate_gains can report on any set; ControllerConfig rejects an infeasible one.
+    """
 
     lam: float = 2.1
     rho: float = 0.36
@@ -78,7 +78,8 @@ class AdaptiveState:
     thrusters can actually serve (adapting a starved rotational axis just
     winds the estimate to its clamp).  Zero K/Gamma entries disable
     feedback/adaptation on an axis; diagnostics use a pseudo-inverse of
-    Gamma so those axes contribute nothing.
+    Gamma so those axes contribute nothing.  Unlike the configs it is
+    mutable: it is each run's state, and adaptive_update writes f_est.
     """
 
     f_est: np.ndarray = field(default_factory=lambda: np.zeros(6))

@@ -18,6 +18,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from ._frozen import read_only
 from .controller import (
     AdaptiveState,
     ControllerState,
@@ -44,13 +45,7 @@ from .formation import (
 )
 from .mpc import MpcConfig, MpcShell
 from .plant import advance_plant
-from .thrusters import (
-    ThrusterConfig,
-    allocate,
-    body_to_wrench5,
-    build_tcm,
-    wrench5_to_body,
-)
+from .thrusters import ThrusterConfig, allocate, body_to_wrench5, wrench5_to_body
 from .vehicle import (
     PITCH_SINGULARITY_TOL,
     RigidBodyParams,
@@ -73,12 +68,13 @@ class SimulationAbort(RuntimeError):
         self.partial_log = partial_log
 
 
-@dataclass
+@dataclass(frozen=True)
 class ControllerConfig:
     """Controller variant and gains applied to every vehicle.
 
     The proposed law (equivalent control plus the continuous adaptive term)
     runs unless baseline selects the first-order sliding-mode comparison.
+    adaptive holds the gains each run's own AdaptiveState starts from.
     """
 
     surface: SurfaceConfig = field(default_factory=SurfaceConfig)
@@ -88,14 +84,17 @@ class ControllerConfig:
     baseline_lam: float = 2.1
     baseline_w: float | None = None  # None: disturbance clamp when flow is on
 
-    def validate(self) -> None:
-        self.surface.validate()
+    def __post_init__(self):
         problems = validate_gains(self.gains)
+        if not self.baseline_lam > 0:
+            problems.append(f"baseline_lam must be positive: got {self.baseline_lam}")
+        if self.baseline_w is not None and not self.baseline_w >= 0:
+            problems.append(f"baseline_w_n must be nonnegative or null: got {self.baseline_w}")
         if problems:
             raise ValueError("; ".join(problems))
 
 
-@dataclass
+@dataclass(frozen=True)
 class FlowConfig:
     """Current model and its coupling into vehicle forces."""
 
@@ -103,11 +102,6 @@ class FlowConfig:
     layers: LayeredField = field(default_factory=LayeredField)
     disturbance: DisturbanceModel = field(default_factory=DisturbanceModel)
     enabled: bool = True
-
-    def validate(self) -> None:
-        self.params.validate()
-        self.layers.validate()
-        self.disturbance.validate()
 
     def sampler(self):
         if not self.enabled:
@@ -123,13 +117,15 @@ class FlowConfig:
         return sample
 
 
-@dataclass
+@dataclass(frozen=True)
 class Scenario:
     """Complete description of one run.
 
     The fleet is homogeneous: all vehicles share rigid-body and thruster
     parameters.  initial_states holds one [eta, nu] 12-vector per vehicle;
     None starts every vehicle exactly on its reference.
+    Every config in the tree is validated when built and is immutable;
+    derive a variant with dataclasses.replace.
     """
 
     trajectory: TrajectorySpec = field(default_factory=TrajectorySpec)
@@ -145,9 +141,17 @@ class Scenario:
     duration: float = 50.0
     seed: int = 0
     convergence_threshold: float = 0.1
-    initial_states: list[np.ndarray] | None = None
+    initial_states: tuple[np.ndarray, ...] | None = None
+
+    def __post_init__(self):
+        if self.initial_states is not None:
+            object.__setattr__(
+                self, "initial_states", tuple(read_only(s) for s in self.initial_states)
+            )
+        self.validate()
 
     def validate(self) -> None:
+        """The run-level checks; each sub-config checked itself when built."""
         if not (np.isfinite(self.dt) and np.isfinite(self.duration)):
             raise ValueError("dt and duration must be finite")
         if self.dt <= 0:
@@ -158,13 +162,6 @@ class Scenario:
             raise ValueError("seed must be nonnegative")
         if self.convergence_threshold <= 0:
             raise ValueError("convergence threshold must be positive")
-        self.trajectory.validate()
-        self.formation.validate()
-        self.vehicle.validate()
-        self.thrusters.validate()
-        self.controller.validate()
-        self.flow.validate()
-        self.mpc.validate()
         if self.initial_states is not None:
             if len(self.initial_states) != self.n_vehicles:
                 raise ValueError("initial_states length must match vehicle count")
@@ -257,11 +254,9 @@ class SimRuntime:
     """Mutable state of one running scenario."""
 
     def __init__(self, scenario: Scenario):
-        scenario.validate()
         self.scenario = scenario
         self.params = scenario.vehicle
         self.alpha = scenario.vehicle.mismatch_factor
-        self.tcm = build_tcm(scenario.thrusters)
         self.sampler = scenario.flow.sampler()
         self.dist_model = scenario.flow.disturbance if scenario.flow.enabled else None
         n_v = scenario.n_vehicles
@@ -292,7 +287,7 @@ class SimRuntime:
     def _initial_states(self) -> np.ndarray:
         sc = self.scenario
         if sc.initial_states is not None:
-            return np.array([np.asarray(s, dtype=float) for s in sc.initial_states])
+            return np.array(sc.initial_states)
         e_d, ed_d, _ = leader_reference(0.0, sc.trajectory)
         refs = [(e_d, ed_d)]
         for off in sc.formation.offsets:
@@ -431,7 +426,7 @@ def step(rt: SimRuntime) -> dict:
     u_t = np.empty((n_v, 3))
     for v in range(n_v):
         u_t[v], _ = allocate(u5[v], sc.thrusters)
-    tau6 = wrench5_to_body((rt.tcm @ u_t.T).T)
+    tau6 = wrench5_to_body((sc.thrusters.tcm @ u_t.T).T)
     rec["u_cmd"] = u_cmd
     rec["u_t"] = u_t
 

@@ -19,9 +19,11 @@ horizontal layers with fixed speed ratios, and rescales so the strongest
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
+from ._frozen import read_only
 from ._numpy_fast import clip as _clip
 from ._numpy_fast import einsum as _einsum
 from .vehicle import ANG, POS, rotation_body_to_inertial
@@ -29,12 +31,12 @@ from .vehicle import ANG, POS, rotation_body_to_inertial
 # Supremum of the raw jet speed sqrt(U^2 + V^2) with the default parameters,
 # found by dense scan over one joint space/time period (observed 1.013953);
 # rounded up so the scaled surface-layer speed never exceeds the cap.  It
-# depends only on (b0, e_amp, k), so FlowParams.validate keeps those at
+# depends only on (b0, e_amp, k), so FlowParams keeps those at
 # their defaults (at b0 = 0.5, k = 2 the supremum is about 1.205).
 RAW_SPEED_MAX = 1.014
 
 
-@dataclass
+@dataclass(frozen=True)
 class FlowParams:
     """Stream-function parameters (defaults from the jet model)."""
 
@@ -45,7 +47,7 @@ class FlowParams:
     c: float = 0.12
     k: float = 0.82
 
-    def validate(self) -> None:
+    def __post_init__(self):
         vals = [self.b0, self.e_amp, self.omega, self.theta0, self.c, self.k]
         if not all(np.isfinite(v) for v in vals):
             raise ValueError("flow parameters must be finite")
@@ -58,7 +60,7 @@ class FlowParams:
             )
 
 
-@dataclass
+@dataclass(frozen=True)
 class LayeredField:
     """Depth layering and placement of the jet inside the workspace.
 
@@ -80,7 +82,7 @@ class LayeredField:
     xy_min: tuple[float, float] = (0.0, 0.0)
     xy_max: tuple[float, float] = (80.0, 80.0)
 
-    def validate(self) -> None:
+    def __post_init__(self):
         if self.n_layers < 1 or len(self.layer_scale) != self.n_layers:
             raise ValueError("layer_scale length must equal n_layers")
         if self.z_bottom >= self.z_top:
@@ -104,22 +106,18 @@ class LayeredField:
         inside = (z >= self.z_bottom) & (z <= self.z_top)
         return np.where(inside, idx, -1)
 
+    @cached_property
     def speed_scales(self) -> np.ndarray:
         """Raw-to-m/s speed scale per layer_index value (the last entry, 0, is index -1).
 
-        layer_scale * speed_cap / RAW_SPEED_MAX, built once and rebuilt only
-        when layer_scale or speed_cap is reassigned.
+        layer_scale * speed_cap / RAW_SPEED_MAX, built on first use.
         """
-        cache = self.__dict__.get("_speed_scales")
-        if cache is None or cache[0] is not self.layer_scale or cache[1] is not self.speed_cap:
-            table = np.asarray(self.layer_scale + (0.0,), dtype=float) * (
-                self.speed_cap / RAW_SPEED_MAX
-            )
-            cache = self.__dict__["_speed_scales"] = (self.layer_scale, self.speed_cap, table)
-        return cache[2]
+        return read_only(
+            np.asarray(self.layer_scale + (0.0,), dtype=float) * (self.speed_cap / RAW_SPEED_MAX)
+        )
 
 
-@dataclass
+@dataclass(frozen=True)
 class DisturbanceModel:
     """Quadratic-drag map from relative flow velocity to a bounded wrench.
 
@@ -132,7 +130,7 @@ class DisturbanceModel:
     drag_gain_yaw: float = 5.0
     force_clamp: float = 20.0
 
-    def validate(self) -> None:
+    def __post_init__(self):
         if self.force_clamp < 0:
             raise ValueError("force_clamp must be nonnegative")
         if self.drag_gain < 0 or self.drag_gain_yaw < 0:
@@ -181,7 +179,7 @@ def layered_velocity(x, y, z, t, fieldp: LayeredField, p: FlowParams) -> np.ndar
     yj = (y - fieldp.jet_origin[1]) / fieldp.jet_scale
     u, v = flow_velocity(xj, yj, t, p)
 
-    scale = fieldp.speed_scales()[fieldp.layer_index(z)]
+    scale = fieldp.speed_scales[fieldp.layer_index(z)]
     inside_xy = (
         (x >= fieldp.xy_min[0])
         & (x <= fieldp.xy_max[0])

@@ -9,13 +9,15 @@ leader's yaw frame plus a relative yaw.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
+from ._frozen import freeze_arrays
 from .vehicle import wrap_angle
 
 
-@dataclass
+@dataclass(frozen=True)
 class FollowerOffset:
     """Body-frame slot of one follower relative to the leader."""
 
@@ -23,23 +25,22 @@ class FollowerOffset:
     yaw: float = 0.0
 
     def __post_init__(self):
-        self.xyz = np.asarray(self.xyz, dtype=float)
+        freeze_arrays(self, xyz=None)
+        if self.xyz.shape != (3,):
+            raise ValueError("each formation offset xyz needs 3 entries")
 
 
-@dataclass
+@dataclass(frozen=True)
 class FormationSpec:
     """Follower slots; the default pair forms a triangle behind the leader."""
 
-    offsets: list[FollowerOffset] = field(
-        default_factory=lambda: [
-            FollowerOffset(np.array([-2.0, 1.5, 0.0])),
-            FollowerOffset(np.array([-2.0, -1.5, 0.0])),
-        ]
+    offsets: tuple[FollowerOffset, ...] = (
+        FollowerOffset(np.array([-2.0, 1.5, 0.0])),
+        FollowerOffset(np.array([-2.0, -1.5, 0.0])),
     )
 
-    def validate(self) -> None:
-        if any(o.xyz.shape != (3,) for o in self.offsets):
-            raise ValueError("each formation offset xyz needs 3 entries")
+    def __post_init__(self):
+        object.__setattr__(self, "offsets", tuple(self.offsets))
         pts = [tuple(o.xyz) + (o.yaw,) for o in self.offsets]
         if len(set(pts)) != len(pts):
             raise ValueError("formation offsets must be distinct")
@@ -49,7 +50,7 @@ class FormationSpec:
         return len(self.offsets) + 1
 
 
-@dataclass
+@dataclass(frozen=True)
 class TrajectorySpec:
     """Leader path. kind selects which parameter group applies.
 
@@ -72,13 +73,7 @@ class TrajectorySpec:
     speed: float = 0.5
 
     def __post_init__(self):
-        self.center = np.asarray(self.center, dtype=float)
-        self.start = np.asarray(self.start, dtype=float)
-        self.velocity = np.asarray(self.velocity, dtype=float)
-        if self.waypoints is not None:
-            self.waypoints = np.asarray(self.waypoints, dtype=float)
-
-    def validate(self) -> None:
+        freeze_arrays(self, center=None, start=None, velocity=None, waypoints=None)
         if self.kind not in ("spiral", "line", "waypoints"):
             raise ValueError(f"unknown trajectory kind {self.kind!r}")
         if self.duration <= 0:
@@ -94,13 +89,20 @@ class TrajectorySpec:
                 raise ValueError("waypoint trajectory needs at least 2 points of 3 entries")
             if self.speed <= 0:
                 raise ValueError("waypoint speed must be positive")
-            advances = np.diff(_segments(self)[1]) > 0
+            advances = np.diff(self.segments[1]) > 0
             if not advances.all():
                 i = int(np.argmin(advances))
                 raise ValueError(
                     f"waypoints must not repeat: points_m[{i}] and points_m[{i + 1}] "
                     "make a zero-length segment"
                 )
+
+    @cached_property
+    def segments(self) -> tuple[np.ndarray, np.ndarray]:
+        """Waypoint segment vectors and the time each waypoint is reached."""
+        seg = np.diff(self.waypoints, axis=0)
+        lengths = np.linalg.norm(seg, axis=1)
+        return seg, np.concatenate([[0.0], np.cumsum(lengths / self.speed)])
 
 
 def _spiral(t: float, spec: TrajectorySpec):
@@ -126,16 +128,9 @@ def _line(t: float, spec: TrajectorySpec):
     return pos, vel, np.zeros(3), psi, 0.0, 0.0
 
 
-def _segments(spec: TrajectorySpec) -> tuple[np.ndarray, np.ndarray]:
-    """Waypoint segment vectors and the time each waypoint is reached."""
-    seg = np.diff(spec.waypoints, axis=0)
-    lengths = np.linalg.norm(seg, axis=1)
-    return seg, np.concatenate([[0.0], np.cumsum(lengths / spec.speed)])
-
-
 def _waypoints(t: float, spec: TrajectorySpec):
     pts = spec.waypoints
-    seg, times = _segments(spec)
+    seg, times = spec.segments
     tt = min(t, times[-1])
     i = int(np.searchsorted(times, tt, side="right") - 1)
     i = min(i, len(seg) - 1)

@@ -32,7 +32,7 @@ from .vehicle import (
 )
 
 
-@dataclass
+@dataclass(frozen=True)
 class MpcConfig:
     """Prediction horizon and the control and pose-error bounds, applied every step."""
 
@@ -43,7 +43,7 @@ class MpcConfig:
     state_lo: float = -5.0
     state_hi: float = 5.0
 
-    def validate(self) -> None:
+    def __post_init__(self):
         if self.n_e < 1:
             raise ValueError("n_e must be at least 1")
         if self.tau_lo > self.tau_hi or self.state_lo > self.state_hi:
@@ -61,7 +61,6 @@ class MpcShell:
         flow_sampler: FlowSampler | None,
         dt: float,
     ):
-        cfg.validate()
         self.cfg = cfg
         self.params_est = params.estimated()
         self.dist_model = dist_model

@@ -82,9 +82,8 @@ def _offset(entry) -> FollowerOffset:
         raise ValueError(f"each entry needs xyz_m, got {entry!r}")
     if set(entry) - {"xyz_m", "yaw_rad"}:
         raise ValueError(f"unknown key in {entry!r}: an entry takes xyz_m and yaw_rad")
-    offset = FollowerOffset(_floats()(entry["xyz_m"]))
-    offset.yaw = _float(entry.get("yaw_rad", offset.yaw))
-    return offset
+    yaw = _float(entry.get("yaw_rad", FollowerOffset.yaw))
+    return FollowerOffset(_floats()(entry["xyz_m"]), yaw)
 
 
 # One row per YAML key: (key path, attribute path on Scenario, converter).  Parsing
@@ -243,11 +242,9 @@ def scenario_from_dict(raw: dict) -> Scenario:
         raise ScenarioError("initial.mode explicit requires initial.states")
 
     try:
-        scenario = _replaced(base, changes)
-        scenario.validate()
+        return _replaced(base, changes)
     except ValueError as exc:
         raise ScenarioError(str(exc)) from exc
-    return scenario
 
 
 def parse_scenario(path: str | Path) -> Scenario:

@@ -8,11 +8,12 @@ roll is not actuated (tau_p = 0) and relies on the restoring moment.
 
 from __future__ import annotations
 
-import operator
-from dataclasses import dataclass, fields
+from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
+from ._frozen import read_only
 from ._numpy_fast import clip as _clip
 
 # rows of the 5-DOF wrench inside a 6-DOF body wrench [X Y Z K M N]
@@ -31,7 +32,7 @@ _COEFF_RANGES = {
 }
 
 
-@dataclass
+@dataclass(frozen=True)
 class ThrusterConfig:
     """Share coefficients, moment arms [m] and the per-thruster force bound [N].
 
@@ -42,6 +43,9 @@ class ThrusterConfig:
     from, the demanded direction (minimum-phase pairing).  Interval-midpoint
     shares with stern-side arms make the sway and yaw loops fight through
     the shared differential and diverge at cruise speed.
+
+    Immutable, so B and its pseudo-inverses are built once, on first use;
+    derive a variant with dataclasses.replace.
     """
 
     k1: float = 0.45
@@ -58,7 +62,7 @@ class ThrusterConfig:
     r3: float = 0.4
     u_limit: float = 60.0
 
-    def validate(self) -> None:
+    def __post_init__(self):
         for name, (lo, hi) in _COEFF_RANGES.items():
             val = getattr(self, name)
             if not lo <= val <= hi:
@@ -66,10 +70,19 @@ class ThrusterConfig:
         if self.u_limit <= 0:
             raise ValueError("u_limit must be positive")
 
+    @cached_property
+    def tcm(self) -> np.ndarray:
+        """The thruster control matrix B of build_tcm."""
+        return read_only(build_tcm(self))
+
+    @cached_property
+    def _pseudo_inverses(self) -> tuple[np.ndarray, dict]:
+        """pinv(B), and the pseudo-inverses of B's columns by free set that allocate fills."""
+        return read_only(np.linalg.pinv(self.tcm)), {}
+
 
 def build_tcm(cfg: ThrusterConfig) -> np.ndarray:
     """5x3 thruster control matrix mapping thruster forces to the wrench."""
-    cfg.validate()
     return np.array(
         [
             [cfg.k1 * cfg.l1, cfg.k2 * cfg.l2, 0.0],
@@ -85,23 +98,6 @@ def build_tcm(cfg: ThrusterConfig) -> np.ndarray:
     )
 
 
-_field_values = operator.attrgetter(*(f.name for f in fields(ThrusterConfig)))
-
-
-def _solver(cfg: ThrusterConfig) -> tuple[np.ndarray, np.ndarray, dict]:
-    """(B, pinv(B), pseudo-inverses of B's columns by free set) for cfg.
-
-    Kept on cfg while each field still holds the object it held when B was
-    built; reassigning any field builds B, and so validates cfg, again.
-    """
-    values = _field_values(cfg)
-    cache = cfg.__dict__.get("_solver")
-    if cache is None or not all(map(operator.is_, cache[0], values)):
-        b = build_tcm(cfg)
-        cache = cfg.__dict__["_solver"] = (values, b, np.linalg.pinv(b), {})
-    return cache[1:]
-
-
 def allocate(tau: np.ndarray, cfg: ThrusterConfig) -> tuple[np.ndarray, np.ndarray]:
     """Least-squares thrust allocation with saturation.
 
@@ -109,10 +105,11 @@ def allocate(tau: np.ndarray, cfg: ThrusterConfig) -> tuple[np.ndarray, np.ndarr
     unreachable share of the command (nonzero for out-of-range wrenches or
     saturated thrusters).  Pseudo-inverse solve, clip, then one re-solve of
     the unsaturated thrusters against what the saturated ones left over.
-    The pseudo-inverses are computed once per configuration and free set.
+    The pseudo-inverses are cached on cfg, once per free set.
     """
     tau = np.asarray(tau, dtype=float)
-    b, b_pinv, free_pinv = _solver(cfg)
+    b = cfg.tcm
+    b_pinv, free_pinv = cfg._pseudo_inverses
     u = b_pinv @ tau
     lim = cfg.u_limit
     sat = np.abs(u) > lim

@@ -23,6 +23,8 @@ from functools import cached_property
 
 import numpy as np
 
+from ._frozen import freeze_arrays, read_only
+
 PITCH_SINGULARITY_TOL = 1e-6
 
 # Index blocks of the 6-vectors.
@@ -61,7 +63,7 @@ def skew(v: np.ndarray) -> np.ndarray:
     return m
 
 
-@dataclass
+@dataclass(frozen=True)
 class RigidBodyParams:
     """Rigid-body coefficients, plus the factor splitting true vs estimated model.
 
@@ -91,14 +93,7 @@ class RigidBodyParams:
     mismatch_factor: float = 1.0
 
     def __post_init__(self):
-        self.inertia = np.asarray(self.inertia, dtype=float)
-        self.d_linear = np.broadcast_to(
-            np.asarray(self.d_linear, dtype=float), (6,)
-        ).copy()
-        self.d_quad = np.broadcast_to(np.asarray(self.d_quad, dtype=float), (6,)).copy()
-        self.validate()
-
-    def validate(self) -> None:
+        freeze_arrays(self, inertia=None, d_linear=(6,), d_quad=(6,))
         if self.inertia.shape != (6, 6):
             raise ValueError("inertia must be 6x6")
         if not np.allclose(self.inertia, self.inertia.T, atol=1e-12):
@@ -112,7 +107,7 @@ class RigidBodyParams:
 
     @cached_property
     def inertia_inv(self) -> np.ndarray:
-        return np.linalg.inv(self.inertia)
+        return read_only(np.linalg.inv(self.inertia))
 
     def estimated(self) -> "RigidBodyParams":
         """The hatted model: every coefficient scaled by mismatch_factor."""

@@ -1,8 +1,11 @@
 """Simulation engine tests: integrator, determinism, convergence, metrics."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 
+from auvform.controller import AdaptiveState
 from auvform.engine import (
     ControllerConfig,
     FlowConfig,
@@ -196,17 +199,50 @@ def test_phase_trajectory_projection():
 
 def test_scenario_validation():
     with pytest.raises(ValueError):
-        Scenario(dt=0.0).validate()
+        Scenario(dt=0.0)
     with pytest.raises(ValueError):
-        Scenario(duration=0.001, dt=0.01).validate()
-    sc = Scenario(initial_states=[np.zeros(12)])
+        Scenario(duration=0.001, dt=0.01)
     with pytest.raises(ValueError):
-        sc.validate()  # 3 vehicles but one initial state
+        Scenario(initial_states=[np.zeros(12)])  # 3 vehicles but one initial state
+
+
+def test_every_config_in_the_scenario_tree_is_frozen():
+    # waypoints and initial_states set, so their arrays are walked too
+    sc = Scenario(
+        trajectory=TrajectorySpec(kind="waypoints", waypoints=[[0.0, 0, -2], [10.0, 0, -2]]),
+        initial_states=[np.zeros(12)] * 3,
+    )
+    frozen, mutable = set(), set()
+
+    def walk(obj, path):
+        if isinstance(obj, tuple):
+            for i, item in enumerate(obj):
+                walk(item, f"{path}[{i}]")
+        elif dataclasses.is_dataclass(obj):
+            name = type(obj).__name__
+            if not type(obj).__dataclass_params__.frozen:
+                mutable.add(name)
+                return
+            frozen.add(name)
+            for f in dataclasses.fields(obj):
+                value = getattr(obj, f.name)
+                assert not isinstance(value, list), f"{path}.{f.name} holds a list"
+                walk(value, f"{path}.{f.name}")
+        elif isinstance(obj, np.ndarray):
+            assert not obj.flags.writeable, f"{path} is a writable array"
+
+    walk(sc, "scenario")
+    # runtime state, which adaptive_update writes, is the one mutable class
+    assert mutable == {AdaptiveState.__name__}
+    assert frozen == {
+        "Scenario", "TrajectorySpec", "FormationSpec", "FollowerOffset", "RigidBodyParams",
+        "ThrusterConfig", "ControllerConfig", "SurfaceConfig", "SuperTwistGains",
+        "FlowConfig", "FlowParams", "LayeredField", "DisturbanceModel", "MpcConfig",
+    }
 
 
 def test_controller_config_rejects_bad_gains():
     from auvform.controller import SuperTwistGains
 
-    cfg = ControllerConfig(gains=SuperTwistGains(rho=0.6))
     with pytest.raises(ValueError):
-        cfg.validate()
+        ControllerConfig(gains=SuperTwistGains(rho=0.6))

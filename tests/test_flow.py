@@ -1,5 +1,7 @@
 """Flow model tests: stream function, analytic velocity oracle, layering."""
 
+from types import SimpleNamespace
+
 import numpy as np
 import pytest
 
@@ -114,7 +116,7 @@ def test_layered_velocity_outside_workspace_is_zero():
                                                ((0.0, 40.0), (80.0, 40.0))])
 def test_unordered_workspace_rejected(xy_min, xy_max):
     with pytest.raises(ValueError, match="workspace bounds must be ordered"):
-        LayeredField(xy_min=xy_min, xy_max=xy_max).validate()
+        LayeredField(xy_min=xy_min, xy_max=xy_max)
 
 
 def test_speed_cap_respected():
@@ -170,15 +172,16 @@ def test_disturbance_structure_and_bound():
 def test_normaliser_covers_only_the_default_jet_shape():
     # at b0 = 0.5, k = 2 the raw jet speed peaks near 1.205 (t about 11.76 s),
     # above RAW_SPEED_MAX: the surface layer would be clipped by the cap and
-    # the layer ratios would break, so validation rejects the parameters
-    p = FlowParams(b0=0.5, k=2.0)
+    # the layer ratios would break, so validation rejects the parameters;
+    # the oracle takes them as a plain namespace, which nothing validates
+    p = SimpleNamespace(b0=0.5, e_amp=0.3, omega=0.4, theta0=np.pi / 2, c=0.12, k=2.0)
     x = np.linspace(0.0, 2 * np.pi / p.k, 400)[:, None]
     y = np.linspace(-1.0, 1.0, 201)[None, :]
     u, v = flow_velocity(x, y, 11.76, p)
     assert np.hypot(u, v).max() > 1.2 > RAW_SPEED_MAX
     with pytest.raises(ValueError, match="RAW_SPEED_MAX"):
-        p.validate()
+        FlowParams(b0=0.5, k=2.0)
     for name in ("b0", "e_amp", "k"):
         with pytest.raises(ValueError, match="RAW_SPEED_MAX"):
-            FlowParams(**{name: getattr(FlowParams, name) * 1.01}).validate()
-    FlowParams(omega=0.2, theta0=0.0, c=0.3).validate()
+            FlowParams(**{name: getattr(FlowParams, name) * 1.01})
+    FlowParams(omega=0.2, theta0=0.0, c=0.3)

@@ -163,15 +163,13 @@ def test_formation_error_list_api():
 
 
 def test_formation_spec_distinct_offsets():
-    spec = FormationSpec(offsets=[FollowerOffset(np.zeros(3)), FollowerOffset(np.zeros(3))])
     with pytest.raises(ValueError):
-        spec.validate()
+        FormationSpec(offsets=[FollowerOffset(np.zeros(3)), FollowerOffset(np.zeros(3))])
 
 
 def test_formation_spec_offsets_need_three_entries():
-    spec = FormationSpec(offsets=[FollowerOffset(np.array([1.0, 2.0]))])
     with pytest.raises(ValueError, match="3 entries"):
-        spec.validate()
+        FormationSpec(offsets=[FollowerOffset(np.array([1.0, 2.0]))])
 
 
 @pytest.mark.parametrize(
@@ -186,15 +184,14 @@ def test_formation_spec_offsets_need_three_entries():
 )
 def test_trajectory_spec_points_need_three_entries(fields):
     with pytest.raises(ValueError, match="3 entries"):
-        TrajectorySpec(**fields).validate()
+        TrajectorySpec(**fields)
 
 
 def test_trajectory_spec_rejects_repeated_waypoint():
-    spec = TrajectorySpec(
-        kind="waypoints", waypoints=[[10.0, 40, -5], [12.0, 40, -5], [12.0, 40, -5]]
-    )
     with pytest.raises(ValueError, match=r"points_m\[1\] and points_m\[2\]"):
-        spec.validate()
+        TrajectorySpec(
+            kind="waypoints", waypoints=[[10.0, 40, -5], [12.0, 40, -5], [12.0, 40, -5]]
+        )
 
 
 def test_waypoint_trajectory():
@@ -203,7 +200,6 @@ def test_waypoint_trajectory():
         waypoints=np.array([[0.0, 0, -2], [10.0, 0, -2], [10.0, 10, -2]]),
         speed=1.0,
     )
-    spec.validate()
     e_d, ed_d, _ = leader_reference(5.0, spec)
     np.testing.assert_allclose(e_d[:3], [5.0, 0, -2], atol=1e-12)
     np.testing.assert_allclose(ed_d[:3], [1.0, 0, 0], atol=1e-12)

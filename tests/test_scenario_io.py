@@ -192,7 +192,9 @@ initial:
     - [7.0, 18.0, -5.5, 0.0, 0.0, 0.3, 0.4, 0.0, 0.0, 0.0, 0.0, 0.0]
 """
 EVERY_KEY_YAML_SHA = "6f1c10a25491e7271f37951f8603a44e0b5642e8349b4943a38db83e14e003c2"
-EVERY_KEY_FIELDS_SHA = "72bd3637853e59208a53ee15c53fd8ed9df9c4b2a5b171517920c3d69cf46eb8"
+# formation.offsets and initial_states are tuples, which the digest names; hashed
+# under their former name, list, the fields give the earlier 72bd3637...cf46eb8
+EVERY_KEY_FIELDS_SHA = "3af12c189aaaa85c8d92b955ba35c2373d071f5c17e0805c3d85ef2c7f0572a2"
 
 
 def _hash_fields(obj, h) -> None:
@@ -314,7 +316,8 @@ def test_metrics_table_columns(tmp_path):
 
 def test_flow_grid_single_point(tmp_path):
     params = FlowParams()
-    layers = LayeredField(xy_min=(10.0, 10.0), xy_max=(10.0, 10.0), n_layers=1,
+    # one cell: the grid holds xy_min only, as spacing 1 steps past xy_max
+    layers = LayeredField(xy_min=(10.0, 10.0), xy_max=(10.5, 10.5), n_layers=1,
                           layer_scale=(1.0,))
     out = export_flow_grid(params, layers, [0.0], tmp_path / "grid.csv")
     lines = out.read_text().splitlines()
@@ -357,10 +360,10 @@ def test_compare_runs_no_disturbance(tmp_path):
     sc = scenario_from_dict(
         __import__("yaml").safe_load(quick_scenario_yaml(duration=8.0))
     )
-    sc.initial_states = [
+    sc = dataclasses.replace(sc, initial_states=[
         np.array([19.7, 40.2, -8.0, 0, 0, 0, 0.5, 0, 0, 0, 0, 0]),
         np.array([17.7, 41.7, -8.0, 0, 0, 0, 0.5, 0, 0, 0, 0, 0]),
-    ]
+    ])
     result = compare_runs(sc, tmp_path)
     # nothing to reject: the two variants ride the same transient
     assert result.t_c_proposed is not None
@@ -422,6 +425,9 @@ BAD_DOCS = {
     "states_scalar": MINIMAL + "initial: {mode: explicit, states: 5}\n",
     "points_repeat": "sim: {duration_s: 1.0}\ntrajectory: {kind: waypoints, waypoints: "
                      "{points_m: [[10, 40, -5], [12, 40, -5], [12, 40, -5]]}}\n",
+    "baseline_lam_neg": MINIMAL + "controller: {baseline_lam: -2.1}\n",
+    "baseline_lam_zero": MINIMAL + "controller: {baseline_lam: 0.0}\n",
+    "baseline_w_neg": MINIMAL + "controller: {baseline_w_n: -5.0}\n",
 }
 
 
@@ -456,6 +462,9 @@ BAD_DOCS = {
         (["validate", "{states_scalar}"],
          "initial.states: expected a list of [eta, nu] 12-vectors, got 5"),
         (["validate", "{points_repeat}"], "waypoints must not repeat: points_m[1] and points_m[2]"),
+        (["validate", "{baseline_lam_neg}"], "baseline_lam must be positive: got -2.1"),
+        (["validate", "{baseline_lam_zero}"], "baseline_lam must be positive: got 0.0"),
+        (["validate", "{baseline_w_neg}"], "baseline_w_n must be nonnegative or null: got -5.0"),
     ],
     ids=["missing-file", "negative-seed", "t-not-a-number", "t-not-finite",
          "negative-seed-yaml", "jet-shape-yaml", "seed-not-an-int", "inertia-3-entries",
@@ -463,7 +472,8 @@ BAD_DOCS = {
          "sim-not-a-mapping", "seed-fraction", "n-e-fraction",
          "workspace-unordered", "dt-nan", "duration-inf", "duration-bool", "tau-hi-nan",
          "surface-gain-nan", "yaw-bool", "points-scalar", "offsets-scalar",
-         "states-scalar", "points-repeat"],
+         "states-scalar", "points-repeat", "baseline-lam-negative", "baseline-lam-zero",
+         "baseline-w-negative"],
 )
 def test_cli_bad_input_is_a_scenario_error(tmp_path, argv, key):
     paths = {

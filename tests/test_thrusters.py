@@ -1,5 +1,7 @@
 """Thruster control matrix and allocation tests."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -174,13 +176,11 @@ def test_allocate_follows_config_changes():
     cfg = ThrusterConfig()
     tau = np.array([30.0, 5.0, -2.0, 10.0, 1.0])
     allocate(tau, cfg)
-    cfg.k1 = 0.6
-    cfg.u_limit = 20.0
-    u, residual = allocate(tau, cfg)
-    want_u, want_residual = reference_allocate(tau, cfg)
+    # a variant is a new config, with its own matrix and pseudo-inverses
+    variant = replace(cfg, k1=0.6, u_limit=20.0)
+    u, residual = allocate(tau, variant)
+    want_u, want_residual = reference_allocate(tau, variant)
     assert u.tobytes() == want_u.tobytes()
     assert residual.tobytes() == want_residual.tobytes()
-    cfg.k1 = 0.1  # out of range: rejected on every call, never cached
-    for _ in range(2):
-        with pytest.raises(ValueError):
-            allocate(tau, cfg)
+    with pytest.raises(ValueError):
+        replace(cfg, k1=0.1)  # out of range: no config to allocate with

@@ -1,5 +1,7 @@
 """Vehicle model tests: kinematic transforms, dynamics, model split."""
 
+from dataclasses import FrozenInstanceError, replace
+
 import numpy as np
 import pytest
 
@@ -223,6 +225,24 @@ def test_params_validation():
         RigidBodyParams(mismatch_factor=0.0)
     with pytest.raises(ValueError):
         RigidBodyParams(mismatch_factor=1.5)
+
+
+def test_params_cannot_go_stale_behind_their_cached_inverse():
+    params = RigidBodyParams()
+    with pytest.raises(FrozenInstanceError):
+        params.inertia = 2 * params.inertia
+    with pytest.raises(ValueError, match="read-only"):
+        params.inertia[0, 0] = 60.0
+    rng = np.random.default_rng(12)
+    eta, nu = random_states(rng, 3)
+    tau = rng.uniform(-20.0, 20.0, (3, 6))
+    tau_c = rng.uniform(-5.0, 5.0, (3, 6))
+    acceleration_body(eta, nu, tau, tau_c, params)  # fills params.inertia_inv
+    heavier = replace(params, inertia=2 * params.inertia)
+    fresh = RigidBodyParams(inertia=2 * np.diag([30.0, 30.0, 30.0, 1.0, 5.0, 5.0]))
+    got = acceleration_body(eta, nu, tau, tau_c, heavier)
+    assert got.tobytes() == acceleration_body(eta, nu, tau, tau_c, fresh).tobytes()
+    assert not np.allclose(got, acceleration_body(eta, nu, tau, tau_c, params))
 
 
 def test_coriolis_skew():
