@@ -1,7 +1,7 @@
 """Desk-scale multi-AUV formation tracking with adaptive sliding-mode control."""
 
 from .controller import (
-    AdaptiveState,
+    AdaptiveGains,
     ControllerState,
     SuperTwistGains,
     SurfaceConfig,
@@ -48,7 +48,7 @@ from .formation import (
     FollowerOffset,
     FormationSpec,
     TrajectorySpec,
-    follower_reference,
+    follower_references,
     leader_reference,
 )
 from .mpc import MpcConfig, MpcShell

@@ -18,16 +18,18 @@ diagnostics (Lyapunov value and the monitored assumption) are evaluated
 here for the engine's log.
 
 All laws are componentwise or small matrix products and broadcast over
-leading axes (one row per vehicle).
+leading axes (one row per vehicle).  Gains are frozen configs; the per-row
+run state is ControllerState, and adaptive_update returns the next f_est.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
-from ._frozen import freeze_arrays
+from ._frozen import freeze_arrays, read_only
 
 
 @dataclass(frozen=True)
@@ -69,20 +71,19 @@ class SuperTwistGains:
     gamma_small: float = 1.0
 
 
-@dataclass
-class AdaptiveState:
-    """Disturbance estimate and the diagonal adaptation gains.
+@dataclass(frozen=True)
+class AdaptiveGains:
+    """Diagonal feedback (K) and adaptation (Gamma) gains and the estimate clamp.
 
     The defaults act on the three translational axes: the flow disturbance
     is resolved into forces along x, y and z, and those are the axes the
     thrusters can actually serve (adapting a starved rotational axis just
     winds the estimate to its clamp).  Zero K/Gamma entries disable
-    feedback/adaptation on an axis; diagnostics use a pseudo-inverse of
-    Gamma so those axes contribute nothing.  Unlike the configs it is
-    mutable: it is each run's state, and adaptive_update writes f_est.
+    feedback/adaptation on an axis; diagnostics use gamma_pinv so those
+    axes contribute nothing.  The estimate f_est is run state and lives in
+    ControllerState.
     """
 
-    f_est: np.ndarray = field(default_factory=lambda: np.zeros(6))
     k_gain: np.ndarray = field(
         default_factory=lambda: np.array([50.0, 50.0, 50.0, 0.0, 0.0, 0.0])
     )
@@ -92,27 +93,25 @@ class AdaptiveState:
     f_est_clamp: float = 40.0
 
     def __post_init__(self):
-        self.f_est = np.asarray(self.f_est, dtype=float).copy()
-        self.k_gain = np.broadcast_to(np.asarray(self.k_gain, dtype=float), (6,)).copy()
-        self.gamma = np.broadcast_to(np.asarray(self.gamma, dtype=float), (6,)).copy()
+        freeze_arrays(self, k_gain=(6,), gamma=(6,))
         if np.any(self.k_gain < 0) or np.any(self.gamma < 0):
             raise ValueError("adaptation gains must be nonnegative")
         if self.f_est_clamp < 0:
             raise ValueError(f"f_est_clamp must be nonnegative: got {self.f_est_clamp}")
 
+    @cached_property
     def gamma_pinv(self) -> np.ndarray:
-        out = np.zeros(6)
-        nz = self.gamma != 0
-        out[nz] = 1.0 / self.gamma[nz]
-        return out
+        """1 / Gamma per axis, 0 where Gamma is 0."""
+        return read_only(np.divide(1.0, self.gamma, out=np.zeros(6), where=self.gamma != 0))
 
 
 @dataclass
 class ControllerState:
-    """Per-vehicle running controller state, reset at scenario start."""
+    """Per-vehicle rows of running state, reset at scenario start, and the scenario's gains."""
 
-    integral_eps: np.ndarray = field(default_factory=lambda: np.zeros(6))
-    adaptive: AdaptiveState = field(default_factory=AdaptiveState)
+    integral_eps: np.ndarray
+    f_est: np.ndarray
+    adaptive: AdaptiveGains
 
 
 def sliding_surface(
@@ -191,29 +190,29 @@ def equivalent_control(
 
 def adaptive_control(
     sigma: np.ndarray,
-    adaptive: AdaptiveState,
+    f_est: np.ndarray,
+    gains: AdaptiveGains,
     c_e_hat: np.ndarray,
     jac_full: np.ndarray,
 ) -> np.ndarray:
     """u2 = J^T (f_est - (K + C_e_hat) sigma), continuous in sigma."""
     sigma = np.asarray(sigma, dtype=float)
     inner = (
-        adaptive.f_est
-        - adaptive.k_gain * sigma
+        np.asarray(f_est, dtype=float)
+        - gains.k_gain * sigma
         - np.einsum("...ij,...j->...i", np.asarray(c_e_hat, dtype=float), sigma)
     )
     return np.einsum("...ji,...j->...i", jac_full, inner)
 
 
 def adaptive_update(
-    adaptive: AdaptiveState, sigma: np.ndarray, dt: float
-) -> AdaptiveState:
-    """Euler step of f_est_dot = -Gamma sigma, clamped per axis."""
+    f_est: np.ndarray, gains: AdaptiveGains, sigma: np.ndarray, dt: float
+) -> np.ndarray:
+    """The next estimate: an Euler step of f_est_dot = -Gamma sigma, clamped per axis."""
     if dt <= 0:
         raise ValueError("dt must be positive")
-    f = adaptive.f_est - adaptive.gamma * np.asarray(sigma, dtype=float) * dt
-    adaptive.f_est = np.clip(f, -adaptive.f_est_clamp, adaptive.f_est_clamp)
-    return adaptive
+    f = np.asarray(f_est, dtype=float) - gains.gamma * np.asarray(sigma, dtype=float) * dt
+    return np.clip(f, -gains.f_est_clamp, gains.f_est_clamp)
 
 
 def lyapunov_value(
@@ -221,7 +220,7 @@ def lyapunov_value(
 ) -> np.ndarray:
     """V = (sigma^T M_e sigma + w^T G^+ w) / 2 per row.
 
-    gamma_pinv is AdaptiveState.gamma_pinv(): axes with zero adaptation gain
+    gamma_pinv is AdaptiveGains.gamma_pinv: axes with zero adaptation gain
     drop out of the estimate-error term.
     """
     return 0.5 * (

@@ -20,7 +20,7 @@ import numpy as np
 
 from ._frozen import read_only
 from .controller import (
-    AdaptiveState,
+    AdaptiveGains,
     ControllerState,
     SuperTwistGains,
     SurfaceConfig,
@@ -39,7 +39,7 @@ from .flow import DisturbanceModel, FlowParams, LayeredField, disturbance_force,
 from .formation import (
     FormationSpec,
     TrajectorySpec,
-    follower_reference,
+    follower_references,
     leader_reference,
     tracking_error,
 )
@@ -74,12 +74,11 @@ class ControllerConfig:
 
     The proposed law (equivalent control plus the continuous adaptive term)
     runs unless baseline selects the first-order sliding-mode comparison.
-    adaptive holds the gains each run's own AdaptiveState starts from.
     """
 
     surface: SurfaceConfig = field(default_factory=SurfaceConfig)
     gains: SuperTwistGains = field(default_factory=SuperTwistGains)
-    adaptive: AdaptiveState = field(default_factory=AdaptiveState)
+    adaptive: AdaptiveGains = field(default_factory=AdaptiveGains)
     baseline: bool = False
     baseline_lam: float = 2.1
     baseline_w: float | None = None  # None: disturbance clamp when flow is on
@@ -261,15 +260,10 @@ class SimRuntime:
         self.dist_model = scenario.flow.disturbance if scenario.flow.enabled else None
         n_v = scenario.n_vehicles
         self.y = self._initial_states()
-        adaptive = scenario.controller.adaptive
         self.cstate = ControllerState(
             integral_eps=np.zeros((n_v, 6)),
-            adaptive=AdaptiveState(
-                f_est=np.zeros((n_v, 6)),
-                k_gain=adaptive.k_gain,
-                gamma=adaptive.gamma,
-                f_est_clamp=adaptive.f_est_clamp,
-            ),
+            f_est=np.zeros((n_v, 6)),
+            adaptive=scenario.controller.adaptive,
         )
         self.prev_ed_d: np.ndarray | None = None
         self.prev_f_tilde: np.ndarray | None = None
@@ -288,15 +282,11 @@ class SimRuntime:
         sc = self.scenario
         if sc.initial_states is not None:
             return np.array(sc.initial_states)
-        e_d, ed_d, _ = leader_reference(0.0, sc.trajectory)
-        refs = [(e_d, ed_d)]
-        for off in sc.formation.offsets:
-            refs.append(follower_reference(e_d, ed_d, off))
-        y = np.empty((len(refs), 12))
-        for i, (e, ed) in enumerate(refs):
-            y[i, :6] = e
-            y[i, 6:] = jacobian_inv(e[3:6]) @ ed
-        return y
+        e_l, ed_l, _ = leader_reference(0.0, sc.trajectory)
+        e_f, ed_f = follower_references(e_l, ed_l, sc.formation)
+        e_d, ed_d = np.vstack([e_l, e_f]), np.vstack([ed_l, ed_f])
+        nu = (jacobian_inv(e_d[:, 3:]) @ ed_d[..., None])[..., 0]
+        return np.concatenate([e_d, nu], axis=1)
 
     @property
     def t(self) -> float:
@@ -311,8 +301,7 @@ def _references(rt: SimRuntime, t: float, eta: np.ndarray, etadot: np.ndarray):
     edd_d = np.zeros((n_v, 6))
     t_ref = min(t, sc.trajectory.duration)
     e_d[0], ed_d[0], edd_d[0] = leader_reference(t_ref, sc.trajectory)
-    for i, off in enumerate(sc.formation.offsets):
-        e_d[1 + i], ed_d[1 + i] = follower_reference(eta[0], etadot[0], off)
+    e_d[1:], ed_d[1:] = follower_references(eta[0], etadot[0], sc.formation)
     if rt.prev_ed_d is not None and n_v > 1:
         # follower desired acceleration by finite difference of the rate
         edd_d[1:] = (ed_d[1:] - rt.prev_ed_d[1:]) / sc.dt
@@ -351,14 +340,14 @@ def _control_and_diagnostics(rt: SimRuntime, t: float):
     mats_h = inertial_matrices(eta2, nu, rt.params, scale=rt.alpha, pose=pose)
     m_e_h, c_e_h, _, _ = mats_h
     f_hat_r = reference_dynamics(mats_h, edd_r, ed_r, etadot)
-    adaptive = rt.cstate.adaptive
+    f_est, gains = rt.cstate.f_est, rt.cstate.adaptive
 
     if ctr.baseline:
         u1 = first_order_smc(sigma, f_hat_r, jac, rt.baseline_w, ctr.baseline_lam)
         u2 = np.zeros_like(u1)
     else:
         u1 = equivalent_control(sigma, f_hat_r, jac, ctr.gains)
-        u2 = adaptive_control(sigma, adaptive, c_e_h, jac)
+        u2 = adaptive_control(sigma, f_est, gains, c_e_h, jac)
     u = u1 + u2
     u[:, 3] = 0.0  # roll is not actuated
 
@@ -371,7 +360,7 @@ def _control_and_diagnostics(rt: SimRuntime, t: float):
         flow_v = np.zeros((sc.n_vehicles, 3))
         d_o = np.zeros((sc.n_vehicles, 6))
     f_tilde = (1.0 - rt.alpha) * f_r_true + d_o
-    w_vec = adaptive.f_est - f_tilde
+    w_vec = f_est - f_tilde
     if rt.prev_f_tilde is None:
         f_tilde_dot = np.zeros_like(f_tilde)
     else:
@@ -380,10 +369,9 @@ def _control_and_diagnostics(rt: SimRuntime, t: float):
 
     m_e = m_e_h / rt.alpha
     m_tilde = (1.0 - rt.alpha) * m_e
-    gamma_pinv = adaptive.gamma_pinv()
-    lyap = lyapunov_value(sigma, w_vec, m_e, gamma_pinv)
+    lyap = lyapunov_value(sigma, w_vec, m_e, gains.gamma_pinv)
     assumption = assumption_holds(
-        sigma, w_vec, f_tilde_dot, m_tilde, adaptive.k_gain, gamma_pinv
+        sigma, w_vec, f_tilde_dot, m_tilde, gains.k_gain, gains.gamma_pinv
     )
 
     return {
@@ -403,7 +391,7 @@ def _control_and_diagnostics(rt: SimRuntime, t: float):
         "dist": d_o,
         "lyap": lyap,
         "assumption": assumption,
-        "f_est": adaptive.f_est.copy(),
+        "f_est": f_est,
     }
 
 
@@ -451,7 +439,7 @@ def step(rt: SimRuntime) -> dict:
     if not np.all(np.isfinite(rt.y)):
         raise SimulationAbort("state became non-finite")
 
-    adaptive_update(rt.cstate.adaptive, rec["sigma"], sc.dt)
+    rt.cstate.f_est = adaptive_update(rt.cstate.f_est, rt.cstate.adaptive, rec["sigma"], sc.dt)
 
     rt.step_index += 1
     return rec

@@ -83,6 +83,8 @@ class LayeredField:
     xy_max: tuple[float, float] = (80.0, 80.0)
 
     def __post_init__(self):
+        for name in ("layer_scale", "jet_origin", "xy_min", "xy_max"):
+            object.__setattr__(self, name, tuple(float(v) for v in getattr(self, name)))
         if self.n_layers < 1 or len(self.layer_scale) != self.n_layers:
             raise ValueError("layer_scale length must equal n_layers")
         if self.z_bottom >= self.z_top:

@@ -13,7 +13,7 @@ from functools import cached_property
 
 import numpy as np
 
-from ._frozen import freeze_arrays
+from ._frozen import freeze_arrays, read_only
 from .vehicle import wrap_angle
 
 
@@ -48,6 +48,12 @@ class FormationSpec:
     @property
     def n_vehicles(self) -> int:
         return len(self.offsets) + 1
+
+    @cached_property
+    def slots(self) -> tuple[np.ndarray, np.ndarray]:
+        """(F, 3) slot displacements and (F,) relative yaws, one row per follower."""
+        xyz = np.reshape([o.xyz for o in self.offsets], (-1, 3))
+        return read_only(xyz), read_only([o.yaw for o in self.offsets])
 
 
 @dataclass(frozen=True)
@@ -163,14 +169,15 @@ def leader_reference(
     return e_d, ed_d, edd_d
 
 
-def follower_reference(
-    leader_eta: np.ndarray, leader_etadot: np.ndarray, offset: FollowerOffset
+def follower_references(
+    leader_eta: np.ndarray, leader_etadot: np.ndarray, formation: FormationSpec
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Desired pose/rate of a follower slot rigidly attached to the leader.
+    """Desired poses/rates, one (F, 6) row per slot rigidly attached to the leader.
 
     Position: leader position + Rz(leader yaw) offset; the rate follows by
     the chain rule through the leader's yaw rate.  Desired roll/pitch are
     zero; desired yaw is the leader's yaw plus the slot's relative yaw.
+    rz @ xyz[..., None] gives each row the bits of a single 3x3 @ 3 product.
     """
     leader_eta = np.asarray(leader_eta, dtype=float)
     leader_etadot = np.asarray(leader_etadot, dtype=float)
@@ -179,10 +186,12 @@ def follower_reference(
     c, s = np.cos(psi), np.sin(psi)
     rz = np.array([[c, -s, 0.0], [s, c, 0.0], [0.0, 0.0, 1.0]])
     drz = np.array([[-s, -c, 0.0], [c, -s, 0.0], [0.0, 0.0, 0.0]])
-    pos = leader_eta[:3] + rz @ offset.xyz
-    vel = leader_etadot[:3] + psid * (drz @ offset.xyz)
-    e_d = np.concatenate([pos, [0.0, 0.0, wrap_angle(psi + offset.yaw)]])
-    ed_d = np.concatenate([vel, [0.0, 0.0, psid]])
+    xyz, yaw = formation.slots
+    e_d, ed_d = np.zeros((2, len(yaw), 6))
+    e_d[:, :3] = leader_eta[:3] + (rz @ xyz[..., None])[..., 0]
+    e_d[:, 5] = wrap_angle(psi + yaw)
+    ed_d[:, :3] = leader_etadot[:3] + psid * (drz @ xyz[..., None])[..., 0]
+    ed_d[:, 5] = psid
     return e_d, ed_d
 
 

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from auvform.controller import (
-    AdaptiveState,
+    AdaptiveGains,
     SuperTwistGains,
     SurfaceConfig,
     adaptive_control,
@@ -105,45 +105,56 @@ def test_equivalent_control_reaching_term():
 
 
 def test_adaptive_control_values():
-    adaptive = AdaptiveState(k_gain=np.full(6, 50.0), gamma=np.full(6, 50.0))
-    u = adaptive_control(0.1 * E1, adaptive, np.zeros((6, 6)), np.eye(6))
+    gains = AdaptiveGains(k_gain=np.full(6, 50.0), gamma=np.full(6, 50.0))
+    u = adaptive_control(0.1 * E1, np.zeros(6), gains, np.zeros((6, 6)), np.eye(6))
     assert u[0] == pytest.approx(-5.0)
-    u0 = adaptive_control(np.zeros(6), AdaptiveState(), np.zeros((6, 6)), np.eye(6))
+    u0 = adaptive_control(np.zeros(6), np.zeros(6), AdaptiveGains(), np.zeros((6, 6)), np.eye(6))
     np.testing.assert_allclose(u0, np.zeros(6))
 
 
 def test_adaptive_control_feedforward():
     d = np.array([3.0, -1.0, 0, 0, 0, 2.0])
-    adaptive = AdaptiveState(f_est=d.copy())
-    u = adaptive_control(np.zeros(6), adaptive, np.zeros((6, 6)), np.eye(6))
+    u = adaptive_control(np.zeros(6), d, AdaptiveGains(), np.zeros((6, 6)), np.eye(6))
     np.testing.assert_allclose(u, d)
 
 
 def test_adaptive_update_euler_step():
-    adaptive = AdaptiveState(gamma=np.full(6, 50.0))
-    adaptive_update(adaptive, 0.1 * E1, 0.01)
-    assert adaptive.f_est[0] == pytest.approx(-0.05)
-    np.testing.assert_allclose(adaptive.f_est[1:], np.zeros(5))
+    f_est = adaptive_update(np.zeros(6), AdaptiveGains(gamma=np.full(6, 50.0)), 0.1 * E1, 0.01)
+    assert f_est[0] == pytest.approx(-0.05)
+    np.testing.assert_allclose(f_est[1:], np.zeros(5))
 
 
 def test_adaptive_update_linear_ramp():
-    adaptive = AdaptiveState(gamma=np.full(6, 50.0), f_est_clamp=1e9)
+    gains = AdaptiveGains(gamma=np.full(6, 50.0), f_est_clamp=1e9)
     sigma = 0.1 * E1
     n = 37
+    f_est = np.zeros(6)
     for _ in range(n):
-        adaptive_update(adaptive, sigma, 0.01)
-    assert adaptive.f_est[0] == pytest.approx(-n * 50.0 * 0.1 * 0.01)
+        f_est = adaptive_update(f_est, gains, sigma, 0.01)
+    assert f_est[0] == pytest.approx(-n * 50.0 * 0.1 * 0.01)
 
 
 def test_adaptive_update_clamp():
-    adaptive = AdaptiveState(gamma=np.full(6, 50.0), f_est_clamp=0.2)
+    gains = AdaptiveGains(gamma=np.full(6, 50.0), f_est_clamp=0.2)
+    f_est = np.zeros(6)
     for _ in range(100):
-        adaptive_update(adaptive, E1, 0.01)
-    assert adaptive.f_est[0] == pytest.approx(-0.2)
+        f_est = adaptive_update(f_est, gains, E1, 0.01)
+    assert f_est[0] == pytest.approx(-0.2)
+
+
+def test_adaptive_update_rows_match_single_rows():
+    gains = AdaptiveGains()
+    rng = np.random.default_rng(5)
+    f_est = rng.uniform(-50, 50, (4, 6))
+    sigma = rng.uniform(-1, 1, (4, 6))
+    rows = adaptive_update(f_est, gains, sigma, 0.01)
+    for v in range(4):
+        assert rows[v].tobytes() == adaptive_update(f_est[v], gains, sigma[v], 0.01).tobytes()
+    assert np.abs(rows).max() <= gains.f_est_clamp
 
 
 def pinv(gamma):
-    return AdaptiveState(gamma=gamma).gamma_pinv()
+    return AdaptiveGains(gamma=gamma).gamma_pinv
 
 
 def test_assumption_trivial_cases():
@@ -220,13 +231,13 @@ def test_on_surface_idle_total_command():
     # with eps = deps = integral = 0 and f_est = 0, u1 + u2 = J^T f_hat_r
     rng = np.random.default_rng(3)
     g = SuperTwistGains()
-    adaptive = AdaptiveState()
+    gains = AdaptiveGains()
     for _ in range(20):
         jac = np.eye(6) + 0.01 * rng.uniform(-1, 1, (6, 6))
         f_hat = rng.uniform(-10, 10, 6)
         sigma = np.zeros(6)
         u1 = equivalent_control(sigma, f_hat, jac, g)
-        u2 = adaptive_control(sigma, adaptive, rng.uniform(-1, 1, (6, 6)), jac)
+        u2 = adaptive_control(sigma, np.zeros(6), gains, rng.uniform(-1, 1, (6, 6)), jac)
         np.testing.assert_allclose(u1 + u2, jac.T @ f_hat, atol=1e-12)
 
 
@@ -234,7 +245,8 @@ def test_control_law_continuity():
     # no jump anywhere, including through sigma = 0
     rng = np.random.default_rng(4)
     g = SuperTwistGains()
-    adaptive = AdaptiveState(f_est=rng.uniform(-5, 5, 6))
+    f_est = rng.uniform(-5, 5, 6)
+    gains = AdaptiveGains()
     c_e = rng.uniform(-1, 1, (6, 6))
     jac = np.eye(6)
     delta = 1e-9
@@ -242,10 +254,10 @@ def test_control_law_continuity():
     sigmas[:100] *= 1e-6  # cluster some samples near the surface
     for sigma in sigmas:
         u_a = equivalent_control(sigma, np.zeros(6), jac, g) + adaptive_control(
-            sigma, adaptive, c_e, jac
+            sigma, f_est, gains, c_e, jac
         )
         u_b = equivalent_control(sigma + delta, np.zeros(6), jac, g) + adaptive_control(
-            sigma + delta, adaptive, c_e, jac
+            sigma + delta, f_est, gains, c_e, jac
         )
         # |sigma|^rho has unbounded slope at 0: allow delta^rho growth there
         assert np.max(np.abs(u_b - u_a)) < 3 * g.lam * delta**g.rho + 200 * delta
@@ -260,7 +272,8 @@ def test_adaptive_convergence_constant_disturbance():
     dt = 0.001
     g = SuperTwistGains()
     cfg = SurfaceConfig(lambda_s=np.ones(6))
-    adaptive = AdaptiveState(k_gain=np.full(6, 50.0), gamma=np.full(6, 50.0))
+    gains = AdaptiveGains(k_gain=np.full(6, 50.0), gamma=np.full(6, 50.0))
+    f_est = np.zeros(6)
     x = np.zeros(6)
     xd = np.zeros(6)
     integral = np.zeros(6)
@@ -273,12 +286,12 @@ def test_adaptive_convergence_constant_disturbance():
         edd_r = -2 * cfg.lambda_s * deps - cfg.lambda_s**2 * eps
         f_hat_r = m * edd_r  # perfect model of the double integrator
         u = equivalent_control(sigma, f_hat_r, jac, g) + adaptive_control(
-            sigma, adaptive, np.zeros((6, 6)), jac
+            sigma, f_est, gains, np.zeros((6, 6)), jac
         )
         xdd = (u - d * np.ones(6)) / m
         x = x + xd * dt
         xd = xd + xdd * dt
-        adaptive_update(adaptive, sigma, dt)
+        f_est = adaptive_update(f_est, gains, sigma, dt)
     sigma_final = sliding_surface(x, xd, integral, cfg)
     assert np.all(np.abs(sigma_final) < 0.1)
-    assert adaptive.f_est[0] == pytest.approx(d, rel=0.05)
+    assert f_est[0] == pytest.approx(d, rel=0.05)

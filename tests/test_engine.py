@@ -5,23 +5,31 @@ import dataclasses
 import numpy as np
 import pytest
 
-from auvform.controller import AdaptiveState
+from auvform.controller import adaptive_update
 from auvform.engine import (
     ControllerConfig,
     FlowConfig,
     Scenario,
     SimLog,
+    SimRuntime,
     SimulationAbort,
     compute_metrics,
     detect_convergence,
     phase_trajectory,
     run,
+    step,
 )
-from auvform.formation import FormationSpec, TrajectorySpec
+from auvform.formation import (
+    FollowerOffset,
+    FormationSpec,
+    TrajectorySpec,
+    follower_references,
+    leader_reference,
+)
 from auvform.mpc import MpcConfig
 from auvform.plant import advance_plant, rk4_step
 from auvform.thrusters import ThrusterConfig
-from auvform.vehicle import RigidBodyParams
+from auvform.vehicle import RigidBodyParams, jacobian_inv
 
 
 def quiet_scenario(**kw):
@@ -232,13 +240,54 @@ def test_every_config_in_the_scenario_tree_is_frozen():
             assert not obj.flags.writeable, f"{path} is a writable array"
 
     walk(sc, "scenario")
-    # runtime state, which adaptive_update writes, is the one mutable class
-    assert mutable == {AdaptiveState.__name__}
+    assert mutable == set()
     assert frozen == {
         "Scenario", "TrajectorySpec", "FormationSpec", "FollowerOffset", "RigidBodyParams",
         "ThrusterConfig", "ControllerConfig", "SurfaceConfig", "SuperTwistGains",
-        "FlowConfig", "FlowParams", "LayeredField", "DisturbanceModel", "MpcConfig",
+        "AdaptiveGains", "FlowConfig", "FlowParams", "LayeredField", "DisturbanceModel",
+        "MpcConfig",
     }
+
+
+def test_adaptive_gains_reject_every_write():
+    sc = Scenario()
+    gains = sc.controller.adaptive
+    with pytest.raises(ValueError, match="read-only"):
+        gains.k_gain[0] = 0.0
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        gains.f_est_clamp = -1.0
+    with pytest.raises(ValueError, match="f_est_clamp must be nonnegative"):
+        dataclasses.replace(gains, f_est_clamp=-1.0)
+    with pytest.raises(ValueError, match="read-only"):
+        gains.gamma_pinv[0] = 0.0
+
+
+def test_runtime_shares_the_scenario_gains_and_keeps_f_est_as_rows():
+    sc = Scenario(duration=0.02)
+    rt = SimRuntime(sc)
+    assert rt.cstate.adaptive is sc.controller.adaptive
+    assert rt.cstate.f_est.shape == rt.cstate.integral_eps.shape == (sc.n_vehicles, 6)
+    f_est = rt.cstate.f_est
+    rec = step(rt)
+    expected = adaptive_update(f_est, sc.controller.adaptive, rec["sigma"], sc.dt)
+    assert rt.cstate.f_est.tobytes() == expected.tobytes()
+    assert rt.cstate.adaptive is sc.controller.adaptive
+
+
+def test_initial_states_match_per_row_velocity_transform():
+    rng = np.random.default_rng(8)
+    formation = FormationSpec(tuple(
+        FollowerOffset(rng.uniform(-4, 4, 3), float(rng.uniform(-np.pi, np.pi)))
+        for _ in range(7)
+    ))
+    sc = Scenario(formation=formation, trajectory=TrajectorySpec(phase=np.pi / 2 - 1e-13))
+    y = SimRuntime(sc).y
+    e_l, ed_l, _ = leader_reference(0.0, sc.trajectory)
+    e_f, ed_f = follower_references(e_l, ed_l, formation)
+    assert y.shape == (8, 12)
+    for row, e, ed in zip(y, np.vstack([e_l, e_f]), np.vstack([ed_l, ed_f])):
+        assert row[:6].tobytes() == e.tobytes()
+        assert row[6:].tobytes() == (jacobian_inv(e[3:6]) @ ed).tobytes()
 
 
 def test_controller_config_rejects_bad_gains():

@@ -119,6 +119,20 @@ def test_unordered_workspace_rejected(xy_min, xy_max):
         LayeredField(xy_min=xy_min, xy_max=xy_max)
 
 
+def test_list_built_field_matches_tuple_built_field():
+    p = FlowParams()
+    tuple_built = LayeredField(layer_scale=(1.0, 0.5, 0.25), jet_origin=(0.0, 52.0),
+                               xy_min=(0.0, 0.0), xy_max=(80.0, 80.0))
+    list_built = LayeredField(layer_scale=[1.0, 0.5, 0.25], jet_origin=[0, 52],
+                              xy_min=[0, 0], xy_max=[80, 80])
+    assert list_built == tuple_built
+    rng = np.random.default_rng(6)
+    x, y = rng.uniform(-5, 85, (2, 50))
+    z = rng.uniform(-22, 1, 50)
+    got = layered_velocity(x, y, z, 3.0, list_built, p)
+    assert got.tobytes() == layered_velocity(x, y, z, 3.0, tuple_built, p).tobytes()
+
+
 def test_speed_cap_respected():
     p = FlowParams()
     field = LayeredField()

@@ -7,10 +7,11 @@ from auvform.formation import (
     FollowerOffset,
     FormationSpec,
     TrajectorySpec,
-    follower_reference,
+    follower_references,
     leader_reference,
     tracking_error,
 )
+from auvform.vehicle import wrap_angle
 
 
 def spiral_spec(**kw):
@@ -82,10 +83,64 @@ def test_reference_smoothness_bounds():
         assert np.linalg.norm(edd_d[:3]) <= a_bound
 
 
+def one_slot(leader_eta, leader_rate, offset):
+    """follower_references of a one-slot formation, as a single (pose, rate) row."""
+    e_d, ed_d = follower_references(leader_eta, leader_rate, FormationSpec((offset,)))
+    return e_d[0], ed_d[0]
+
+
+def single_row_reference(leader_eta, leader_etadot, offset):
+    """One follower's reference, row by row, as the engine built it before batching."""
+    leader_eta = np.asarray(leader_eta, dtype=float)
+    leader_etadot = np.asarray(leader_etadot, dtype=float)
+    psi = leader_eta[5]
+    psid = leader_etadot[5]
+    c, s = np.cos(psi), np.sin(psi)
+    rz = np.array([[c, -s, 0.0], [s, c, 0.0], [0.0, 0.0, 1.0]])
+    drz = np.array([[-s, -c, 0.0], [c, -s, 0.0], [0.0, 0.0, 0.0]])
+    pos = leader_eta[:3] + rz @ offset.xyz
+    vel = leader_etadot[:3] + psid * (drz @ offset.xyz)
+    e_d = np.concatenate([pos, [0.0, 0.0, wrap_angle(psi + offset.yaw)]])
+    ed_d = np.concatenate([vel, [0.0, 0.0, psid]])
+    return e_d, ed_d
+
+
+def leader_cases(rng):
+    """Leader poses/rates: random, yaw at and near +-pi (so the slot yaw wraps), and -0.0."""
+    cases = [(np.full(6, -0.0), np.full(6, -0.0)), (np.zeros(6), np.full(6, -0.0))]
+    for psi in (np.pi, -np.pi, np.pi - 1e-12, -np.pi + 1e-12, np.nextafter(np.pi, 0.0)):
+        cases.append((np.array([*rng.uniform(-50, 50, 3), 0.0, 0.0, psi]),
+                      np.array([*rng.uniform(-1, 1, 3), -0.0, 0.0, rng.uniform(-0.3, 0.3)])))
+    for _ in range(40):
+        cases.append((np.array([*rng.uniform(-50, 50, 3), *rng.uniform(-0.2, 0.2, 2),
+                                rng.uniform(-np.pi, np.pi)]),
+                      rng.uniform(-1, 1, 6)))
+    return cases
+
+
+@pytest.mark.parametrize("n_followers", [0, 1, 2, 7])
+def test_follower_references_match_single_rows_bitwise(n_followers):
+    rng = np.random.default_rng(n_followers)
+    offsets = [FollowerOffset(rng.uniform(-4, 4, 3), float(rng.uniform(-np.pi, np.pi)))
+               for _ in range(n_followers)]
+    if n_followers:
+        offsets[0] = FollowerOffset(np.array([-0.0, 1.5, -0.0]), -0.0)
+    if n_followers > 1:
+        offsets[1] = FollowerOffset(np.array([-2.0, -1.5, 0.0]), np.pi / 2)
+    formation = FormationSpec(tuple(offsets))
+    for leader_eta, leader_rate in leader_cases(rng):
+        e_d, ed_d = follower_references(leader_eta, leader_rate, formation)
+        assert e_d.shape == ed_d.shape == (n_followers, 6)
+        for i, off in enumerate(offsets):
+            e_row, ed_row = single_row_reference(leader_eta, leader_rate, off)
+            assert e_d[i].tobytes() == e_row.tobytes()
+            assert ed_d[i].tobytes() == ed_row.tobytes()
+
+
 def test_follower_zero_offset_equals_leader():
     leader_eta = np.array([5.0, 2.0, -4.0, 0.0, 0.0, 0.3])
     leader_rate = np.array([0.5, 0.1, 0.0, 0.0, 0.0, 0.05])
-    e_d, ed_d = follower_reference(leader_eta, leader_rate, FollowerOffset(np.zeros(3)))
+    e_d, ed_d = one_slot(leader_eta, leader_rate, FollowerOffset(np.zeros(3)))
     np.testing.assert_allclose(e_d[:3], leader_eta[:3])
     assert e_d[5] == pytest.approx(0.3)
     np.testing.assert_allclose(ed_d, leader_rate * [1, 1, 1, 0, 0, 1], atol=1e-12)
@@ -93,13 +148,13 @@ def test_follower_zero_offset_equals_leader():
 
 def test_follower_identity_rotation():
     leader_eta = np.zeros(6)
-    e_d, _ = follower_reference(leader_eta, np.zeros(6), FollowerOffset(np.array([-2.0, 1.0, 0.0])))
+    e_d, _ = one_slot(leader_eta, np.zeros(6), FollowerOffset(np.array([-2.0, 1.0, 0.0])))
     np.testing.assert_allclose(e_d[:3], [-2.0, 1.0, 0.0])
 
 
 def test_follower_rotated_offset():
     leader_eta = np.array([0.0, 0, 0, 0, 0, np.pi / 2])
-    e_d, _ = follower_reference(leader_eta, np.zeros(6), FollowerOffset(np.array([-2.0, 0.0, 0.0])))
+    e_d, _ = one_slot(leader_eta, np.zeros(6), FollowerOffset(np.array([-2.0, 0.0, 0.0])))
     np.testing.assert_allclose(e_d[:3], [0.0, -2.0, 0.0], atol=1e-12)
 
 
@@ -112,23 +167,23 @@ def test_follower_rate_chain_rule():
 
     def pos_at(dt):
         eta = np.array([vel[0] * dt, vel[1] * dt, vel[2] * dt, 0, 0, psi + psid * dt])
-        return follower_reference(eta, np.zeros(6), offset)[0][:3]
+        return one_slot(eta, np.zeros(6), offset)[0][:3]
 
     eta0 = np.array([0, 0, 0, 0, 0, psi])
-    rate = follower_reference(eta0, np.concatenate([vel, [0, 0, psid]]), offset)[1]
+    rate = one_slot(eta0, np.concatenate([vel, [0, 0, psid]]), offset)[1]
     fd = (pos_at(h) - pos_at(-h)) / (2 * h)
     np.testing.assert_allclose(rate[:3], fd, atol=1e-6)
 
 
 def test_rigid_formation_distances():
-    offsets = [FollowerOffset(np.array([-2.0, 1.5, 0.0])),
-               FollowerOffset(np.array([-2.0, -1.5, 0.0]))]
+    offsets = (FollowerOffset(np.array([-2.0, 1.5, 0.0])),
+               FollowerOffset(np.array([-2.0, -1.5, 0.0])))
+    formation = FormationSpec(offsets)
     implied = np.linalg.norm(offsets[0].xyz - offsets[1].xyz)
     rng = np.random.default_rng(0)
     for _ in range(100):
         eta = np.array([*rng.uniform(-10, 10, 3), 0, 0, rng.uniform(-np.pi, np.pi)])
-        p1 = follower_reference(eta, np.zeros(6), offsets[0])[0][:3]
-        p2 = follower_reference(eta, np.zeros(6), offsets[1])[0][:3]
+        p1, p2 = follower_references(eta, np.zeros(6), formation)[0][:, :3]
         assert np.linalg.norm(p1 - p2) == pytest.approx(implied, abs=1e-9)
         assert np.linalg.norm(p1 - eta[:3]) == pytest.approx(
             np.linalg.norm(offsets[0].xyz), abs=1e-9
