@@ -2,11 +2,12 @@
 
 One step per vehicle runs: references -> tracking errors -> sliding surface
 -> equivalent + adaptive control -> MPC clip of the command -> thrust
-allocation -> plant advance (RK4, disturbance inside the derivative) -> MPC
-predicted cost -> adaptation update.  All vehicles are advanced together as
-stacked arrays; with the MPC shell on, the same advance also runs the first
-step of the shell's rollout (see step).  The leader's actual state feeds the
-follower references within the same step.
+allocation -> plant advance (RK4, disturbance inside the derivative) ->
+adaptation update.  All vehicles are advanced together as stacked arrays;
+with the MPC shell on, the same advance also carries one stage of every
+in-flight rollout of the shell's predicted cost (see step), and run drains
+the rollouts still in flight when the loop ends.  The leader's actual state
+feeds the follower references within the same step.
 
 Runs are deterministic for a given scenario: nothing in a run draws random
 numbers, so Scenario.seed changes no output.
@@ -43,7 +44,7 @@ from .formation import (
     leader_reference,
     tracking_error,
 )
-from .mpc import MpcConfig, MpcShell
+from .mpc import Flight, MpcConfig, MpcShell, Rollouts
 from .plant import advance_plant
 from .thrusters import ThrusterConfig, allocate, body_to_wrench5, wrench5_to_body
 from .vehicle import (
@@ -269,10 +270,12 @@ class SimRuntime:
         self.prev_f_tilde: np.ndarray | None = None
         self.step_index = 0
         self.shell = None
+        self.rollouts = None
         if scenario.mpc.enabled:
             self.shell = MpcShell(
                 scenario.mpc, self.params, self.dist_model, self.sampler, scenario.dt
             )
+            self.rollouts = Rollouts(self.shell)
         w = scenario.controller.baseline_w
         if w is None:
             w = scenario.flow.disturbance.force_clamp if scenario.flow.enabled else 1.0
@@ -399,11 +402,17 @@ def step(rt: SimRuntime) -> dict:
     """Advance the runtime one step; returns the record logged at step start.
 
     Order: control -> MPC clip -> allocation -> one stacked plant advance ->
-    MPC cost -> adaptation.  With the shell on, the fleet (true model, the
-    allocated wrench) and the first step of the shell's rollout (estimated
-    model, the clipped command) start from the same (y, t), so one
-    advance_plant call runs both over [y; y].  Either way, k1 of the advance
-    reuses the disturbance the diagnostics built at (y, t) for the log.
+    adaptation.  With the shell on, that one advance_plant call runs over
+    [y; y; stages]: the fleet (true model, the allocated wrench), the first
+    stage of the rollout started here (estimated model, the clipped command,
+    from the same (y, t)) and the next stage of every older rollout in
+    flight (rt.rollouts), each from its own time.  k1 of the first two
+    blocks reuses the disturbance the diagnostics built at (y, t) for the
+    log; the older stages' is sampled once over their rows.
+
+    The record's mpc_cost is NaN: the cost of the rollout started here lands
+    in rt.rollouts.costs with its last stage, n_e - 1 steps later, and run
+    writes it to this step's row.
     """
     sc = rt.scenario
     n_v = sc.n_vehicles
@@ -417,21 +426,23 @@ def step(rt: SimRuntime) -> dict:
     tau6 = wrench5_to_body((sc.thrusters.tcm @ u_t.T).T)
     rec["u_cmd"] = u_cmd
     rec["u_t"] = u_t
+    rec["mpc_cost"] = np.full(n_v, np.nan)
 
     d_o = rec["dist"]
     if rt.shell is None:
         y = advance_plant(
             rt.y, t, tau6, sc.dt, rt.params, rt.sampler, rt.dist_model, d_o
         )
-        rec["mpc_cost"] = np.full(n_v, np.nan)
     else:
+        y_s, t_s, u_s, d_s = rt.rollouts.stages()
         y = advance_plant(
-            np.concatenate([rt.y, rt.y]), t, np.concatenate([tau6, u_cmd]), sc.dt,
-            (rt.params, rt.shell.params_est), rt.sampler, rt.dist_model,
-            np.concatenate([d_o, d_o]),
+            np.concatenate([rt.y, rt.y, y_s]), np.concatenate([np.full(2 * n_v, t), t_s]),
+            np.concatenate([tau6, u_cmd, u_s]), sc.dt,
+            ((rt.params, n_v), (rt.shell.params_est, n_v + len(y_s))),
+            rt.sampler, rt.dist_model, np.concatenate([d_o, d_o, d_s]),
         )
-        _, rec["mpc_cost"], _ = rt.shell.solve(
-            y[n_v:], t, rec["u"], rec["e_d"], rec["ed_d"], rec["edd_d"]
+        rt.rollouts.land(
+            y[n_v:], Flight(rt.step_index, t, u_cmd, rec["ed_d"], rec["edd_d"])
         )
         y = y[:n_v]
     rt.y = y
@@ -446,7 +457,12 @@ def step(rt: SimRuntime) -> dict:
 
 
 def run(scenario: Scenario) -> SimLog:
-    """Simulate the whole scenario; returns duration/dt + 1 records."""
+    """Simulate the whole scenario; returns duration/dt + 1 records.
+
+    With the shell on, the rollouts still in flight are drained after the
+    last step, or on SimulationAbort before the partial log is cut, and
+    every cost is written to the row of the step its rollout started at.
+    """
     rt = SimRuntime(scenario)
     n_steps = round(scenario.duration / scenario.dt)
     log = SimLog.allocate(n_steps + 1, scenario.n_vehicles)
@@ -466,8 +482,18 @@ def run(scenario: Scenario) -> SimLog:
         final["u_t"] = np.zeros((scenario.n_vehicles, 3))
         write(n_steps, final)
     except SimulationAbort as exc:
+        _land_costs(rt, log)
         raise SimulationAbort(str(exc), log.truncated(rt.step_index)) from exc
+    _land_costs(rt, log)
     return log
+
+
+def _land_costs(rt: SimRuntime, log: SimLog) -> None:
+    """Drain the rollouts in flight and write every cost to its start step's row."""
+    if rt.rollouts is not None:
+        rt.rollouts.drain()
+        for origin, cost in rt.rollouts.costs:
+            log.mpc_cost[origin] = cost
 
 
 def detect_convergence(log: SimLog, threshold: float) -> float | None:

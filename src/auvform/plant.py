@@ -6,12 +6,18 @@ of the continuous dynamics and is re-evaluated inside each integrator
 substep.  A caller that already holds the disturbance d_o at the step start
 (y, t) hands it in as `d_o`, and k1 uses it instead of sampling the flow.
 
-Stacked models: `params` is either one RigidBodyParams for every row or a
-tuple of them, one per equal block of rows of a (rows, 12) y.  The engine
-advances [fleet; rollout] this way, the true model on the first block and
-the estimated one on the second.  Everything but the body acceleration is
-evaluated once over all rows; acceleration_body runs per block, each at the
-block's own rows, so every row gets the bytes a separate call would give.
+Stacked rows: `t` is one time for every row or a (rows,) array of per-row
+times, and `params` is either one RigidBodyParams for every row or a tuple
+of (model, rows) pairs, one per consecutive block of a (rows, 12) y; the
+blocks may differ in size.  The engine advances the fleet (true model) and
+one stage of every in-flight MPC rollout (estimated model) this way, each
+rollout stage at its own time.  Everything but the body acceleration is
+evaluated once over all rows, and acceleration_body runs once per model, on
+its block's rows.  Every operation is row-wise, so a row gets the bytes a
+separate call would give it, with one exception: the M^-1 product of a
+one-row call takes BLAS's vector kernel, which may round differently from
+the matrix kernel when the inertia is not diagonal (scenario files give a
+diagonal one).
 
 Per-derivative contract: plant_derivative evaluates cos/sin of the Euler
 angles once (euler_trig, on the same column slices of y as each transform
@@ -40,11 +46,12 @@ from .vehicle import (
     rotation_body_to_inertial,
 )
 
-FlowSampler = Callable[[np.ndarray, float], np.ndarray]
-Params = RigidBodyParams | tuple[RigidBodyParams, ...]
+FlowSampler = Callable[[np.ndarray, float | np.ndarray], np.ndarray]
+Params = RigidBodyParams | tuple[tuple[RigidBodyParams, int], ...]
+Time = float | np.ndarray
 
 
-def rk4_step(f, y: np.ndarray, t: float, dt: float, k1: np.ndarray | None = None) -> np.ndarray:
+def rk4_step(f, y: np.ndarray, t: Time, dt: float, k1: np.ndarray | None = None) -> np.ndarray:
     """One classic Runge-Kutta step of y' = f(y, t); k1 = f(y, t) when given."""
     if k1 is None:
         k1 = f(y, t)
@@ -54,9 +61,25 @@ def rk4_step(f, y: np.ndarray, t: float, dt: float, k1: np.ndarray | None = None
     return y + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
 
 
+def flow_disturbance(
+    y: np.ndarray,
+    t: Time,
+    flow_sampler: FlowSampler,
+    dist_model: DisturbanceModel | None = None,
+    rot: np.ndarray | None = None,
+) -> np.ndarray:
+    """Inertial disturbance wrench d_o at (y, t): the flow sampled at each row's position.
+
+    rot may carry the body-to-inertial rotation of the pose.
+    """
+    eta = y[..., :6]
+    model = dist_model if dist_model is not None else DisturbanceModel()
+    return disturbance_force(flow_sampler(eta[..., :3], t), eta, y[..., 6:], model, rot=rot)
+
+
 def plant_derivative(
     y: np.ndarray,
-    t: float,
+    t: Time,
     tau: np.ndarray,
     params: Params,
     flow_sampler: FlowSampler | None = None,
@@ -79,9 +102,7 @@ def plant_derivative(
     out[..., 3:6] = _einsum("...ij,...j->...i", body_rate_to_euler(eta2, trig), nu[..., 3:])
     if flow_sampler is not None:
         if d_o is None:
-            model = dist_model if dist_model is not None else DisturbanceModel()
-            flow_vel = flow_sampler(eta[..., :3], t)
-            d_o = disturbance_force(flow_vel, eta, nu, model, rot=rot)
+            d_o = flow_disturbance(y, t, flow_sampler, dist_model, rot)
         # tau_c = J^T d_o, blockwise: rotation and Euler-rate blocks
         tau_c = np.empty_like(nu)
         tau_c[..., :3] = _einsum("...ji,...j->...i", rot, d_o[..., :3])
@@ -96,18 +117,21 @@ def plant_derivative(
     if isinstance(params, RigidBodyParams):
         out[..., 6:] = acceleration_body(eta, nu, tau, tau_c, params, trig)
     else:
-        rows = len(y) // len(params)
-        for i, block_params in enumerate(params):
-            b = slice(i * rows, (i + 1) * rows)
+        start = 0
+        for block_params, rows in params:
+            b = slice(start, start + rows)
             out[b, 6:] = acceleration_body(
                 eta[b], nu[b], tau[b], tau_c[b], block_params, tuple(c[b] for c in trig)
             )
+            start += rows
+        if start != len(y):
+            raise ValueError(f"model blocks cover {start} rows of {len(y)}")
     return out
 
 
 def advance_plant(
     y: np.ndarray,
-    t: float,
+    t: Time,
     tau: np.ndarray,
     dt: float,
     params: Params,

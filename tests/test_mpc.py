@@ -3,15 +3,18 @@
 The rollout's first step is run by the engine, stacked under the fleet's own
 advance; MpcShell.solve and _predict take the state it gives.  Here that
 step is one plain advance_plant call (first_state); the engine's stacked
-call gives the same bytes (tests/test_plant.py).
+call gives the same bytes (tests/test_plant.py).  In a run the later stages
+are pipelined across steps (mpc.Rollouts); the engine tests at the bottom
+check every cost against a rollout of its own from the step's state.
 """
 
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-from auvform.engine import SimRuntime, step
+from auvform.engine import SimRuntime, SimulationAbort, run, step
 from auvform.flow import DisturbanceModel, FlowParams, LayeredField, layered_velocity
 from auvform.mpc import MpcConfig, MpcShell
 from auvform.plant import advance_plant
@@ -211,20 +214,98 @@ def full_rollout_cost(shell, y0, t, nominal, e_d, ed_d, edd_d):
 
 @pytest.mark.parametrize("start", ["on-reference", "offset"])
 def test_engine_mpc_cost_matches_full_rollout(start):
+    # each step's cost lands with its rollout's last stage, n_e - 1 steps
+    # later; the ones still in flight after the last step come from the drain
     sc = parse_scenario(SPIRAL)
     assert sc.flow.enabled and sc.mpc.enabled
+    n_e = sc.mpc.n_e
     rt = SimRuntime(sc)
     if start == "offset":
         # 1-3 m and 0.3 rad of yaw off: the command clip is active
         rt.y[:, :3] += [[2.0, -1.5, 1.0], [-3.0, 2.5, -1.5], [1.25, 3.0, -2.0]]
         rt.y[:, 5] = wrap_angle(rt.y[:, 5] + [0.3, -0.3, 0.3])
     clipped = 0
-    for _ in range(20):
+    want = []
+    for s in range(20):
         y0, t = rt.y.copy(), rt.t
         rec = step(rt)
-        want = full_rollout_cost(
+        assert np.all(np.isnan(rec["mpc_cost"]))
+        want.append(full_rollout_cost(
             rt.shell, y0, t, rec["u"], rec["e_d"], rec["ed_d"], rec["edd_d"]
-        )
-        assert rec["mpc_cost"].tobytes() == want.tobytes()
+        ))
+        landed = rt.rollouts.costs
+        assert [origin for origin, _ in landed] == list(range(s - n_e + 2))
+        if landed:
+            origin, cost = landed[-1]
+            assert cost.tobytes() == want[origin].tobytes()
         clipped += int(np.any(rec["u_cmd"] != rec["u"]))
+    rt.rollouts.drain()
+    assert [origin for origin, _ in rt.rollouts.costs] == list(range(20))
+    for origin, cost in rt.rollouts.costs[20 - n_e + 1:]:
+        assert cost.tobytes() == want[origin].tobytes()
     assert (clipped > 0) == (start == "offset")
+
+
+def stepped_costs(sc):
+    """full_rollout_cost of every step a stepped run of sc takes, to its end or its abort."""
+    rt = SimRuntime(sc)
+    want = []
+    try:
+        for _ in range(round(sc.duration / sc.dt)):
+            y0, t = rt.y.copy(), rt.t
+            rec = step(rt)
+            want.append(full_rollout_cost(
+                rt.shell, y0, t, rec["u"], rec["e_d"], rec["ed_d"], rec["edd_d"]
+            ))
+    except SimulationAbort:
+        pass
+    return rt, np.array(want)
+
+
+def assert_costs(log, want):
+    assert log.mpc_cost[: len(want)].tobytes() == want.tobytes()
+    assert np.all(np.isnan(log.mpc_cost[len(want):]))
+
+
+@pytest.mark.parametrize("n_e, duration", [(1, 0.2), (100, 0.05)])
+def test_run_costs_match_full_rollout_at_horizon_edges(n_e, duration):
+    # n_e = 1: each cost lands in its own step, nothing is left to drain;
+    # n_e = 100 over 5 steps: nothing lands in the loop, all from the drain
+    sc = parse_scenario(SPIRAL)
+    sc = replace(sc, duration=duration, mpc=replace(sc.mpc, n_e=n_e))
+    rt, want = stepped_costs(sc)
+    n_steps = round(duration / sc.dt)
+    assert len(rt.rollouts.costs) == (n_steps if n_e == 1 else 0)
+    assert len(rt.rollouts.flights) == (0 if n_e == 1 else n_steps)
+    assert_costs(run(sc), want)
+
+
+def test_abort_keeps_the_drained_costs_of_the_kept_rows():
+    # a leader pitching hard towards the pole: the run stops on step 7 with
+    # four costs landed in the loop and three still in flight
+    sc = parse_scenario(SPIRAL)
+    y = SimRuntime(sc).y.copy()
+    y[0, 4], y[0, 10] = 1.3, 10.0
+    sc = replace(sc, duration=0.3, initial_states=list(y))
+    rt, want = stepped_costs(sc)
+    assert len(want) == 7 and len(rt.rollouts.costs) == 7 - sc.mpc.n_e + 1
+    with pytest.raises(SimulationAbort, match="pitch") as info:
+        run(sc)
+    log = info.value.partial_log
+    assert log.n_steps == 7
+    assert_costs(log, want)
+
+
+def test_stage_times_are_start_time_plus_stage_offsets():
+    # stage k of the rollout started at step s advances from t_s + k dt, as a
+    # serial rollout from t_s does; (s + k) dt differs in the last bit for
+    # some (s, k), one of them, (10, 2), in flight after step 11
+    sc = parse_scenario(SPIRAL)
+    rt = SimRuntime(sc)
+    for _ in range(12):
+        step(rt)
+    n_v, dt = sc.n_vehicles, sc.dt
+    _, t, _, _ = rt.rollouts.stages()
+    want = np.repeat([(12 - k) * dt + k * dt for k in range(1, sc.mpc.n_e)], n_v)
+    assert t.tobytes() == want.tobytes()
+    assert np.count_nonzero(want != 12 * dt) == n_v

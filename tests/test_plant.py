@@ -6,9 +6,10 @@ below is the unfused form: every transform rebuilt from the angles, the flow
 sampled through np.stack/np.clip/np.linalg.norm, the Coriolis term through
 per-product cross products.  Both must give the same bytes, signed zeros
 included, because the SimLog digest is taken over them.  So must the two
-shortcuts the engine takes: one advance over stacked row blocks with a model
-per block, against one call per block; and k1 fed the step-start disturbance
-the diagnostics built, against k1 sampling the flow itself.
+shortcuts the engine takes: one advance over stacked row blocks of unequal
+size with a model per block and a time per row, against one call per block
+or per row; and k1 fed the step-start disturbance the diagnostics built,
+against k1 sampling the flow itself.
 """
 
 import numpy as np
@@ -326,7 +327,7 @@ def test_stacked_advance_matches_separate_calls(n_v, flow_name, same_start):
         for _ in range(3):
             stacked = advance_plant(
                 np.concatenate([y_true, y_est]), t, np.concatenate([tau_true, tau_est]),
-                0.01, (PARAMS, est), *flow_args(flow),
+                0.01, ((PARAMS, n_v), (est, n_v)), *flow_args(flow),
             )
             want_true = advance_plant(y_true, t, tau_true, 0.01, PARAMS, *flow_args(flow))
             want_est = advance_plant(y_est, t, tau_est, 0.01, est, *flow_args(flow))
@@ -362,7 +363,59 @@ def test_stacked_advance_with_handed_in_disturbance(n_v):
     d_o = step_start_disturbance(y, 7.3, flow)
     stacked = advance_plant(
         np.concatenate([y, y]), 7.3, np.concatenate([tau_true, tau_est]), 0.01,
-        (PARAMS, est), *flow_args(flow), d_o=np.concatenate([d_o, d_o]),
+        ((PARAMS, n_v), (est, n_v)), *flow_args(flow), d_o=np.concatenate([d_o, d_o]),
     )
     assert_same_bytes(stacked[:n_v], advance_plant(y, 7.3, tau_true, 0.01, PARAMS, *flow_args(flow)))
     assert_same_bytes(stacked[n_v:], advance_plant(y, 7.3, tau_est, 0.01, est, *flow_args(flow)))
+
+
+def stage_times(n_flights: int, n_v: int) -> np.ndarray:
+    """Per-row times of n_flights rollout stages of n_v rows each: t_s + k * dt."""
+    starts = [0.0, 7.3, 41.25, 2.0, 9.5, 0.5]
+    return np.repeat([starts[k] + k * 0.01 for k in range(n_flights)], n_v)
+
+
+@pytest.mark.parametrize("flow_name", list(FLOWS))
+def test_per_row_times_match_scalar_time_calls(flow_name):
+    # each row against a scalar-t call at the same batch size: a one-row
+    # matmul takes BLAS's vector kernel, which may round differently
+    flow = FLOWS[flow_name]
+    y, tau = states(12, 12), wrench(12, 12)
+    t = stage_times(4, 3)
+    for _ in range(3):
+        got = advance_plant(y, t, tau, 0.01, PARAMS, *flow_args(flow))
+        for i in range(len(y)):
+            want = advance_plant(y, float(t[i]), tau, 0.01, PARAMS, *flow_args(flow))
+            assert_same_bytes(got[i], want[i])
+        y = got
+
+
+@pytest.mark.parametrize("flow_name", ["default", "capped", "off"])
+@pytest.mark.parametrize("n_v", [2, 3])
+def test_unequal_blocks_match_separate_calls(n_v, flow_name):
+    # the engine's MPC-on call: the fleet's block at t, then a longer block of
+    # rollout stages, n_v rows each, each stage at its own time
+    flow = FLOWS[flow_name]
+    est = PARAMS.estimated()
+    n_rows = 5 * n_v
+    y, tau = states(n_rows, 14), wrench(n_rows, 14)
+    t = stage_times(5, n_v)
+    fleet, stages = slice(0, n_v), slice(n_v, None)
+    for _ in range(3):
+        got = advance_plant(y, t, tau, 0.01, ((PARAMS, n_v), (est, n_rows - n_v)),
+                            *flow_args(flow))
+        assert_same_bytes(got[fleet], advance_plant(
+            y[fleet], float(t[0]), tau[fleet], 0.01, PARAMS, *flow_args(flow)))
+        assert_same_bytes(got[stages], advance_plant(
+            y[stages], t[stages], tau[stages], 0.01, est, *flow_args(flow)))
+        for start in range(n_v, n_rows, n_v):
+            stage = slice(start, start + n_v)
+            assert_same_bytes(got[stage], advance_plant(
+                y[stage], float(t[start]), tau[stage], 0.01, est, *flow_args(flow)))
+        y = got
+
+
+def test_blocks_must_cover_every_row():
+    y, tau = states(12, 3)[:5], wrench(5, 3)
+    with pytest.raises(ValueError, match="cover 4 rows of 5"):
+        advance_plant(y, 0.0, tau, 0.01, ((PARAMS, 2), (PARAMS.estimated(), 2)))
