@@ -3,11 +3,11 @@
 One step per vehicle runs: references -> tracking errors -> sliding surface
 -> equivalent + adaptive control -> MPC clip of the command -> thrust
 allocation -> plant advance (RK4, disturbance inside the derivative) ->
-adaptation update.  All vehicles are advanced together as stacked arrays;
-with the MPC shell on, the same advance also carries one stage of every
-in-flight rollout of the shell's predicted cost (see step), and run drains
-the rollouts still in flight when the loop ends.  The leader's actual state
-feeds the follower references within the same step.
+adaptation update.  All vehicles are advanced together as stacked arrays,
+with or without the MPC shell.  The shell's predicted cost feeds nothing
+back into the loop, so run computes it after the loop from the logged rows,
+batched over many steps (see run).  The leader's actual state feeds the
+follower references within the same step.
 
 Runs are deterministic for a given scenario: nothing in a run draws random
 numbers, so Scenario.seed changes no output.
@@ -44,7 +44,7 @@ from .formation import (
     leader_reference,
     tracking_error,
 )
-from .mpc import Flight, MpcConfig, MpcShell, Rollouts
+from .mpc import MpcConfig, MpcShell
 from .plant import advance_plant
 from .thrusters import ThrusterConfig, allocate, body_to_wrench5, wrench5_to_body
 from .vehicle import (
@@ -270,12 +270,10 @@ class SimRuntime:
         self.prev_f_tilde: np.ndarray | None = None
         self.step_index = 0
         self.shell = None
-        self.rollouts = None
         if scenario.mpc.enabled:
             self.shell = MpcShell(
                 scenario.mpc, self.params, self.dist_model, self.sampler, scenario.dt
             )
-            self.rollouts = Rollouts(self.shell)
         w = scenario.controller.baseline_w
         if w is None:
             w = scenario.flow.disturbance.force_clamp if scenario.flow.enabled else 1.0
@@ -401,18 +399,11 @@ def _control_and_diagnostics(rt: SimRuntime, t: float):
 def step(rt: SimRuntime) -> dict:
     """Advance the runtime one step; returns the record logged at step start.
 
-    Order: control -> MPC clip -> allocation -> one stacked plant advance ->
-    adaptation.  With the shell on, that one advance_plant call runs over
-    [y; y; stages]: the fleet (true model, the allocated wrench), the first
-    stage of the rollout started here (estimated model, the clipped command,
-    from the same (y, t)) and the next stage of every older rollout in
-    flight (rt.rollouts), each from its own time.  k1 of the first two
-    blocks reuses the disturbance the diagnostics built at (y, t) for the
-    log; the older stages' is sampled once over their rows.
-
-    The record's mpc_cost is NaN: the cost of the rollout started here lands
-    in rt.rollouts.costs with its last stage, n_e - 1 steps later, and run
-    writes it to this step's row.
+    Order: control -> MPC clip -> allocation -> plant advance -> adaptation.
+    The plant advance is one advance_plant call over the fleet's rows with
+    the true model; its k1 reuses the disturbance the diagnostics built at
+    (y, t) for the log.  The shell only clips the command here: the record's
+    mpc_cost is NaN, and run fills it in after the loop.
     """
     sc = rt.scenario
     n_v = sc.n_vehicles
@@ -428,24 +419,9 @@ def step(rt: SimRuntime) -> dict:
     rec["u_t"] = u_t
     rec["mpc_cost"] = np.full(n_v, np.nan)
 
-    d_o = rec["dist"]
-    if rt.shell is None:
-        y = advance_plant(
-            rt.y, t, tau6, sc.dt, rt.params, rt.sampler, rt.dist_model, d_o
-        )
-    else:
-        y_s, t_s, u_s, d_s = rt.rollouts.stages()
-        y = advance_plant(
-            np.concatenate([rt.y, rt.y, y_s]), np.concatenate([np.full(2 * n_v, t), t_s]),
-            np.concatenate([tau6, u_cmd, u_s]), sc.dt,
-            ((rt.params, n_v), (rt.shell.params_est, n_v + len(y_s))),
-            rt.sampler, rt.dist_model, np.concatenate([d_o, d_o, d_s]),
-        )
-        rt.rollouts.land(
-            y[n_v:], Flight(rt.step_index, t, u_cmd, rec["ed_d"], rec["edd_d"])
-        )
-        y = y[:n_v]
-    rt.y = y
+    rt.y = advance_plant(
+        rt.y, t, tau6, sc.dt, rt.params, rt.sampler, rt.dist_model, rec["dist"]
+    )
     rt.y[:, 3:6] = wrap_angle(rt.y[:, 3:6])
     if not np.all(np.isfinite(rt.y)):
         raise SimulationAbort("state became non-finite")
@@ -456,22 +432,30 @@ def step(rt: SimRuntime) -> dict:
     return rec
 
 
+_COST_CHUNK_STEPS = 128  # steps rolled out per batch after the loop; bounds their memory
+
+
 def run(scenario: Scenario) -> SimLog:
     """Simulate the whole scenario; returns duration/dt + 1 records.
 
-    With the shell on, the rollouts still in flight are drained after the
-    last step, or on SimulationAbort before the partial log is cut, and
-    every cost is written to the row of the step its rollout started at.
+    With the shell on, each step's mpc_cost is computed after the loop, or
+    on SimulationAbort for the rows kept in the partial log: the held-command
+    rollout from the step's logged state (eta, nu) at its time t, holding
+    its u_cmd, with k1 using its logged dist, scored against the step's
+    reference rates, which run keeps aside.  _COST_CHUNK_STEPS steps' rows
+    go through one rollout at a time.
     """
     rt = SimRuntime(scenario)
     n_steps = round(scenario.duration / scenario.dt)
     log = SimLog.allocate(n_steps + 1, scenario.n_vehicles)
     _, *logged = SimLog.__dataclass_fields__
+    refs = np.empty((2, n_steps + 1, scenario.n_vehicles, 6))
 
     def write(k: int, rec: dict) -> None:
         log.t[k] = k * scenario.dt
         for name in logged:
             getattr(log, name)[k] = rec[name]
+        refs[:, k] = rec["ed_d"], rec["edd_d"]
 
     try:
         for k in range(n_steps):
@@ -482,18 +466,25 @@ def run(scenario: Scenario) -> SimLog:
         final["u_t"] = np.zeros((scenario.n_vehicles, 3))
         write(n_steps, final)
     except SimulationAbort as exc:
-        _land_costs(rt, log)
+        _predicted_costs(rt.shell, log, refs, rt.step_index)
         raise SimulationAbort(str(exc), log.truncated(rt.step_index)) from exc
-    _land_costs(rt, log)
+    _predicted_costs(rt.shell, log, refs, n_steps)
     return log
 
 
-def _land_costs(rt: SimRuntime, log: SimLog) -> None:
-    """Drain the rollouts in flight and write every cost to its start step's row."""
-    if rt.rollouts is not None:
-        rt.rollouts.drain()
-        for origin, cost in rt.rollouts.costs:
-            log.mpc_cost[origin] = cost
+def _predicted_costs(shell: MpcShell | None, log: SimLog, refs: np.ndarray, n: int) -> None:
+    """Write the shell's predicted cost of steps 0..n-1 to their rows of log.mpc_cost."""
+    if shell is None:
+        return
+    v = log.n_vehicles
+    y0 = np.concatenate([log.eta[:n], log.nu[:n]], axis=-1).reshape(-1, 12)
+    t0 = np.repeat(log.t[:n], v)
+    u, d_o, ed_d, edd_d = (x[:n].reshape(-1, 6) for x in (log.u_cmd, log.dist, *refs))
+    cost = log.mpc_cost[:n].reshape(-1)
+    for a in range(0, n * v, _COST_CHUNK_STEPS * v):
+        r = slice(a, a + _COST_CHUNK_STEPS * v)
+        rates, _ = shell.rollout(y0[r], t0[r], u[r], d_o[r])
+        cost[r] = shell.cost(rates, ed_d[r], edd_d[r])
 
 
 def detect_convergence(log: SimLog, threshold: float) -> float | None:

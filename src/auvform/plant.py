@@ -6,18 +6,11 @@ of the continuous dynamics and is re-evaluated inside each integrator
 substep.  A caller that already holds the disturbance d_o at the step start
 (y, t) hands it in as `d_o`, and k1 uses it instead of sampling the flow.
 
-Stacked rows: `t` is one time for every row or a (rows,) array of per-row
-times, and `params` is either one RigidBodyParams for every row or a tuple
-of (model, rows) pairs, one per consecutive block of a (rows, 12) y; the
-blocks may differ in size.  The engine advances the fleet (true model) and
-one stage of every in-flight MPC rollout (estimated model) this way, each
-rollout stage at its own time.  Everything but the body acceleration is
-evaluated once over all rows, and acceleration_body runs once per model, on
-its block's rows.  Every operation is row-wise, so a row gets the bytes a
-separate call would give it, with one exception: the M^-1 product of a
-one-row call takes BLAS's vector kernel, which may round differently from
-the matrix kernel when the inertia is not diagonal (scenario files give a
-diagonal one).
+Per-row times: `t` is one time for every row or a (rows,) array of per-row
+times.  The MPC shell's rollouts advance many steps' rows in one call this
+way, each row from its own step's start time.  Every operation is row-wise,
+and the M^-1 product of acceleration_body gives a row the same bytes in a
+call of any size, so a row gets the bytes a separate call would give it.
 
 Per-derivative contract: plant_derivative evaluates cos/sin of the Euler
 angles once (euler_trig, on the same column slices of y as each transform
@@ -47,7 +40,6 @@ from .vehicle import (
 )
 
 FlowSampler = Callable[[np.ndarray, float | np.ndarray], np.ndarray]
-Params = RigidBodyParams | tuple[tuple[RigidBodyParams, int], ...]
 Time = float | np.ndarray
 
 
@@ -81,7 +73,7 @@ def plant_derivative(
     y: np.ndarray,
     t: Time,
     tau: np.ndarray,
-    params: Params,
+    params: RigidBodyParams,
     flow_sampler: FlowSampler | None = None,
     dist_model: DisturbanceModel | None = None,
     d_o: np.ndarray | None = None,
@@ -114,18 +106,7 @@ def plant_derivative(
         )
     else:
         tau_c = np.zeros_like(nu)
-    if isinstance(params, RigidBodyParams):
-        out[..., 6:] = acceleration_body(eta, nu, tau, tau_c, params, trig)
-    else:
-        start = 0
-        for block_params, rows in params:
-            b = slice(start, start + rows)
-            out[b, 6:] = acceleration_body(
-                eta[b], nu[b], tau[b], tau_c[b], block_params, tuple(c[b] for c in trig)
-            )
-            start += rows
-        if start != len(y):
-            raise ValueError(f"model blocks cover {start} rows of {len(y)}")
+    out[..., 6:] = acceleration_body(eta, nu, tau, tau_c, params, trig)
     return out
 
 
@@ -134,7 +115,7 @@ def advance_plant(
     t: Time,
     tau: np.ndarray,
     dt: float,
-    params: Params,
+    params: RigidBodyParams,
     flow_sampler: FlowSampler | None = None,
     dist_model: DisturbanceModel | None = None,
     d_o: np.ndarray | None = None,

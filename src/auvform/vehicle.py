@@ -323,6 +323,10 @@ def acceleration_body(
     """Body-frame acceleration q_dot = M^-1 (tau - tau_c - C q - D q - g), batched.
 
     trig may carry euler_trig of the pose angles, passed on to the restoring term.
+    A row gets the same bytes alone as inside a call of any size: BLAS takes
+    its vector kernel for a one-row product, which rounds differently from
+    the matrix kernel when M is not diagonal, so a lone row is multiplied as
+    the first of two.
     """
     nu = np.asarray(nu, dtype=float)
     rhs = (
@@ -332,7 +336,10 @@ def acceleration_body(
         - params.damping_force(nu)
         - params.restoring(np.asarray(eta, dtype=float)[..., ANG], trig)
     )
-    return rhs @ params.inertia_inv.T
+    rows = rhs.reshape(-1, 6)
+    if len(rows) == 1:
+        return (np.concatenate([rows, rows]) @ params.inertia_inv.T)[0].reshape(rhs.shape)
+    return (rows @ params.inertia_inv.T).reshape(rhs.shape)
 
 
 def inertial_matrices(

@@ -1,11 +1,9 @@
 """MPC shell tests: clip, predicted cost, rollout oracle, bounds, feasibility.
 
-The rollout's first step is run by the engine, stacked under the fleet's own
-advance; MpcShell.solve and _predict take the state it gives.  Here that
-step is one plain advance_plant call (first_state); the engine's stacked
-call gives the same bytes (tests/test_plant.py).  In a run the later stages
-are pipelined across steps (mpc.Rollouts); the engine tests at the bottom
-check every cost against a rollout of its own from the step's state.
+MpcShell.solve and MpcShell.rollout start from the fleet state.  A run
+computes every step's cost after the loop, rolling out many steps' logged
+rows at once (engine.run); the engine tests at the bottom check every cost
+against a serial rollout of its own from the step's state.
 """
 
 from dataclasses import replace
@@ -14,8 +12,10 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from auvform import engine, mpc
 from auvform.engine import SimRuntime, SimulationAbort, run, step
 from auvform.flow import DisturbanceModel, FlowParams, LayeredField, layered_velocity
+from auvform.formation import FormationSpec
 from auvform.mpc import MpcConfig, MpcShell
 from auvform.plant import advance_plant
 from auvform.scenario import parse_scenario
@@ -35,19 +35,11 @@ def make_sampler():
     return sample
 
 
-def first_state(shell, y0, t, u):
-    """The rollout's first step: the estimated model advanced from (y0, t) holding u."""
-    return advance_plant(
-        y0, t, u, shell.dt, shell.params_est, shell.flow_sampler, shell.dist_model
-    )
-
-
 def rollout(params, y0, tau, n_e, sampler=None, dist=None, dt=0.01, t0=0.0):
     """Rates of the n_e-step rollout for one vehicle holding tau."""
     shell = MpcShell(MpcConfig(n_e=n_e), params, dist, sampler, dt)
     u = np.asarray(tau, dtype=float)[None]
-    y1 = first_state(shell, np.asarray(y0, dtype=float)[None], t0, u)
-    rates, _ = shell._predict(y1, t0, u)
+    rates, _ = shell.rollout(np.asarray(y0, dtype=float)[None], t0, u)
     return rates[0]
 
 
@@ -104,10 +96,10 @@ def _desired_rates(cfg, ed_d, edd_d):
 
 
 def _cost_of_predicted_rates(offset):
-    """Solve cost of one vehicle whose _predict returns the desired rates plus offset."""
+    """Solve cost of one vehicle whose rollout returns the desired rates plus offset."""
     cfg, shell, y0, e_d, ed_d, edd_d = _solve_setup(n_e=5)
     rates = _desired_rates(cfg, ed_d, edd_d) + offset
-    shell._predict = lambda y1, t, u: (rates, np.broadcast_to(e_d[:, None], rates.shape))
+    shell.rollout = lambda y0, t, u: (rates, np.broadcast_to(e_d[:, None], rates.shape))
     return shell.solve(y0, 0.0, np.zeros((1, 6)), e_d, ed_d, edd_d)[1][0]
 
 
@@ -128,11 +120,10 @@ def test_solve_applies_clipped_nominal_and_scores_holding_it():
     nominal = np.array([[70.0, -45.0, 3.0, 0.0, -2.5, 29.0], [-31.0, 12.0, 0.0, 0.0, 0.0, 51.0]])
     held = np.clip(nominal, cfg.tau_lo, cfg.tau_hi)
     assert np.array_equal(shell.clip(nominal), held)
-    y1 = first_state(shell, y0, 0.5, held)
-    seqs, cost, feas = shell.solve(y1, 0.5, nominal, e_d, ed_d, edd_d)
+    seqs, cost, feas = shell.solve(y0, 0.5, nominal, e_d, ed_d, edd_d)
     assert seqs.shape == (2, cfg.n_e, 6)
     assert np.array_equal(seqs, np.repeat(held[:, None], cfg.n_e, axis=1))
-    rates, _ = shell._predict(y1, 0.5, held)
+    rates, _ = shell.rollout(y0, 0.5, held)
     expected = np.sum((rates - _desired_rates(cfg, ed_d, edd_d)) ** 2, axis=(-1, -2))
     assert np.array_equal(cost, expected)
     assert feas.all()
@@ -144,9 +135,8 @@ def test_solve_never_worse_than_clipped_nominal():
     for _ in range(5):
         nominal = rng.uniform(-80, 80, 6)
         clipped = np.clip(nominal, cfg.tau_lo, cfg.tau_hi)
-        y1 = first_state(shell, y0, 0.0, clipped[None])
-        seqs, cost, feas = shell.solve(y1, 0.0, nominal[None], e_d, ed_d, edd_d)
-        rates, _ = shell._predict(y1, 0.0, clipped[None])
+        seqs, cost, feas = shell.solve(y0, 0.0, nominal[None], e_d, ed_d, edd_d)
+        rates, _ = shell.rollout(y0, 0.0, clipped[None])
         nominal_cost = np.sum((rates[0] - _desired_rates(cfg, ed_d, edd_d)[0]) ** 2)
         assert cost[0] <= nominal_cost + 1e-9
 
@@ -154,8 +144,7 @@ def test_solve_never_worse_than_clipped_nominal():
 def test_solve_clips_out_of_bound_nominal():
     cfg, shell, y0, e_d, ed_d, edd_d = _solve_setup()
     nominal = np.full(6, 500.0)
-    y1 = first_state(shell, y0, 0.0, shell.clip(nominal[None]))
-    seqs, _, _ = shell.solve(y1, 0.0, nominal[None], e_d, ed_d, edd_d)
+    seqs, _, _ = shell.solve(y0, 0.0, nominal[None], e_d, ed_d, edd_d)
     assert np.all(seqs <= cfg.tau_hi) and np.all(seqs >= cfg.tau_lo)
 
 
@@ -164,8 +153,7 @@ def test_solve_bounds_always_respected():
     rng = np.random.default_rng(2)
     for _ in range(10):
         nominal = rng.uniform(-100, 100, 6)
-        y1 = first_state(shell, y0, 0.0, shell.clip(nominal[None]))
-        seqs, _, _ = shell.solve(y1, 0.0, nominal[None], e_d, ed_d, edd_d)
+        seqs, _, _ = shell.solve(y0, 0.0, nominal[None], e_d, ed_d, edd_d)
         assert np.all(np.abs(seqs) <= cfg.tau_hi + 1e-12)
 
 
@@ -173,7 +161,7 @@ def test_solve_infeasible_flag():
     # pose error bounds so tight that the held command violates them
     cfg, shell, y0, e_d, ed_d, edd_d = _solve_setup(state_lo=-1e-6, state_hi=1e-6)
     zero = np.zeros((1, 6))
-    seqs, _, feas = shell.solve(first_state(shell, y0, 0.0, zero), 0.0, zero, e_d, ed_d, edd_d)
+    seqs, _, feas = shell.solve(y0, 0.0, zero, e_d, ed_d, edd_d)
     assert not feas[0]
 
 
@@ -184,8 +172,7 @@ def test_mpc_optimize_nominal_already_optimal():
     shell = MpcShell(cfg, params, None, None, 0.01)
     y0 = np.concatenate([[5.0, 5.0, -5.0], np.zeros(9)])[None]
     zero = np.zeros((1, 6))
-    y1 = first_state(shell, y0, 0.0, zero)
-    seqs, costs, feasible = shell.solve(y1, 0.0, zero, y0[:, :6], zero, zero)
+    seqs, costs, feasible = shell.solve(y0, 0.0, zero, y0[:, :6], zero, zero)
     assert costs[0] == pytest.approx(0.0, abs=1e-18)
     np.testing.assert_allclose(seqs[0], np.zeros((cfg.n_e, 6)))
     assert feasible[0]
@@ -212,44 +199,13 @@ def full_rollout_cost(shell, y0, t, nominal, e_d, ed_d, edd_d):
     return np.sum((rates - ed_seq) ** 2, axis=(-1, -2))
 
 
-@pytest.mark.parametrize("start", ["on-reference", "offset"])
-def test_engine_mpc_cost_matches_full_rollout(start):
-    # each step's cost lands with its rollout's last stage, n_e - 1 steps
-    # later; the ones still in flight after the last step come from the drain
-    sc = parse_scenario(SPIRAL)
-    assert sc.flow.enabled and sc.mpc.enabled
-    n_e = sc.mpc.n_e
-    rt = SimRuntime(sc)
-    if start == "offset":
-        # 1-3 m and 0.3 rad of yaw off: the command clip is active
-        rt.y[:, :3] += [[2.0, -1.5, 1.0], [-3.0, 2.5, -1.5], [1.25, 3.0, -2.0]]
-        rt.y[:, 5] = wrap_angle(rt.y[:, 5] + [0.3, -0.3, 0.3])
-    clipped = 0
-    want = []
-    for s in range(20):
-        y0, t = rt.y.copy(), rt.t
-        rec = step(rt)
-        assert np.all(np.isnan(rec["mpc_cost"]))
-        want.append(full_rollout_cost(
-            rt.shell, y0, t, rec["u"], rec["e_d"], rec["ed_d"], rec["edd_d"]
-        ))
-        landed = rt.rollouts.costs
-        assert [origin for origin, _ in landed] == list(range(s - n_e + 2))
-        if landed:
-            origin, cost = landed[-1]
-            assert cost.tobytes() == want[origin].tobytes()
-        clipped += int(np.any(rec["u_cmd"] != rec["u"]))
-    rt.rollouts.drain()
-    assert [origin for origin, _ in rt.rollouts.costs] == list(range(20))
-    for origin, cost in rt.rollouts.costs[20 - n_e + 1:]:
-        assert cost.tobytes() == want[origin].tobytes()
-    assert (clipped > 0) == (start == "offset")
-
-
 def stepped_costs(sc):
-    """full_rollout_cost of every step a stepped run of sc takes, to its end or its abort."""
+    """full_rollout_cost of every step a stepped run of sc takes, to its end or its abort.
+
+    Also counts the steps whose command the clip changed.
+    """
     rt = SimRuntime(sc)
-    want = []
+    want, clipped = [], 0
     try:
         for _ in range(round(sc.duration / sc.dt)):
             y0, t = rt.y.copy(), rt.t
@@ -257,9 +213,10 @@ def stepped_costs(sc):
             want.append(full_rollout_cost(
                 rt.shell, y0, t, rec["u"], rec["e_d"], rec["ed_d"], rec["edd_d"]
             ))
+            clipped += int(np.any(rec["u_cmd"] != rec["u"]))
     except SimulationAbort:
         pass
-    return rt, np.array(want)
+    return np.array(want), clipped
 
 
 def assert_costs(log, want):
@@ -267,28 +224,51 @@ def assert_costs(log, want):
     assert np.all(np.isnan(log.mpc_cost[len(want):]))
 
 
+def spiral(duration, **mpc):
+    sc = parse_scenario(SPIRAL)
+    assert sc.flow.enabled and sc.mpc.enabled
+    return replace(sc, duration=duration, mpc=replace(sc.mpc, **mpc))
+
+
+def started_at(sc, y):
+    return replace(sc, initial_states=list(y))
+
+
+@pytest.mark.parametrize("start", ["on-reference", "offset"])
+def test_engine_mpc_cost_matches_full_rollout(start):
+    # every one of the 20 costs comes from the rollouts after the loop
+    sc = spiral(0.2)
+    if start == "offset":
+        # 1-3 m and 0.3 rad of yaw off: the command clip is active
+        y = SimRuntime(sc).y.copy()
+        y[:, :3] += [[2.0, -1.5, 1.0], [-3.0, 2.5, -1.5], [1.25, 3.0, -2.0]]
+        y[:, 5] = wrap_angle(y[:, 5] + [0.3, -0.3, 0.3])
+        sc = started_at(sc, y)
+    want, clipped = stepped_costs(sc)
+    assert len(want) == 20
+    assert_costs(run(sc), want)
+    assert (clipped > 0) == (start == "offset")
+
+
 @pytest.mark.parametrize("n_e, duration", [(1, 0.2), (100, 0.05)])
 def test_run_costs_match_full_rollout_at_horizon_edges(n_e, duration):
-    # n_e = 1: each cost lands in its own step, nothing is left to drain;
-    # n_e = 100 over 5 steps: nothing lands in the loop, all from the drain
-    sc = parse_scenario(SPIRAL)
-    sc = replace(sc, duration=duration, mpc=replace(sc.mpc, n_e=n_e))
-    rt, want = stepped_costs(sc)
-    n_steps = round(duration / sc.dt)
-    assert len(rt.rollouts.costs) == (n_steps if n_e == 1 else 0)
-    assert len(rt.rollouts.flights) == (0 if n_e == 1 else n_steps)
+    # n_e = 1: one plant step per rollout; n_e = 100 over 5 steps: every
+    # rollout runs 95 steps past the end of the run
+    sc = spiral(duration, n_e=n_e)
+    want, _ = stepped_costs(sc)
+    assert len(want) == round(duration / sc.dt)
     assert_costs(run(sc), want)
 
 
-def test_abort_keeps_the_drained_costs_of_the_kept_rows():
-    # a leader pitching hard towards the pole: the run stops on step 7 with
-    # four costs landed in the loop and three still in flight
-    sc = parse_scenario(SPIRAL)
+def test_abort_keeps_the_costs_of_the_kept_rows():
+    # a leader pitching hard towards the pole: the run stops on step 7, and
+    # the costs of the 7 steps it kept are still computed
+    sc = spiral(0.3)
     y = SimRuntime(sc).y.copy()
     y[0, 4], y[0, 10] = 1.3, 10.0
-    sc = replace(sc, duration=0.3, initial_states=list(y))
-    rt, want = stepped_costs(sc)
-    assert len(want) == 7 and len(rt.rollouts.costs) == 7 - sc.mpc.n_e + 1
+    sc = started_at(sc, y)
+    want, _ = stepped_costs(sc)
+    assert len(want) == 7
     with pytest.raises(SimulationAbort, match="pitch") as info:
         run(sc)
     log = info.value.partial_log
@@ -296,16 +276,82 @@ def test_abort_keeps_the_drained_costs_of_the_kept_rows():
     assert_costs(log, want)
 
 
-def test_stage_times_are_start_time_plus_stage_offsets():
+def recorded_rollout_times(monkeypatch, sc):
+    """run(sc), recording the per-row times of each rollout advance_plant call."""
+    times = []
+
+    def recording(y, t, *args):
+        times.append(np.array(t, copy=True))
+        return advance_plant(y, t, *args)
+
+    monkeypatch.setattr(mpc, "advance_plant", recording)
+    return run(sc), times
+
+
+def test_stage_times_are_start_time_plus_stage_offsets(monkeypatch):
     # stage k of the rollout started at step s advances from t_s + k dt, as a
     # serial rollout from t_s does; (s + k) dt differs in the last bit for
-    # some (s, k), one of them, (10, 2), in flight after step 11
-    sc = parse_scenario(SPIRAL)
+    # some (s, k), one of them (10, 2)
+    sc = spiral(0.12)
+    n_e, dt = sc.mpc.n_e, sc.dt
+    log, times = recorded_rollout_times(monkeypatch, sc)
+    assert len(times) == n_e
+    t_s = np.repeat(log.t[:12], sc.n_vehicles)
+    for k, t in enumerate(times):
+        assert t.tobytes() == (t_s + k * dt).tobytes()
+    serial = np.array([[s * dt + k * dt for k in range(n_e)] for s in range(12)])
+    shifted = np.array([[(s + k) * dt for k in range(n_e)] for s in range(12)])
+    assert serial[10, 2] != shifted[10, 2]
+
+
+ONE_VEHICLE = RigidBodyParams(
+    inertia=np.array(
+        [
+            [30.0, 0.0, 0.0, 0.0, 1.5, 0.0],
+            [0.0, 30.0, 0.0, -1.5, 0.0, 0.4],
+            [0.0, 0.0, 30.0, 0.0, 0.3, 0.0],
+            [0.0, -1.5, 0.0, 1.0, 0.0, 0.0],
+            [1.5, 0.0, 0.3, 0.0, 5.0, 0.0],
+            [0.0, 0.4, 0.0, 0.0, 0.0, 5.0],
+        ]
+    ),
+    mismatch_factor=0.9,
+)
+
+
+@pytest.mark.parametrize("fleet", ["spiral", "one-vehicle"])
+def test_costs_do_not_depend_on_the_chunk_size(monkeypatch, fleet):
+    # a one-step chunk of a one-vehicle fleet rolls out a single row; with a
+    # non-diagonal inertia and an offset start (large accelerations) a
+    # one-row M^-1 product of another kernel changes 5 of these 30 costs
+    sc = spiral(0.3)
+    if fleet == "one-vehicle":
+        sc = replace(sc, formation=FormationSpec(offsets=()), vehicle=ONE_VEHICLE)
+        y = SimRuntime(sc).y.copy()
+        y[:, :3] += [2.0, -1.5, 1.0]
+        y[:, 5] = wrap_angle(y[:, 5] + 0.3)
+        sc = started_at(sc, y)
+    costs = []
+    for chunk in (1, 7, 1000):
+        monkeypatch.setattr(engine, "_COST_CHUNK_STEPS", chunk)
+        costs.append(run(sc).mpc_cost)
+    assert np.all(np.isfinite(costs[0][:-1]))
+    assert costs[0].tobytes() == costs[1].tobytes() == costs[2].tobytes()
+
+
+def test_stepping_with_the_shell_on_makes_one_fleet_advance_per_step(monkeypatch):
+    sc = spiral(0.1)
+    calls = {"engine": [], "mpc": []}
+
+    def counting(side):
+        def advance(y, *args):
+            calls[side].append(len(y))
+            return advance_plant(y, *args)
+        return advance
+
+    monkeypatch.setattr(engine, "advance_plant", counting("engine"))
+    monkeypatch.setattr(mpc, "advance_plant", counting("mpc"))
     rt = SimRuntime(sc)
-    for _ in range(12):
+    for _ in range(10):
         step(rt)
-    n_v, dt = sc.n_vehicles, sc.dt
-    _, t, _, _ = rt.rollouts.stages()
-    want = np.repeat([(12 - k) * dt + k * dt for k in range(1, sc.mpc.n_e)], n_v)
-    assert t.tobytes() == want.tobytes()
-    assert np.count_nonzero(want != 12 * dt) == n_v
+    assert calls == {"engine": [sc.n_vehicles] * 10, "mpc": []}

@@ -5,10 +5,10 @@ the kinematics, the disturbance wrench and tau_c = J^T d_o.  The reference
 below is the unfused form: every transform rebuilt from the angles, the flow
 sampled through np.stack/np.clip/np.linalg.norm, the Coriolis term through
 per-product cross products.  Both must give the same bytes, signed zeros
-included, because the SimLog digest is taken over them.  So must the two
-shortcuts the engine takes: one advance over stacked row blocks of unequal
-size with a model per block and a time per row, against one call per block
-or per row; and k1 fed the step-start disturbance the diagnostics built,
+included, because the SimLog digest is taken over them.  So must the
+shortcuts the engine and the MPC rollouts take: one advance over stacked
+rows, each with its own time, against one call per block or per row, a lone
+row included; and k1 fed the step-start disturbance the diagnostics built,
 against k1 sampling the flow itself.
 """
 
@@ -88,7 +88,10 @@ def ref_acceleration(eta, nu, tau, tau_c, p: RigidBodyParams):
     g[..., 4] = p.restoring_gain * np.sin(theta)
     g[..., :3] = -p.buoyancy_net * up_body
     rhs = tau - tau_c - cor - damp - g
-    return rhs @ np.linalg.inv(p.inertia).T
+    # every row as inside a multi-row product: a one-row product takes BLAS's
+    # vector kernel, which rounds differently when M is not diagonal
+    rows = np.vstack([rhs.reshape(-1, 6), np.zeros(6)])
+    return (rows @ np.linalg.inv(p.inertia).T)[:-1].reshape(rhs.shape)
 
 
 def ref_flow_velocity(x, y, t, p: FlowParams):
@@ -304,7 +307,7 @@ def test_cases_reach_every_branch():
     assert np.any(np.abs(d_o) == model.force_clamp)
 
 
-# --- stacked models and the handed-in step-start disturbance ----------------
+# --- stacked rows and the handed-in step-start disturbance -------------------
 
 
 def step_start_disturbance(y, t, flow):
@@ -318,22 +321,22 @@ def step_start_disturbance(y, t, flow):
 @pytest.mark.parametrize("flow_name", ["default", "off"])
 @pytest.mark.parametrize("n_v", [1, 3])
 def test_stacked_advance_matches_separate_calls(n_v, flow_name, same_start):
+    # two fleets of n_v rows in one call; n_v = 1 compares against one-row calls
     flow = FLOWS[flow_name]
-    est = PARAMS.estimated()
-    y_true = states(12, 5)[:n_v]
-    y_est = y_true if same_start else states(12, 6)[6 : 6 + n_v]
-    tau_true, tau_est = wrench(n_v, 5), wrench(n_v, 6) + 1.5
+    y_a = states(12, 5)[:n_v]
+    y_b = y_a if same_start else states(12, 6)[6 : 6 + n_v]
+    tau_a, tau_b = wrench(n_v, 5), wrench(n_v, 6) + 1.5
     for t in (0.0, 7.3):
         for _ in range(3):
             stacked = advance_plant(
-                np.concatenate([y_true, y_est]), t, np.concatenate([tau_true, tau_est]),
-                0.01, ((PARAMS, n_v), (est, n_v)), *flow_args(flow),
+                np.concatenate([y_a, y_b]), t, np.concatenate([tau_a, tau_b]),
+                0.01, PARAMS, *flow_args(flow),
             )
-            want_true = advance_plant(y_true, t, tau_true, 0.01, PARAMS, *flow_args(flow))
-            want_est = advance_plant(y_est, t, tau_est, 0.01, est, *flow_args(flow))
-            assert_same_bytes(stacked[:n_v], want_true)
-            assert_same_bytes(stacked[n_v:], want_est)
-            y_true, y_est = want_true, want_est
+            want_a = advance_plant(y_a, t, tau_a, 0.01, PARAMS, *flow_args(flow))
+            want_b = advance_plant(y_b, t, tau_b, 0.01, PARAMS, *flow_args(flow))
+            assert_same_bytes(stacked[:n_v], want_a)
+            assert_same_bytes(stacked[n_v:], want_b)
+            y_a, y_b = want_a, want_b
 
 
 @pytest.mark.parametrize("flow_name", ["default", "capped"])
@@ -355,18 +358,19 @@ def test_handed_in_disturbance_matches_sampled(n_v, flow_name):
 
 @pytest.mark.parametrize("n_v", [1, 3])
 def test_stacked_advance_with_handed_in_disturbance(n_v):
-    # the engine's MPC-on call: [y; y], the two wrenches, d_o at (y, t) twice
+    # a rollout's first stage over two steps' rows: [y; y], two wrenches, the
+    # logged d_o at (y, t) twice
     flow = FLOWS["default"]
     est = PARAMS.estimated()
     y = states(12, 9)[:n_v]
-    tau_true, tau_est = wrench(n_v, 9), wrench(n_v, 10)
+    tau_a, tau_b = wrench(n_v, 9), wrench(n_v, 10)
     d_o = step_start_disturbance(y, 7.3, flow)
     stacked = advance_plant(
-        np.concatenate([y, y]), 7.3, np.concatenate([tau_true, tau_est]), 0.01,
-        ((PARAMS, n_v), (est, n_v)), *flow_args(flow), d_o=np.concatenate([d_o, d_o]),
+        np.concatenate([y, y]), 7.3, np.concatenate([tau_a, tau_b]), 0.01,
+        est, *flow_args(flow), d_o=np.concatenate([d_o, d_o]),
     )
-    assert_same_bytes(stacked[:n_v], advance_plant(y, 7.3, tau_true, 0.01, PARAMS, *flow_args(flow)))
-    assert_same_bytes(stacked[n_v:], advance_plant(y, 7.3, tau_est, 0.01, est, *flow_args(flow)))
+    assert_same_bytes(stacked[:n_v], advance_plant(y, 7.3, tau_a, 0.01, est, *flow_args(flow)))
+    assert_same_bytes(stacked[n_v:], advance_plant(y, 7.3, tau_b, 0.01, est, *flow_args(flow)))
 
 
 def stage_times(n_flights: int, n_v: int) -> np.ndarray:
@@ -377,45 +381,37 @@ def stage_times(n_flights: int, n_v: int) -> np.ndarray:
 
 @pytest.mark.parametrize("flow_name", list(FLOWS))
 def test_per_row_times_match_scalar_time_calls(flow_name):
-    # each row against a scalar-t call at the same batch size: a one-row
-    # matmul takes BLAS's vector kernel, which may round differently
+    # each row against a one-row call at its own time
     flow = FLOWS[flow_name]
     y, tau = states(12, 12), wrench(12, 12)
     t = stage_times(4, 3)
     for _ in range(3):
         got = advance_plant(y, t, tau, 0.01, PARAMS, *flow_args(flow))
         for i in range(len(y)):
-            want = advance_plant(y, float(t[i]), tau, 0.01, PARAMS, *flow_args(flow))
-            assert_same_bytes(got[i], want[i])
+            want = advance_plant(y[i], float(t[i]), tau[i], 0.01, PARAMS, *flow_args(flow))
+            assert_same_bytes(got[i], want)
         y = got
 
 
 @pytest.mark.parametrize("flow_name", ["default", "capped", "off"])
 @pytest.mark.parametrize("n_v", [2, 3])
 def test_unequal_blocks_match_separate_calls(n_v, flow_name):
-    # the engine's MPC-on call: the fleet's block at t, then a longer block of
-    # rollout stages, n_v rows each, each stage at its own time
+    # a rollout chunk: blocks of n_v rows, one per step, each at its own time,
+    # against the first block alone, the rest together and each block alone
     flow = FLOWS[flow_name]
     est = PARAMS.estimated()
     n_rows = 5 * n_v
     y, tau = states(n_rows, 14), wrench(n_rows, 14)
     t = stage_times(5, n_v)
-    fleet, stages = slice(0, n_v), slice(n_v, None)
+    first, rest = slice(0, n_v), slice(n_v, None)
     for _ in range(3):
-        got = advance_plant(y, t, tau, 0.01, ((PARAMS, n_v), (est, n_rows - n_v)),
-                            *flow_args(flow))
-        assert_same_bytes(got[fleet], advance_plant(
-            y[fleet], float(t[0]), tau[fleet], 0.01, PARAMS, *flow_args(flow)))
-        assert_same_bytes(got[stages], advance_plant(
-            y[stages], t[stages], tau[stages], 0.01, est, *flow_args(flow)))
+        got = advance_plant(y, t, tau, 0.01, est, *flow_args(flow))
+        assert_same_bytes(got[first], advance_plant(
+            y[first], float(t[0]), tau[first], 0.01, est, *flow_args(flow)))
+        assert_same_bytes(got[rest], advance_plant(
+            y[rest], t[rest], tau[rest], 0.01, est, *flow_args(flow)))
         for start in range(n_v, n_rows, n_v):
-            stage = slice(start, start + n_v)
-            assert_same_bytes(got[stage], advance_plant(
-                y[stage], float(t[start]), tau[stage], 0.01, est, *flow_args(flow)))
+            block = slice(start, start + n_v)
+            assert_same_bytes(got[block], advance_plant(
+                y[block], float(t[start]), tau[block], 0.01, est, *flow_args(flow)))
         y = got
-
-
-def test_blocks_must_cover_every_row():
-    y, tau = states(12, 3)[:5], wrench(5, 3)
-    with pytest.raises(ValueError, match="cover 4 rows of 5"):
-        advance_plant(y, 0.0, tau, 0.01, ((PARAMS, 2), (PARAMS.estimated(), 2)))

@@ -245,6 +245,37 @@ def test_params_cannot_go_stale_behind_their_cached_inverse():
     assert not np.allclose(got, acceleration_body(eta, nu, tau, tau_c, params))
 
 
+def test_acceleration_rows_do_not_depend_on_the_batch_size():
+    # with a non-diagonal inertia a lone row must not take a different BLAS
+    # kernel (and rounding) from the same row inside a larger call
+    params = RigidBodyParams(
+        inertia=np.array(
+            [
+                [30.0, 0.0, 0.0, 0.0, 1.5, 0.0],
+                [0.0, 30.0, 0.0, -1.5, 0.0, 0.4],
+                [0.0, 0.0, 30.0, 0.0, 0.3, 0.0],
+                [0.0, -1.5, 0.0, 1.0, 0.0, 0.0],
+                [1.5, 0.0, 0.3, 0.0, 5.0, 0.0],
+                [0.0, 0.4, 0.0, 0.0, 0.0, 5.0],
+            ]
+        )
+    )
+    rng = np.random.default_rng(3)
+    eta, nu = random_states(rng, 200)
+    tau = rng.uniform(-20.0, 20.0, (200, 6))
+    tau_c = rng.uniform(-5.0, 5.0, (200, 6))
+    full = acceleration_body(eta, nu, tau, tau_c, params)
+    for i in range(200):
+        one = acceleration_body(eta[i], nu[i], tau[i], tau_c[i], params)
+        assert one.shape == (6,) and one.tobytes() == full[i].tobytes()
+        row = slice(i, i + 1)
+        one = acceleration_body(eta[row], nu[row], tau[row], tau_c[row], params)
+        assert one.shape == (1, 6) and one.tobytes() == full[row].tobytes()
+    for n in (2, 7, 128):
+        part = acceleration_body(eta[:n], nu[:n], tau[:n], tau_c[:n], params)
+        assert part.tobytes() == full[:n].tobytes()
+
+
 def test_coriolis_skew():
     rng = np.random.default_rng(7)
     params = RigidBodyParams()
