@@ -449,13 +449,14 @@ def run(scenario: Scenario) -> SimLog:
     n_steps = round(scenario.duration / scenario.dt)
     log = SimLog.allocate(n_steps + 1, scenario.n_vehicles)
     _, *logged = SimLog.__dataclass_fields__
-    refs = np.empty((2, n_steps + 1, scenario.n_vehicles, 6))
+    refs = None if rt.shell is None else np.empty((2, n_steps + 1, scenario.n_vehicles, 6))
 
     def write(k: int, rec: dict) -> None:
         log.t[k] = k * scenario.dt
         for name in logged:
             getattr(log, name)[k] = rec[name]
-        refs[:, k] = rec["ed_d"], rec["edd_d"]
+        if refs is not None:
+            refs[:, k] = rec["ed_d"], rec["edd_d"]
 
     try:
         for k in range(n_steps):
@@ -472,7 +473,9 @@ def run(scenario: Scenario) -> SimLog:
     return log
 
 
-def _predicted_costs(shell: MpcShell | None, log: SimLog, refs: np.ndarray, n: int) -> None:
+def _predicted_costs(
+    shell: MpcShell | None, log: SimLog, refs: np.ndarray | None, n: int
+) -> None:
     """Write the shell's predicted cost of steps 0..n-1 to their rows of log.mpc_cost."""
     if shell is None:
         return
