@@ -1,6 +1,7 @@
 """Command-line entry point: run, compare, flow-grid and validate verbs.
 
-Exit codes: 0 success, 1 scenario/validation error, 2 runtime abort.
+Exit codes: 0 success, 1 scenario/validation error or an output location
+that cannot be written (checked before simulating), 2 runtime abort.
 """
 
 from __future__ import annotations
@@ -14,6 +15,20 @@ from pathlib import Path
 from .engine import SimulationAbort, compute_metrics, detect_convergence, run
 from .export import compare_runs, export_flow_grid, export_results
 from .scenario import ScenarioError, parse_scenario
+
+
+class OutputError(Exception):
+    """The -o location cannot be written."""
+
+
+def _check_out(out: Path, is_file: bool = False) -> None:
+    """Raise OutputError if -o cannot be written: a directory for a file, or a file on the way."""
+    if is_file and out.is_dir():
+        raise OutputError(f"{out} is a directory")
+    folder = out.parent if is_file else out
+    nearest = next(p for p in (folder, *folder.parents) if p.exists())
+    if not nearest.is_dir():
+        raise OutputError(f"{nearest} exists and is not a directory")
 
 
 def _load(args) -> "Scenario":
@@ -31,6 +46,7 @@ def _load(args) -> "Scenario":
 
 def _cmd_run(args) -> int:
     scenario = _load(args)
+    _check_out(args.out)
     log = run(scenario)
     t_c = detect_convergence(log, scenario.convergence_threshold)
     metrics = compute_metrics(log, t_c) if t_c is not None else None
@@ -51,6 +67,7 @@ def _cmd_run(args) -> int:
 
 def _cmd_compare(args) -> int:
     scenario = _load(args)
+    _check_out(args.out)
     result = compare_runs(scenario, args.out)
     print("axis  rmse_proposed[m]  rmse_baseline[m]  ratio")
     for i, ax in enumerate("xyz"):
@@ -75,6 +92,7 @@ def _cmd_flow_grid(args) -> int:
         raise ScenarioError(
             f"--t must be comma-separated finite times, got {args.t!r}"
         ) from None
+    _check_out(args.out, is_file=True)
     path = export_flow_grid(
         scenario.flow.params, scenario.flow.layers, t_samples, args.out
     )
@@ -128,6 +146,9 @@ def main(argv=None) -> int:
         return args.func(args)
     except ScenarioError as exc:
         print(f"scenario error: {exc}", file=sys.stderr)
+        return 1
+    except OutputError as exc:
+        print(f"output error: {exc}", file=sys.stderr)
         return 1
     except SimulationAbort as exc:
         print(f"runtime abort: {exc}", file=sys.stderr)

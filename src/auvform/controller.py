@@ -30,6 +30,8 @@ from functools import cached_property
 import numpy as np
 
 from ._frozen import freeze_arrays, read_only
+from ._numpy_fast import clip as _clip
+from ._numpy_fast import einsum as _einsum
 
 
 @dataclass(frozen=True)
@@ -50,7 +52,7 @@ class SurfaceConfig:
 
     def __post_init__(self):
         freeze_arrays(self, lambda_s=(6,))
-        if np.any(self.lambda_s <= 0):
+        if (self.lambda_s <= 0).any():
             raise ValueError("surface gain entries must be positive")
         if self.integral_clamp <= 0:
             raise ValueError("integral clamp must be positive")
@@ -94,7 +96,7 @@ class AdaptiveGains:
 
     def __post_init__(self):
         freeze_arrays(self, k_gain=(6,), gamma=(6,))
-        if np.any(self.k_gain < 0) or np.any(self.gamma < 0):
+        if (self.k_gain < 0).any() or (self.gamma < 0).any():
             raise ValueError("adaptation gains must be nonnegative")
         if self.f_est_clamp < 0:
             raise ValueError(f"f_est_clamp must be nonnegative: got {self.f_est_clamp}")
@@ -119,11 +121,7 @@ def sliding_surface(
 ) -> np.ndarray:
     """sigma = eps_dot + 2 L eps + L^2 integral(eps)."""
     lam = cfg.lambda_s
-    return (
-        np.asarray(eps_dot, dtype=float)
-        + 2.0 * lam * np.asarray(eps, dtype=float)
-        + lam**2 * np.asarray(integral_eps, dtype=float)
-    )
+    return eps_dot + 2.0 * lam * eps + lam**2 * integral_eps
 
 
 def reference_rate(
@@ -131,11 +129,7 @@ def reference_rate(
 ) -> np.ndarray:
     """ed_r = ed_d - 2 L eps - L^2 integral(eps); sigma = e_dot - ed_r."""
     lam = cfg.lambda_s
-    return (
-        np.asarray(e_dot_d, dtype=float)
-        - 2.0 * lam * np.asarray(eps, dtype=float)
-        - lam**2 * np.asarray(integral_eps, dtype=float)
-    )
+    return e_dot_d - 2.0 * lam * eps - lam**2 * integral_eps
 
 
 def reference_accel(
@@ -143,11 +137,7 @@ def reference_accel(
 ) -> np.ndarray:
     """Time derivative of reference_rate: edd_r = edd_d - 2 L eps_dot - L^2 eps."""
     lam = cfg.lambda_s
-    return (
-        np.asarray(e_ddot_d, dtype=float)
-        - 2.0 * lam * np.asarray(eps_dot, dtype=float)
-        - lam**2 * np.asarray(eps, dtype=float)
-    )
+    return e_ddot_d - 2.0 * lam * eps_dot - lam**2 * eps
 
 
 def validate_gains(g: SuperTwistGains) -> list[str]:
@@ -182,10 +172,8 @@ def equivalent_control(
     g: SuperTwistGains,
 ) -> np.ndarray:
     """u1: fractional-power reaching term plus model feedforward J^T f_hat_r."""
-    sigma = np.asarray(sigma, dtype=float)
     reach = -g.lam * np.abs(sigma) ** g.rho * np.sign(sigma)
-    ff = np.einsum("...ji,...j->...i", jac_full, np.asarray(f_hat_r, dtype=float))
-    return reach + ff
+    return reach + _einsum("...ji,...j->...i", jac_full, f_hat_r)
 
 
 def adaptive_control(
@@ -196,13 +184,8 @@ def adaptive_control(
     jac_full: np.ndarray,
 ) -> np.ndarray:
     """u2 = J^T (f_est - (K + C_e_hat) sigma), continuous in sigma."""
-    sigma = np.asarray(sigma, dtype=float)
-    inner = (
-        np.asarray(f_est, dtype=float)
-        - gains.k_gain * sigma
-        - np.einsum("...ij,...j->...i", np.asarray(c_e_hat, dtype=float), sigma)
-    )
-    return np.einsum("...ji,...j->...i", jac_full, inner)
+    inner = f_est - gains.k_gain * sigma - _einsum("...ij,...j->...i", c_e_hat, sigma)
+    return _einsum("...ji,...j->...i", jac_full, inner)
 
 
 def adaptive_update(
@@ -211,8 +194,8 @@ def adaptive_update(
     """The next estimate: an Euler step of f_est_dot = -Gamma sigma, clamped per axis."""
     if dt <= 0:
         raise ValueError("dt must be positive")
-    f = np.asarray(f_est, dtype=float) - gains.gamma * np.asarray(sigma, dtype=float) * dt
-    return np.clip(f, -gains.f_est_clamp, gains.f_est_clamp)
+    f = f_est - gains.gamma * sigma * dt
+    return _clip(f, -gains.f_est_clamp, gains.f_est_clamp)
 
 
 def lyapunov_value(
@@ -224,8 +207,8 @@ def lyapunov_value(
     drop out of the estimate-error term.
     """
     return 0.5 * (
-        np.einsum("...i,...ij,...j->...", sigma, m_e, sigma)
-        + np.sum(w_vec**2 * gamma_pinv, axis=-1)
+        _einsum("...i,...ij,...j->...", sigma, m_e, sigma)
+        + np.add.reduce(w_vec**2 * gamma_pinv, axis=-1)
     )
 
 
@@ -238,10 +221,10 @@ def assumption_holds(
     gamma_pinv: np.ndarray,
 ) -> np.ndarray:
     """Monitored sigma^T (M_tilde_e + K) sigma >= |f_tilde_dot^T G^+ w| per row."""
-    left = np.einsum("...i,...ij,...j->...", sigma, m_tilde_e, sigma) + np.sum(
+    left = _einsum("...i,...ij,...j->...", sigma, m_tilde_e, sigma) + np.add.reduce(
         k_gain * sigma**2, axis=-1
     )
-    right = np.abs(np.sum(f_tilde_dot * gamma_pinv * w_vec, axis=-1))
+    right = np.abs(np.add.reduce(f_tilde_dot * gamma_pinv * w_vec, axis=-1))
     return left >= right
 
 
@@ -253,6 +236,5 @@ def first_order_smc(
     lam: float,
 ) -> np.ndarray:
     """Comparison baseline: u = J^T f_hat_r - lam sigma - w_gain sign(sigma)."""
-    sigma = np.asarray(sigma, dtype=float)
-    ff = np.einsum("...ji,...j->...i", jac_full, np.asarray(f_hat_r, dtype=float))
+    ff = _einsum("...ji,...j->...i", jac_full, f_hat_r)
     return ff - lam * sigma - w_gain * np.sign(sigma)

@@ -20,6 +20,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from ._frozen import read_only
+from ._numpy_fast import clip as _clip
+from ._numpy_fast import einsum as _einsum
 from .controller import (
     AdaptiveGains,
     ControllerState,
@@ -109,7 +111,6 @@ class FlowConfig:
         params, layers = self.params, self.layers
 
         def sample(pos: np.ndarray, t: float) -> np.ndarray:
-            pos = np.asarray(pos, dtype=float)
             return layered_velocity(
                 pos[..., 0], pos[..., 1], pos[..., 2], t, layers, params
             )
@@ -306,7 +307,7 @@ def _references(rt: SimRuntime, t: float, eta: np.ndarray, etadot: np.ndarray):
     if rt.prev_ed_d is not None and n_v > 1:
         # follower desired acceleration by finite difference of the rate
         edd_d[1:] = (ed_d[1:] - rt.prev_ed_d[1:]) / sc.dt
-    rt.prev_ed_d = ed_d.copy()
+    rt.prev_ed_d = ed_d
     return e_d, ed_d, edd_d
 
 
@@ -320,18 +321,18 @@ def _control_and_diagnostics(rt: SimRuntime, t: float):
     ctr = sc.controller
     eta = rt.y[:, :6]
     nu = rt.y[:, 6:]
-    if np.any(np.abs(eta[:, 4]) >= np.pi / 2 - PITCH_SINGULARITY_TOL):
+    if (np.abs(eta[:, 4]) >= np.pi / 2 - PITCH_SINGULARITY_TOL).any():
         raise SimulationAbort("pitch reached the transform singularity")
 
     eta2 = eta[:, 3:]
     pose = euler_pose(eta2)
     jac = jacobian(eta2, pose)
-    etadot = np.einsum("vij,vj->vi", jac, nu)
+    etadot = _einsum("vij,vj->vi", jac, nu)
     e_d, ed_d, edd_d = _references(rt, t, eta, etadot)
     eps, deps = tracking_error(eta, etadot, e_d, ed_d)
 
     clamp = ctr.surface.integral_clamp
-    rt.cstate.integral_eps = np.clip(rt.cstate.integral_eps + eps * sc.dt, -clamp, clamp)
+    rt.cstate.integral_eps = _clip(rt.cstate.integral_eps + eps * sc.dt, -clamp, clamp)
     integral = rt.cstate.integral_eps
 
     sigma = sliding_surface(eps, deps, integral, ctr.surface)
@@ -366,7 +367,7 @@ def _control_and_diagnostics(rt: SimRuntime, t: float):
         f_tilde_dot = np.zeros_like(f_tilde)
     else:
         f_tilde_dot = (f_tilde - rt.prev_f_tilde) / sc.dt
-    rt.prev_f_tilde = f_tilde.copy()
+    rt.prev_f_tilde = f_tilde
 
     m_e = m_e_h / rt.alpha
     m_tilde = (1.0 - rt.alpha) * m_e
@@ -376,8 +377,8 @@ def _control_and_diagnostics(rt: SimRuntime, t: float):
     )
 
     return {
-        "eta": eta.copy(),
-        "nu": nu.copy(),
+        "eta": eta,
+        "nu": nu,
         "etadot": etadot,
         "e_d": e_d,
         "ed_d": ed_d,
@@ -423,7 +424,7 @@ def step(rt: SimRuntime) -> dict:
         rt.y, t, tau6, sc.dt, rt.params, rt.sampler, rt.dist_model, rec["dist"]
     )
     rt.y[:, 3:6] = wrap_angle(rt.y[:, 3:6])
-    if not np.all(np.isfinite(rt.y)):
+    if not np.isfinite(rt.y).all():
         raise SimulationAbort("state became non-finite")
 
     rt.cstate.f_est = adaptive_update(rt.cstate.f_est, rt.cstate.adaptive, rec["sigma"], sc.dt)
@@ -497,7 +498,7 @@ def detect_convergence(log: SimLog, threshold: float) -> float | None:
     """
     if log.n_steps == 0:
         raise ValueError("empty log")
-    violating = np.any(np.abs(log.eps[:, :, :3]) >= threshold, axis=(1, 2))
+    violating = (np.abs(log.eps[:, :, :3]) >= threshold).any(axis=(1, 2))
     if not violating.any():
         return 0.0
     last = int(np.max(np.nonzero(violating)[0]))

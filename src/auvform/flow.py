@@ -101,7 +101,6 @@ class LayeredField:
 
     def layer_index(self, z):
         """Layer of each depth, 0 = surface band; -1 marks out-of-range."""
-        z = np.asarray(z, dtype=float)
         depth_frac = (self.z_top - z) / (self.z_top - self.z_bottom)
         idx = np.floor(depth_frac * self.n_layers).astype(int)
         idx = _clip(idx, 0, self.n_layers - 1)
@@ -141,9 +140,6 @@ class DisturbanceModel:
 
 def _jet_terms(x, y, t, p: FlowParams):
     """(b, cos phase, sin phase, num, den): each phase trig evaluated once."""
-    x = np.asarray(x, dtype=float)
-    y = np.asarray(y, dtype=float)
-    t = np.asarray(t, dtype=float)
     b = p.b0 + p.e_amp * np.cos(p.omega * t + p.theta0)
     phase = p.k * (x - p.c * t)
     cos_ph = np.cos(phase)
@@ -174,9 +170,6 @@ def flow_velocity(x, y, t, p: FlowParams) -> tuple[np.ndarray, np.ndarray]:
 
 def layered_velocity(x, y, z, t, fieldp: LayeredField, p: FlowParams) -> np.ndarray:
     """3-D current at world coordinates: layered, rescaled, capped horizontal flow."""
-    x = np.asarray(x, dtype=float)
-    y = np.asarray(y, dtype=float)
-    z = np.asarray(z, dtype=float)
     xj = (x - fieldp.jet_origin[0]) / fieldp.jet_scale
     yj = (y - fieldp.jet_origin[1]) / fieldp.jet_scale
     u, v = flow_velocity(xj, yj, t, p)
@@ -198,7 +191,7 @@ def layered_velocity(x, y, z, t, fieldp: LayeredField, p: FlowParams) -> np.ndar
         shrink = np.where(over, fieldp.speed_cap / np.where(over, speed, 1.0), 1.0)
         u = u * shrink
         v = v * shrink
-    out = np.empty(np.shape(u) + (3,))
+    out = np.empty(u.shape + (3,))
     out[..., 0] = u
     out[..., 1] = v
     out[..., 2] = 0.0
@@ -216,9 +209,6 @@ def disturbance_force(
 
     rot may carry a precomputed body-to-inertial rotation for the pose.
     """
-    flow_vel = np.asarray(flow_vel, dtype=float)
-    eta = np.asarray(eta, dtype=float)
-    nu = np.asarray(nu, dtype=float)
     if rot is None:
         rot = rotation_body_to_inertial(eta[..., ANG])
     vel_inertial = _einsum("...ij,...j->...i", rot, nu[..., POS])

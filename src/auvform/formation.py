@@ -163,9 +163,9 @@ def leader_reference(
         pos, vel, acc, psi, psid, psidd = _line(t, spec)
     else:
         pos, vel, acc, psi, psid, psidd = _waypoints(t, spec)
-    e_d = np.concatenate([pos, [0.0, 0.0, wrap_angle(psi)]])
-    ed_d = np.concatenate([vel, [0.0, 0.0, psid]])
-    edd_d = np.concatenate([acc, [0.0, 0.0, psidd]])
+    e_d, ed_d, edd_d = refs = np.zeros((3, 6))
+    refs[:, :3] = pos, vel, acc
+    refs[:, 5] = wrap_angle(psi), psid, psidd
     return e_d, ed_d, edd_d
 
 
@@ -179,8 +179,6 @@ def follower_references(
     zero; desired yaw is the leader's yaw plus the slot's relative yaw.
     rz @ xyz[..., None] gives each row the bits of a single 3x3 @ 3 product.
     """
-    leader_eta = np.asarray(leader_eta, dtype=float)
-    leader_etadot = np.asarray(leader_etadot, dtype=float)
     psi = leader_eta[5]
     psid = leader_etadot[5]
     c, s = np.cos(psi), np.sin(psi)
@@ -199,9 +197,6 @@ def tracking_error(
     eta: np.ndarray, etadot: np.ndarray, e_d: np.ndarray, ed_d: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray]:
     """eps = e - e_d (angle axes wrapped) and eps_dot = e_dot - ed_d, batched."""
-    eps = np.asarray(eta, dtype=float) - np.asarray(e_d, dtype=float)
-    eps = np.concatenate(
-        [eps[..., :3], wrap_angle(eps[..., 3:])], axis=-1
-    )
-    deps = np.asarray(etadot, dtype=float) - np.asarray(ed_d, dtype=float)
-    return eps, deps
+    eps = np.subtract(eta, e_d)
+    eps[..., 3:] = wrap_angle(eps[..., 3:])
+    return eps, np.subtract(etadot, ed_d)

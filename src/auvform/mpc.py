@@ -23,6 +23,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from ._numpy_fast import clip as _clip
 from ._numpy_fast import einsum as _einsum
 from .flow import DisturbanceModel
 from .plant import FlowSampler, Time, advance_plant
@@ -74,7 +75,7 @@ class MpcShell:
 
     def clip(self, nominal: np.ndarray) -> np.ndarray:
         """The command to apply: nominal clipped to [tau_lo, tau_hi] per axis."""
-        return np.clip(nominal, self.cfg.tau_lo, self.cfg.tau_hi)
+        return _clip(nominal, self.cfg.tau_lo, self.cfg.tau_hi)
 
     def cost(self, rates: np.ndarray, ed_d: np.ndarray, edd_d: np.ndarray) -> np.ndarray:
         """Tracking cost (B,) of predicted rates (B, n_e, 6) against the references.
@@ -83,7 +84,7 @@ class MpcShell:
         from ed_d and edd_d (B, 6) at the rollout's start.
         """
         ed_seq = ed_d[:, None, :] + edd_d[:, None, :] * self.steps
-        return np.sum((rates - ed_seq) ** 2, axis=(-1, -2))
+        return np.add.reduce((rates - ed_seq) ** 2, axis=(-1, -2))
 
     def rollout(
         self, y0: np.ndarray, t0: Time, u: np.ndarray, d_o: np.ndarray | None = None
@@ -137,7 +138,7 @@ class MpcShell:
         cost = self.cost(rates, ed_d, edd_d)
         err = poses - e_seq
         err[..., 3:] = wrap_angle(err[..., 3:])
-        feasible = np.all((err >= cfg.state_lo) & (err <= cfg.state_hi), axis=(-1, -2))
+        feasible = ((err >= cfg.state_lo) & (err <= cfg.state_hi)).all(axis=(-1, -2))
         return np.repeat(u[:, None], cfg.n_e, axis=1), cost, feasible
 
 

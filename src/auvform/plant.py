@@ -20,7 +20,10 @@ wrench and tau_c = J^T d_o; the Euler-rate matrix T^-1 of the kinematics
 and of tau_c; and the restoring term.  Every elementwise expression keeps
 its operand order and every contraction its einsum/matmul form, so the
 result is byte-identical to evaluating each term from the angles;
-tests/test_plant.py holds that unfused form as its reference.
+tests/test_plant.py holds that unfused form as its reference.  Call overhead
+may go but no operand or ufunc may change: each einsum writes its block of
+the result through out=, and the C entry points of _numpy_fast give the bytes
+numpy's Python wrappers give.
 """
 
 from __future__ import annotations
@@ -83,27 +86,25 @@ def plant_derivative(
     d_o, when given, is the inertial disturbance wrench at (y, t); the flow
     is then not sampled.  It is only used while the flow is on.
     """
-    y = np.asarray(y, dtype=float)
     eta = y[..., :6]
     nu = y[..., 6:]
     eta2 = eta[..., 3:]
     trig = euler_trig(eta2)
     rot = rotation_body_to_inertial(eta2, trig)
     out = np.empty_like(y)
-    out[..., :3] = _einsum("...ij,...j->...i", rot, nu[..., :3])
-    out[..., 3:6] = _einsum("...ij,...j->...i", body_rate_to_euler(eta2, trig), nu[..., 3:])
+    _einsum("...ij,...j->...i", rot, nu[..., :3], out=out[..., :3])
+    _einsum("...ij,...j->...i", body_rate_to_euler(eta2, trig), nu[..., 3:], out=out[..., 3:6])
     if flow_sampler is not None:
         if d_o is None:
             d_o = flow_disturbance(y, t, flow_sampler, dist_model, rot)
         # tau_c = J^T d_o, blockwise: rotation and Euler-rate blocks
         tau_c = np.empty_like(nu)
-        tau_c[..., :3] = _einsum("...ji,...j->...i", rot, d_o[..., :3])
+        _einsum("...ji,...j->...i", rot, d_o[..., :3], out=tau_c[..., :3])
         # T^-1 is rebuilt (from the same trig) rather than reused: the
         # benchmark's smoke test (perfbench/test_harness.py) expects three
         # transform builds per derivative in vehicle.trig_calls_per_derivative
-        tau_c[..., 3:] = _einsum(
-            "...ji,...j->...i", body_rate_to_euler(eta2, trig), d_o[..., 3:]
-        )
+        t_inv = body_rate_to_euler(eta2, trig)
+        _einsum("...ji,...j->...i", t_inv, d_o[..., 3:], out=tau_c[..., 3:])
     else:
         tau_c = np.zeros_like(nu)
     out[..., 6:] = acceleration_body(eta, nu, tau, tau_c, params, trig)

@@ -107,7 +107,6 @@ def allocate(tau: np.ndarray, cfg: ThrusterConfig) -> tuple[np.ndarray, np.ndarr
     the unsaturated thrusters against what the saturated ones left over.
     The pseudo-inverses are cached on cfg, once per free set.
     """
-    tau = np.asarray(tau, dtype=float)
     b = cfg.tcm
     b_pinv, free_pinv = cfg._pseudo_inverses
     u = b_pinv @ tau

@@ -13,7 +13,10 @@ disturbance d_o is inertial and enters the body dynamics as J^T d_o.
 States and wrenches are plain float arrays with the 6-vector on the last
 axis.  Every helper broadcasts over leading axes, so the one implementation
 serves a single vehicle, the fleet (engine), and a batch of predictive
-rollouts (MPC); the pitch singularity is checked by the caller.
+rollouts (MPC); the pitch singularity is checked by the caller.  Exactness:
+a speed-up keeps every contraction's operands and every transcendental ufunc
+(a contiguous copy of a transposed inertia block changes the matmul's bits,
+and math.cosh and math.hypot differ from np.cosh and np.hypot on some inputs).
 """
 
 from __future__ import annotations
@@ -24,6 +27,7 @@ from functools import cached_property
 import numpy as np
 
 from ._frozen import freeze_arrays, read_only
+from ._numpy_fast import einsum as _einsum
 
 PITCH_SINGULARITY_TOL = 1e-6
 
@@ -52,7 +56,6 @@ def wrap_angle(a):
 
 def skew(v: np.ndarray) -> np.ndarray:
     """Cross-product matrix, batched over leading axes: skew(a) @ b = a x b."""
-    v = np.asarray(v, dtype=float)
     m = np.zeros(v.shape[:-1] + (3, 3))
     m[..., 0, 1] = -v[..., 2]
     m[..., 0, 2] = v[..., 1]
@@ -98,9 +101,9 @@ class RigidBodyParams:
             raise ValueError("inertia must be 6x6")
         if not np.allclose(self.inertia, self.inertia.T, atol=1e-12):
             raise ValueError("inertia must be symmetric")
-        if np.any(np.linalg.eigvalsh(self.inertia) <= 0):
+        if (np.linalg.eigvalsh(self.inertia) <= 0).any():
             raise ValueError("inertia must be positive definite")
-        if np.any(self.d_linear < 0) or np.any(self.d_quad < 0):
+        if (self.d_linear < 0).any() or (self.d_quad < 0).any():
             raise ValueError("damping coefficients must be nonnegative")
         if not 0.0 < self.mismatch_factor <= 1.0:
             raise ValueError("mismatch_factor must lie in (0, 1]")
@@ -123,7 +126,6 @@ class RigidBodyParams:
 
     def damping(self, nu: np.ndarray) -> np.ndarray:
         """D(q) as a matrix, batched: diag(d_linear + d_quad * |q|)."""
-        nu = np.asarray(nu, dtype=float)
         diag = self.d_linear + self.d_quad * np.abs(nu)
         out = np.zeros(nu.shape[:-1] + (6, 6))
         idx = np.arange(6)
@@ -132,12 +134,10 @@ class RigidBodyParams:
 
     def damping_force(self, nu: np.ndarray) -> np.ndarray:
         """D(q) @ q without materializing the matrix."""
-        nu = np.asarray(nu, dtype=float)
         return (self.d_linear + self.d_quad * np.abs(nu)) * nu
 
     def coriolis(self, nu: np.ndarray) -> np.ndarray:
         """Rigid-body/added-mass Coriolis matrix C(q), skew-symmetric, batched."""
-        nu = np.asarray(nu, dtype=float)
         nu1 = nu[..., POS]
         nu2 = nu[..., ANG]
         m = self.inertia
@@ -159,7 +159,6 @@ class RigidBodyParams:
 
     def coriolis_force(self, nu: np.ndarray) -> np.ndarray:
         """C(q) @ q via cross products, avoiding the matrix build."""
-        nu = np.asarray(nu, dtype=float)
         nu1 = nu[..., POS]
         nu2 = nu[..., ANG]
         m11_t, m12_t, m21_t, m22_t = self._inertia_blocks_t
@@ -179,10 +178,9 @@ class RigidBodyParams:
 
         trig may carry euler_trig(eta2) already computed for the pose.
         """
-        eta2 = np.asarray(eta2, dtype=float)
         cphi, sphi, cth, sth = (trig if trig is not None else euler_trig(eta2))[:4]
         # g[POS] = -buoyancy_net * up_body, up_body = [-sth, cth sphi, cth cphi]
-        g = np.empty(eta2.shape[:-1] + (6,))
+        g = np.empty(cphi.shape + (6,))
         nb = -self.buoyancy_net
         np.multiply(nb, -sth, out=g[..., 0])
         np.multiply(nb, cth * sphi, out=g[..., 1])
@@ -208,11 +206,10 @@ def euler_trig(eta2: np.ndarray) -> tuple[np.ndarray, ...]:
 
 def rotation_body_to_inertial(eta2: np.ndarray, trig: tuple | None = None) -> np.ndarray:
     """ZYX rotation matrix taking body-frame vectors to the inertial frame."""
-    eta2 = np.asarray(eta2, dtype=float)
     cphi, sphi, cth, sth, cpsi, spsi = trig if trig is not None else euler_trig(eta2)
     cpsi_sth = cpsi * sth
     spsi_sth = spsi * sth
-    m = np.empty(eta2.shape[:-1] + (3, 3))
+    m = np.empty(cphi.shape + (3, 3))
     # each entry is written by its last ufunc (out=), saving a copy per entry
     np.multiply(cpsi, cth, out=m[..., 0, 0])
     np.subtract(cpsi_sth * sphi, spsi * cphi, out=m[..., 0, 1])
@@ -228,9 +225,8 @@ def rotation_body_to_inertial(eta2: np.ndarray, trig: tuple | None = None) -> np
 
 def euler_rate_to_body(eta2: np.ndarray, trig: tuple | None = None) -> np.ndarray:
     """T(e): maps Euler-angle rates to body angular velocity, nu2 = T @ eta2_dot."""
-    eta2 = np.asarray(eta2, dtype=float)
     cphi, sphi, cth, sth = (trig if trig is not None else euler_trig(eta2))[:4]
-    m = np.zeros(eta2.shape[:-1] + (3, 3))
+    m = np.zeros(cphi.shape + (3, 3))
     m[..., 0, 0] = 1.0
     m[..., 0, 2] = -sth
     m[..., 1, 1] = cphi
@@ -242,10 +238,9 @@ def euler_rate_to_body(eta2: np.ndarray, trig: tuple | None = None) -> np.ndarra
 
 def body_rate_to_euler(eta2: np.ndarray, trig: tuple | None = None) -> np.ndarray:
     """Inverse of euler_rate_to_body: eta2_dot = T^-1 @ nu2."""
-    eta2 = np.asarray(eta2, dtype=float)
     cphi, sphi, cth, sth = (trig if trig is not None else euler_trig(eta2))[:4]
     tth = sth / cth
-    m = np.zeros(eta2.shape[:-1] + (3, 3))
+    m = np.zeros(cphi.shape + (3, 3))
     m[..., 0, 0] = 1.0
     np.multiply(sphi, tth, out=m[..., 0, 1])
     np.multiply(cphi, tth, out=m[..., 0, 2])
@@ -289,8 +284,6 @@ def jacobian_dot(
     Uses R_dot = R @ skew(nu2) for the rotation block and the phi/theta
     partials of the Euler-rate block.
     """
-    eta2 = np.asarray(eta2, dtype=float)
-    nu2 = np.asarray(nu2, dtype=float)
     trig, rot = pose if pose is not None else euler_pose(eta2)
     rot_dot = rot @ skew(nu2)
 
@@ -298,11 +291,11 @@ def jacobian_dot(
     tth = sth / cth
     sec2 = 1.0 / cth**2
 
-    eta2_dot = np.einsum("...ij,...j->...i", body_rate_to_euler(eta2, trig), nu2)
+    eta2_dot = _einsum("...ij,...j->...i", body_rate_to_euler(eta2, trig), nu2)
     phid = eta2_dot[..., 0]
     thd = eta2_dot[..., 1]
 
-    ang_dot = np.zeros(eta2.shape[:-1] + (3, 3))
+    ang_dot = np.zeros(cphi.shape + (3, 3))
     ang_dot[..., 0, 1] = cphi * tth * phid + sphi * sec2 * thd
     ang_dot[..., 0, 2] = -sphi * tth * phid + cphi * sec2 * thd
     ang_dot[..., 1, 1] = -sphi * phid
@@ -328,14 +321,11 @@ def acceleration_body(
     the matrix kernel when M is not diagonal, so a lone row is multiplied as
     the first of two.
     """
-    nu = np.asarray(nu, dtype=float)
-    rhs = (
-        np.asarray(tau, dtype=float)
-        - np.asarray(tau_c, dtype=float)
-        - params.coriolis_force(nu)
-        - params.damping_force(nu)
-        - params.restoring(np.asarray(eta, dtype=float)[..., ANG], trig)
-    )
+    # tau - tau_c - C q - D q - g, left to right, in one array of the full broadcast shape
+    rhs = np.subtract(tau, tau_c, out=np.empty(np.broadcast(tau, tau_c, eta, nu).shape))
+    rhs -= params.coriolis_force(nu)
+    rhs -= params.damping_force(nu)
+    rhs -= params.restoring(eta[..., ANG], trig)
     rows = rhs.reshape(-1, 6)
     if len(rows) == 1:
         return (np.concatenate([rows, rows]) @ params.inertia_inv.T)[0].reshape(rhs.shape)
@@ -358,8 +348,6 @@ def inertial_matrices(
     D_e = J^-T D J^-1
     g_e = J^-T g
     """
-    eta2 = np.asarray(eta2, dtype=float)
-    nu = np.asarray(nu, dtype=float)
     pose = pose if pose is not None else euler_pose(eta2)
     jinv = jacobian_inv(eta2, pose)
     jinv_t = np.swapaxes(jinv, -1, -2)
@@ -373,7 +361,7 @@ def inertial_matrices(
     m_e = jinv_t @ m @ jinv
     c_e = jinv_t @ (c - m @ jinv @ jdot) @ jinv
     d_e = jinv_t @ d @ jinv
-    g_e = np.einsum("...ij,...j->...i", jinv_t, g)
+    g_e = _einsum("...ij,...j->...i", jinv_t, g)
     return m_e, c_e, d_e, g_e
 
 
@@ -390,8 +378,8 @@ def reference_dynamics(
     """
     m_e, c_e, d_e, g_e = mats
     return (
-        np.einsum("...ij,...j->...i", m_e, eddot_r)
-        + np.einsum("...ij,...j->...i", c_e, ed_r)
-        + np.einsum("...ij,...j->...i", d_e, e_dot)
+        _einsum("...ij,...j->...i", m_e, eddot_r)
+        + _einsum("...ij,...j->...i", c_e, ed_r)
+        + _einsum("...ij,...j->...i", d_e, e_dot)
         + g_e
     )

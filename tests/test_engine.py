@@ -1,10 +1,13 @@
 """Simulation engine tests: integrator, determinism, convergence, metrics."""
 
+import ast
 import dataclasses
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import auvform
 from auvform.controller import adaptive_update
 from auvform.engine import (
     ControllerConfig,
@@ -247,6 +250,24 @@ def test_every_config_in_the_scenario_tree_is_frozen():
         "AdaptiveGains", "FlowConfig", "FlowParams", "LayeredField", "DisturbanceModel",
         "MpcConfig",
     }
+
+
+STEP_PATH = ("engine", "controller", "vehicle", "plant", "flow", "formation", "thrusters", "mpc")
+# Python wrappers over a C entry point the step calls directly, with the same
+# bits: _numpy_fast.einsum and .clip, np.add.reduce, ndarray.any and .all
+WRAPPERS = {"einsum", "clip", "sum", "any", "all"}
+
+
+def test_step_path_calls_no_numpy_wrapper():
+    found = []
+    for name in STEP_PATH:
+        source = (Path(auvform.__file__).parent / f"{name}.py").read_text()
+        assert "import numpy as np\n" in source
+        for node in ast.walk(ast.parse(source)):
+            if (isinstance(node, ast.Attribute) and node.attr in WRAPPERS
+                    and isinstance(node.value, ast.Name) and node.value.id == "np"):
+                found.append(f"{name}.py:{node.lineno}: np.{node.attr}")
+    assert found == []
 
 
 def test_adaptive_gains_reject_every_write():

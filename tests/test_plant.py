@@ -291,6 +291,21 @@ def test_advance_bytes_match_unfused_reference(shape, flow_name):
             y = got
 
 
+@pytest.mark.parametrize("flow_name", list(FLOWS))
+def test_held_wrench_matches_the_tiled_wrench(flow_name):
+    flow = FLOWS[flow_name]
+    y, tau = states(12, 4), wrench(12, 4)[5]
+    tiled = np.tile(tau, (12, 1))
+    assert_same_bytes(
+        plant_derivative(y, 7.3, tau, PARAMS, *flow_args(flow)),
+        plant_derivative(y, 7.3, tiled, PARAMS, *flow_args(flow)),
+    )
+    assert_same_bytes(
+        advance_plant(y, 7.3, tau, 0.01, PARAMS, *flow_args(flow)),
+        advance_plant(y, 7.3, tiled, 0.01, PARAMS, *flow_args(flow)),
+    )
+
+
 def test_cases_reach_every_branch():
     y = states(36, 0)
     capped = FLOWS["capped"]

@@ -495,6 +495,40 @@ def test_cli_bad_input_is_a_scenario_error(tmp_path, argv, key):
     assert not paths["out"].exists()
 
 
+@pytest.mark.parametrize(
+    ("argv", "message"),
+    [
+        (["run", "{scenario}", "-o", "{file}"], "{file} exists and is not a directory"),
+        (["run", "{scenario}", "-o", "{file}/results"], "{file} exists and is not a directory"),
+        (["compare", "{scenario}", "-o", "{file}"], "{file} exists and is not a directory"),
+        (["flow-grid", "{scenario}", "-o", "{file}/grid.csv"],
+         "{file} exists and is not a directory"),
+        (["flow-grid", "{scenario}", "-o", "{dir}"], "{dir} is a directory"),
+    ],
+    ids=["run-onto-file", "run-under-file", "compare-onto-file", "grid-under-file",
+         "grid-onto-dir"],
+)
+def test_cli_unwritable_output_is_an_output_error(tmp_path, argv, message):
+    paths = {
+        "scenario": write(tmp_path, quick_scenario_yaml(duration=0.5)),
+        "file": tmp_path / "taken",
+        "dir": tmp_path / "folder",
+    }
+    paths["file"].write_text("kept\n")
+    paths["dir"].mkdir()
+    before = sorted(tmp_path.rglob("*"))
+    env = dict(os.environ, PYTHONPATH=str(Path(auvform.__file__).parents[1]))
+    done = subprocess.run(
+        [sys.executable, "-m", "auvform.cli", *(a.format(**paths) for a in argv)],
+        capture_output=True, text=True, env=env, timeout=120,
+    )
+    assert done.returncode == 1
+    assert done.stderr == f"output error: {message.format(**paths)}\n"
+    assert done.stdout == ""
+    assert sorted(tmp_path.rglob("*")) == before
+    assert paths["file"].read_text() == "kept\n"
+
+
 @pytest.mark.parametrize("key", ["u1_saturated: true", "u2_mode: supertwist",
                                  "sigma0: 0.1", "u_max: 1.0", "rate_divider: 1"])
 def test_removed_controller_keys_rejected(tmp_path, key):

@@ -276,6 +276,21 @@ def test_acceleration_rows_do_not_depend_on_the_batch_size():
         assert part.tobytes() == full[:n].tobytes()
 
 
+def test_held_wrench_broadcasts_over_the_rows():
+    # a (6,) wrench held over (B, 6) rows, as a caller with one command for
+    # every row passes it: the right-hand side takes the rows' shape
+    rng = np.random.default_rng(5)
+    eta, nu = random_states(rng, 9)
+    tau = rng.uniform(-20.0, 20.0, 6)
+    tau_c = rng.uniform(-5.0, 5.0, 6)
+    tau_rows, tau_c_rows = np.tile(tau, (9, 1)), np.tile(tau_c, (9, 1))
+    params = RigidBodyParams()
+    tiled = acceleration_body(eta, nu, tau_rows, tau_c_rows, params)
+    for held in ((tau, tau_c), (tau, tau_c_rows), (tau_rows, tau_c)):
+        got = acceleration_body(eta, nu, *held, params)
+        assert got.shape == (9, 6) and got.tobytes() == tiled.tobytes()
+
+
 def test_coriolis_skew():
     rng = np.random.default_rng(7)
     params = RigidBodyParams()
