@@ -4,8 +4,8 @@ With the default optimize=False, np.einsum(subscripts, *operands) returns
 c_einsum(subscripts, *operands); np.clip(a, lo, hi) with both bounds given
 returns the clip ufunc applied to a.  Same arithmetic, same bits; at the
 batch sizes of the engine step (a few rows) the Python wrappers cost more
-than the work they wrap.  tests/test_engine.py keeps the step-path modules
-off np.einsum, np.clip, np.sum, np.any and np.all.
+than the work they wrap.  A test in tests/test_engine.py keeps the
+step-path modules off these and other numpy wrappers.
 """
 
 try:

@@ -187,7 +187,7 @@ def layered_velocity(x, y, z, t, fieldp: LayeredField, p: FlowParams) -> np.ndar
     v = v * scale
     speed = np.hypot(u, v)
     over = speed > fieldp.speed_cap
-    if np.count_nonzero(over):
+    if over.any():
         shrink = np.where(over, fieldp.speed_cap / np.where(over, speed, 1.0), 1.0)
         u = u * shrink
         v = v * shrink

@@ -112,10 +112,10 @@ def allocate(tau: np.ndarray, cfg: ThrusterConfig) -> tuple[np.ndarray, np.ndarr
     u = b_pinv @ tau
     lim = cfg.u_limit
     sat = np.abs(u) > lim
-    if np.count_nonzero(sat):
+    if sat.any():
         u = _clip(u, -lim, lim)
         free = ~sat
-        if np.count_nonzero(free):
+        if free.any():
             rem = tau - b[:, sat] @ u[sat]
             key = free.tobytes()
             if key not in free_pinv:

@@ -197,7 +197,6 @@ def euler_trig(eta2: np.ndarray) -> tuple[np.ndarray, ...]:
     The pose functions below accept this tuple as `trig` so that one
     evaluation serves every transform built at the same pose.
     """
-    eta2 = np.asarray(eta2, dtype=float)
     phi, theta, psi = eta2[..., 0], eta2[..., 1], eta2[..., 2]
     return (
         np.cos(phi), np.sin(phi), np.cos(theta), np.sin(theta), np.cos(psi), np.sin(psi)
@@ -273,7 +272,7 @@ def jacobian(eta2: np.ndarray, pose: tuple | None = None) -> np.ndarray:
 def jacobian_inv(eta2: np.ndarray, pose: tuple | None = None) -> np.ndarray:
     """Analytic inverse of J(e) (rotation transpose, Euler-rate matrix)."""
     trig, rot = pose if pose is not None else euler_pose(eta2)
-    return _block_diag_3(np.swapaxes(rot, -1, -2), euler_rate_to_body(eta2, trig))
+    return _block_diag_3(rot.swapaxes(-1, -2), euler_rate_to_body(eta2, trig))
 
 
 def jacobian_dot(
@@ -350,7 +349,7 @@ def inertial_matrices(
     """
     pose = pose if pose is not None else euler_pose(eta2)
     jinv = jacobian_inv(eta2, pose)
-    jinv_t = np.swapaxes(jinv, -1, -2)
+    jinv_t = jinv.swapaxes(-1, -2)
     jdot = jacobian_dot(eta2, nu[..., ANG], pose)
 
     m = scale * params.inertia

@@ -254,8 +254,8 @@ def test_every_config_in_the_scenario_tree_is_frozen():
 
 STEP_PATH = ("engine", "controller", "vehicle", "plant", "flow", "formation", "thrusters", "mpc")
 # Python wrappers over a C entry point the step calls directly, with the same
-# bits: _numpy_fast.einsum and .clip, np.add.reduce, ndarray.any and .all
-WRAPPERS = {"einsum", "clip", "sum", "any", "all"}
+# bits: _numpy_fast.einsum and .clip, np.add.reduce and the ndarray methods
+WRAPPERS = {"einsum", "clip", "sum", "any", "all", "count_nonzero", "swapaxes"}
 
 
 def test_step_path_calls_no_numpy_wrapper():
