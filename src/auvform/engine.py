@@ -166,6 +166,12 @@ class Scenario:
         if self.initial_states is not None:
             if len(self.initial_states) != self.n_vehicles:
                 raise ValueError("initial_states length must match vehicle count")
+            for i, state in enumerate(self.initial_states):
+                if state.shape != (12,) or not np.isfinite(state).all():
+                    raise ValueError(
+                        f"initial_states[{i}] must be a finite [eta, nu] 12-vector, "
+                        f"got {state.tolist()}"
+                    )
 
     @property
     def n_vehicles(self) -> int:
@@ -205,10 +211,6 @@ class SimLog:
     @property
     def n_vehicles(self) -> int:
         return self.eta.shape[1]
-
-    @classmethod
-    def empty(cls, n_vehicles: int = 0) -> "SimLog":
-        return cls.allocate(0, n_vehicles)
 
     @classmethod
     def allocate(cls, n_records: int, n_vehicles: int) -> "SimLog":
@@ -287,7 +289,7 @@ class SimRuntime:
         e_l, ed_l, _ = leader_reference(0.0, sc.trajectory)
         e_f, ed_f = follower_references(e_l, ed_l, sc.formation)
         e_d, ed_d = np.vstack([e_l, e_f]), np.vstack([ed_l, ed_f])
-        nu = (jacobian_inv(e_d[:, 3:]) @ ed_d[..., None])[..., 0]
+        nu = (jacobian_inv(euler_pose(e_d[:, 3:])) @ ed_d[..., None])[..., 0]
         return np.concatenate([e_d, nu], axis=1)
 
     @property
@@ -324,9 +326,8 @@ def _control_and_diagnostics(rt: SimRuntime, t: float):
     if (np.abs(eta[:, 4]) >= np.pi / 2 - PITCH_SINGULARITY_TOL).any():
         raise SimulationAbort("pitch reached the transform singularity")
 
-    eta2 = eta[:, 3:]
-    pose = euler_pose(eta2)
-    jac = jacobian(eta2, pose)
+    pose = euler_pose(eta[:, 3:])
+    jac = jacobian(pose)
     etadot = _einsum("vij,vj->vi", jac, nu)
     e_d, ed_d, edd_d = _references(rt, t, eta, etadot)
     eps, deps = tracking_error(eta, etadot, e_d, ed_d)
@@ -339,7 +340,7 @@ def _control_and_diagnostics(rt: SimRuntime, t: float):
     ed_r = reference_rate(ed_d, eps, integral, ctr.surface)
     edd_r = reference_accel(edd_d, eps, deps, ctr.surface)
 
-    mats_h = inertial_matrices(eta2, nu, rt.params, scale=rt.alpha, pose=pose)
+    mats_h = inertial_matrices(pose, nu, rt.params, scale=rt.alpha)
     m_e_h, c_e_h, _, _ = mats_h
     f_hat_r = reference_dynamics(mats_h, edd_r, ed_r, etadot)
     f_est, gains = rt.cstate.f_est, rt.cstate.adaptive
@@ -357,7 +358,7 @@ def _control_and_diagnostics(rt: SimRuntime, t: float):
     f_r_true = f_hat_r / rt.alpha
     if rt.sampler is not None:
         flow_v = rt.sampler(eta[:, :3], t)
-        d_o = disturbance_force(flow_v, eta, nu, sc.flow.disturbance, rot=pose[1])
+        d_o = disturbance_force(flow_v, nu, pose[1], sc.flow.disturbance)
     else:
         flow_v = np.zeros((sc.n_vehicles, 3))
         d_o = np.zeros((sc.n_vehicles, 6))

@@ -26,7 +26,7 @@ import numpy as np
 from ._frozen import read_only
 from ._numpy_fast import clip as _clip
 from ._numpy_fast import einsum as _einsum
-from .vehicle import ANG, POS, rotation_body_to_inertial
+from .vehicle import POS
 
 # Supremum of the raw jet speed sqrt(U^2 + V^2) with the default parameters,
 # found by dense scan over one joint space/time period (observed 1.013953);
@@ -199,18 +199,12 @@ def layered_velocity(x, y, z, t, fieldp: LayeredField, p: FlowParams) -> np.ndar
 
 
 def disturbance_force(
-    flow_vel: np.ndarray,
-    eta: np.ndarray,
-    nu: np.ndarray,
-    model: DisturbanceModel,
-    rot: np.ndarray | None = None,
+    flow_vel: np.ndarray, nu: np.ndarray, rot: np.ndarray, model: DisturbanceModel
 ) -> np.ndarray:
     """Inertial disturbance wrench d_o = [C_x, C_y, 0, 0, 0, C_z], batched.
 
-    rot may carry a precomputed body-to-inertial rotation for the pose.
+    rot is the body-to-inertial rotation of the pose (rotation_body_to_inertial).
     """
-    if rot is None:
-        rot = rotation_body_to_inertial(eta[..., ANG])
     vel_inertial = _einsum("...ij,...j->...i", rot, nu[..., POS])
     # a fresh C-ordered array, as the reduction below depends on the layout
     v_xy = np.subtract(flow_vel, vel_inertial, order="C")

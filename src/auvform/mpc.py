@@ -27,13 +27,7 @@ from ._numpy_fast import clip as _clip
 from ._numpy_fast import einsum as _einsum
 from .flow import DisturbanceModel
 from .plant import FlowSampler, Time, advance_plant
-from .vehicle import (
-    RigidBodyParams,
-    body_rate_to_euler,
-    euler_trig,
-    rotation_body_to_inertial,
-    wrap_angle,
-)
+from .vehicle import RigidBodyParams, body_rate_to_euler, euler_pose, wrap_angle
 
 
 @dataclass(frozen=True)
@@ -55,7 +49,10 @@ class MpcConfig:
 
 
 class MpcShell:
-    """Stateless solver bound to one scenario's estimated model and flow."""
+    """Stateless solver bound to one scenario's estimated model and flow.
+
+    dist_model is required whenever flow_sampler is given; both are None with the flow off.
+    """
 
     def __init__(
         self,
@@ -145,11 +142,8 @@ class MpcShell:
 def _inertial_rates(y: np.ndarray) -> np.ndarray:
     """Inertial rates J q (rows, 6) of states y (rows, 12)."""
     # J q blockwise: R nu1 and T^-1 nu2
-    eta2 = y[..., 3:6]
-    trig = euler_trig(eta2)
+    trig, rot = euler_pose(y[..., 3:6])
     rates = np.empty(y.shape[:-1] + (6,))
-    rates[..., :3] = _einsum(
-        "...ij,...j->...i", rotation_body_to_inertial(eta2, trig), y[..., 6:9]
-    )
-    rates[..., 3:] = _einsum("...ij,...j->...i", body_rate_to_euler(eta2, trig), y[..., 9:])
+    rates[..., :3] = _einsum("...ij,...j->...i", rot, y[..., 6:9])
+    rates[..., 3:] = _einsum("...ij,...j->...i", body_rate_to_euler(trig), y[..., 9:])
     return rates

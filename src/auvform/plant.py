@@ -13,8 +13,8 @@ and the M^-1 product of acceleration_body gives a row the same bytes in a
 call of any size, so a row gets the bytes a separate call would give it.
 
 Per-derivative contract: plant_derivative evaluates cos/sin of the Euler
-angles once (euler_trig, on the same column slices of y as each transform
-would take) and hands them to every pose-dependent term: the rotation R,
+angles once (euler_trig), and every pose-dependent transform takes that
+evaluated trig rather than the angles: the rotation R,
 built once and shared by the kinematics eta_dot = J q, the disturbance
 wrench and tau_c = J^T d_o; the Euler-rate matrix T^-1 of the kinematics
 and of tau_c; and the restoring term.  Every elementwise expression keeps
@@ -56,22 +56,6 @@ def rk4_step(f, y: np.ndarray, t: Time, dt: float, k1: np.ndarray | None = None)
     return y + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
 
 
-def flow_disturbance(
-    y: np.ndarray,
-    t: Time,
-    flow_sampler: FlowSampler,
-    dist_model: DisturbanceModel | None = None,
-    rot: np.ndarray | None = None,
-) -> np.ndarray:
-    """Inertial disturbance wrench d_o at (y, t): the flow sampled at each row's position.
-
-    rot may carry the body-to-inertial rotation of the pose.
-    """
-    eta = y[..., :6]
-    model = dist_model if dist_model is not None else DisturbanceModel()
-    return disturbance_force(flow_sampler(eta[..., :3], t), eta, y[..., 6:], model, rot=rot)
-
-
 def plant_derivative(
     y: np.ndarray,
     t: Time,
@@ -83,31 +67,31 @@ def plant_derivative(
 ) -> np.ndarray:
     """d/dt [eta, nu] under a held body wrench and the current disturbance.
 
-    d_o, when given, is the inertial disturbance wrench at (y, t); the flow
-    is then not sampled.  It is only used while the flow is on.
+    dist_model is required whenever flow_sampler is given.  d_o, when given,
+    is the inertial disturbance wrench at (y, t); the flow is then not
+    sampled.  It is only used while the flow is on.
     """
     eta = y[..., :6]
     nu = y[..., 6:]
-    eta2 = eta[..., 3:]
-    trig = euler_trig(eta2)
-    rot = rotation_body_to_inertial(eta2, trig)
+    trig = euler_trig(eta[..., 3:])
+    rot = rotation_body_to_inertial(trig)
     out = np.empty_like(y)
     _einsum("...ij,...j->...i", rot, nu[..., :3], out=out[..., :3])
-    _einsum("...ij,...j->...i", body_rate_to_euler(eta2, trig), nu[..., 3:], out=out[..., 3:6])
+    _einsum("...ij,...j->...i", body_rate_to_euler(trig), nu[..., 3:], out=out[..., 3:6])
     if flow_sampler is not None:
         if d_o is None:
-            d_o = flow_disturbance(y, t, flow_sampler, dist_model, rot)
+            d_o = disturbance_force(flow_sampler(eta[..., :3], t), nu, rot, dist_model)
         # tau_c = J^T d_o, blockwise: rotation and Euler-rate blocks
         tau_c = np.empty_like(nu)
         _einsum("...ji,...j->...i", rot, d_o[..., :3], out=tau_c[..., :3])
         # T^-1 is rebuilt (from the same trig) rather than reused: the
         # benchmark's smoke test (perfbench/test_harness.py) expects three
         # transform builds per derivative in vehicle.trig_calls_per_derivative
-        t_inv = body_rate_to_euler(eta2, trig)
+        t_inv = body_rate_to_euler(trig)
         _einsum("...ji,...j->...i", t_inv, d_o[..., 3:], out=tau_c[..., 3:])
     else:
         tau_c = np.zeros_like(nu)
-    out[..., 6:] = acceleration_body(eta, nu, tau, tau_c, params, trig)
+    out[..., 6:] = acceleration_body(nu, tau, tau_c, params, trig)
     return out
 
 
@@ -123,7 +107,8 @@ def advance_plant(
 ) -> np.ndarray:
     """RK4-advance the plant by dt with the wrench held constant.
 
-    d_o, when given, is the disturbance wrench at (y, t), used by k1.
+    dist_model is required whenever flow_sampler is given.  d_o, when
+    given, is the disturbance wrench at (y, t), used by k1.
     """
     y = np.asarray(y, dtype=float)
 

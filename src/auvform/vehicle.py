@@ -13,7 +13,10 @@ disturbance d_o is inertial and enters the body dynamics as J^T d_o.
 States and wrenches are plain float arrays with the 6-vector on the last
 axis.  Every helper broadcasts over leading axes, so the one implementation
 serves a single vehicle, the fleet (engine), and a batch of predictive
-rollouts (MPC); the pitch singularity is checked by the caller.  Exactness:
+rollouts (MPC); the pitch singularity is checked by the caller.  The pose
+transforms take the evaluated trig, euler_trig(eta2), or the evaluated pose,
+euler_pose(eta2) = (trig, R), never the angles, so one evaluation of cos/sin
+serves every transform built at a pose.  Exactness:
 a speed-up keeps every contraction's operands and every transcendental ufunc
 (a contiguous copy of a transposed inertia block changes the matmul's bits,
 and math.cosh and math.hypot differ from np.cosh and np.hypot on some inputs).
@@ -173,12 +176,9 @@ class RigidBodyParams:
         out[..., ANG] -= cross[..., 6:]
         return out
 
-    def restoring(self, eta2: np.ndarray, trig: tuple | None = None) -> np.ndarray:
-        """Gravity/buoyancy vector g(e) in the body frame (left-hand side sign).
-
-        trig may carry euler_trig(eta2) already computed for the pose.
-        """
-        cphi, sphi, cth, sth = (trig if trig is not None else euler_trig(eta2))[:4]
+    def restoring(self, trig: tuple) -> np.ndarray:
+        """Gravity/buoyancy vector g(e) in the body frame (left-hand side sign), from euler_trig."""
+        cphi, sphi, cth, sth = trig[:4]
         # g[POS] = -buoyancy_net * up_body, up_body = [-sth, cth sphi, cth cphi]
         g = np.empty(cphi.shape + (6,))
         nb = -self.buoyancy_net
@@ -194,7 +194,7 @@ class RigidBodyParams:
 def euler_trig(eta2: np.ndarray) -> tuple[np.ndarray, ...]:
     """(cos phi, sin phi, cos theta, sin theta, cos psi, sin psi), batched.
 
-    The pose functions below accept this tuple as `trig` so that one
+    The pose functions below take this tuple as `trig` so that one
     evaluation serves every transform built at the same pose.
     """
     phi, theta, psi = eta2[..., 0], eta2[..., 1], eta2[..., 2]
@@ -203,9 +203,9 @@ def euler_trig(eta2: np.ndarray) -> tuple[np.ndarray, ...]:
     )
 
 
-def rotation_body_to_inertial(eta2: np.ndarray, trig: tuple | None = None) -> np.ndarray:
+def rotation_body_to_inertial(trig: tuple) -> np.ndarray:
     """ZYX rotation matrix taking body-frame vectors to the inertial frame."""
-    cphi, sphi, cth, sth, cpsi, spsi = trig if trig is not None else euler_trig(eta2)
+    cphi, sphi, cth, sth, cpsi, spsi = trig
     cpsi_sth = cpsi * sth
     spsi_sth = spsi * sth
     m = np.empty(cphi.shape + (3, 3))
@@ -222,9 +222,9 @@ def rotation_body_to_inertial(eta2: np.ndarray, trig: tuple | None = None) -> np
     return m
 
 
-def euler_rate_to_body(eta2: np.ndarray, trig: tuple | None = None) -> np.ndarray:
+def euler_rate_to_body(trig: tuple) -> np.ndarray:
     """T(e): maps Euler-angle rates to body angular velocity, nu2 = T @ eta2_dot."""
-    cphi, sphi, cth, sth = (trig if trig is not None else euler_trig(eta2))[:4]
+    cphi, sphi, cth, sth = trig[:4]
     m = np.zeros(cphi.shape + (3, 3))
     m[..., 0, 0] = 1.0
     m[..., 0, 2] = -sth
@@ -235,9 +235,9 @@ def euler_rate_to_body(eta2: np.ndarray, trig: tuple | None = None) -> np.ndarra
     return m
 
 
-def body_rate_to_euler(eta2: np.ndarray, trig: tuple | None = None) -> np.ndarray:
+def body_rate_to_euler(trig: tuple) -> np.ndarray:
     """Inverse of euler_rate_to_body: eta2_dot = T^-1 @ nu2."""
-    cphi, sphi, cth, sth = (trig if trig is not None else euler_trig(eta2))[:4]
+    cphi, sphi, cth, sth = trig[:4]
     tth = sth / cth
     m = np.zeros(cphi.shape + (3, 3))
     m[..., 0, 0] = 1.0
@@ -260,37 +260,35 @@ def _block_diag_3(a: np.ndarray, b: np.ndarray) -> np.ndarray:
 def euler_pose(eta2: np.ndarray) -> tuple[tuple, np.ndarray]:
     """(euler_trig, R) of a pose: one evaluation, which the J-family takes as `pose`."""
     trig = euler_trig(eta2)
-    return trig, rotation_body_to_inertial(eta2, trig)
+    return trig, rotation_body_to_inertial(trig)
 
 
-def jacobian(eta2: np.ndarray, pose: tuple | None = None) -> np.ndarray:
-    """J(e) with eta_dot = J @ q, batched."""
-    trig, rot = pose if pose is not None else euler_pose(eta2)
-    return _block_diag_3(rot, body_rate_to_euler(eta2, trig))
+def jacobian(pose: tuple) -> np.ndarray:
+    """J(e) with eta_dot = J @ q, batched, from euler_pose(e)."""
+    trig, rot = pose
+    return _block_diag_3(rot, body_rate_to_euler(trig))
 
 
-def jacobian_inv(eta2: np.ndarray, pose: tuple | None = None) -> np.ndarray:
-    """Analytic inverse of J(e) (rotation transpose, Euler-rate matrix)."""
-    trig, rot = pose if pose is not None else euler_pose(eta2)
-    return _block_diag_3(rot.swapaxes(-1, -2), euler_rate_to_body(eta2, trig))
+def jacobian_inv(pose: tuple) -> np.ndarray:
+    """Analytic inverse of J(e) (rotation transpose, Euler-rate matrix), from euler_pose(e)."""
+    trig, rot = pose
+    return _block_diag_3(rot.swapaxes(-1, -2), euler_rate_to_body(trig))
 
 
-def jacobian_dot(
-    eta2: np.ndarray, nu2: np.ndarray, pose: tuple | None = None
-) -> np.ndarray:
+def jacobian_dot(pose: tuple, nu2: np.ndarray) -> np.ndarray:
     """Time derivative of J(e) along the motion, from the Euler-rate chain rule.
 
     Uses R_dot = R @ skew(nu2) for the rotation block and the phi/theta
     partials of the Euler-rate block.
     """
-    trig, rot = pose if pose is not None else euler_pose(eta2)
+    trig, rot = pose
     rot_dot = rot @ skew(nu2)
 
     cphi, sphi, cth, sth = trig[:4]
     tth = sth / cth
     sec2 = 1.0 / cth**2
 
-    eta2_dot = _einsum("...ij,...j->...i", body_rate_to_euler(eta2, trig), nu2)
+    eta2_dot = _einsum("...ij,...j->...i", body_rate_to_euler(trig), nu2)
     phid = eta2_dot[..., 0]
     thd = eta2_dot[..., 1]
 
@@ -305,26 +303,25 @@ def jacobian_dot(
 
 
 def acceleration_body(
-    eta: np.ndarray,
     nu: np.ndarray,
     tau: np.ndarray,
     tau_c: np.ndarray,
     params: RigidBodyParams,
-    trig: tuple | None = None,
+    trig: tuple,
 ) -> np.ndarray:
     """Body-frame acceleration q_dot = M^-1 (tau - tau_c - C q - D q - g), batched.
 
-    trig may carry euler_trig of the pose angles, passed on to the restoring term.
+    trig is euler_trig of the pose angles, for the restoring term.
     A row gets the same bytes alone as inside a call of any size: BLAS takes
     its vector kernel for a one-row product, which rounds differently from
     the matrix kernel when M is not diagonal, so a lone row is multiplied as
     the first of two.
     """
     # tau - tau_c - C q - D q - g, left to right, in one array of the full broadcast shape
-    rhs = np.subtract(tau, tau_c, out=np.empty(np.broadcast(tau, tau_c, eta, nu).shape))
+    rhs = np.subtract(tau, tau_c, out=np.empty(np.broadcast(tau, tau_c, nu).shape))
     rhs -= params.coriolis_force(nu)
     rhs -= params.damping_force(nu)
-    rhs -= params.restoring(eta[..., ANG], trig)
+    rhs -= params.restoring(trig)
     rows = rhs.reshape(-1, 6)
     if len(rows) == 1:
         return (np.concatenate([rows, rows]) @ params.inertia_inv.T)[0].reshape(rhs.shape)
@@ -332,30 +329,28 @@ def acceleration_body(
 
 
 def inertial_matrices(
-    eta2: np.ndarray,
+    pose: tuple,
     nu: np.ndarray,
     params: RigidBodyParams,
     scale: float = 1.0,
-    pose: tuple | None = None,
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
     """(M_e, C_e, D_e, g_e) batched; `scale` yields the hatted (estimated) model.
 
-    pose (euler_pose of eta2) serves J^-1, J_dot and g from one evaluation.
+    pose (euler_pose of the angles) serves J^-1, J_dot and g from one evaluation.
 
     M_e = J^-T M J^-1
     C_e = J^-T [C - M J^-1 J_dot] J^-1
     D_e = J^-T D J^-1
     g_e = J^-T g
     """
-    pose = pose if pose is not None else euler_pose(eta2)
-    jinv = jacobian_inv(eta2, pose)
+    jinv = jacobian_inv(pose)
     jinv_t = jinv.swapaxes(-1, -2)
-    jdot = jacobian_dot(eta2, nu[..., ANG], pose)
+    jdot = jacobian_dot(pose, nu[..., ANG])
 
     m = scale * params.inertia
     c = scale * params.coriolis(nu)
     d = scale * params.damping(nu)
-    g = scale * params.restoring(eta2, pose[0])
+    g = scale * params.restoring(pose[0])
 
     m_e = jinv_t @ m @ jinv
     c_e = jinv_t @ (c - m @ jinv @ jdot) @ jinv

@@ -109,10 +109,10 @@ def test_criterion_2_skew_symmetry():
             [rng.uniform(-0.6, 0.6), rng.uniform(-0.5, 0.5), rng.uniform(-np.pi, np.pi)]
         )
         nu = np.concatenate([rng.uniform(-1, 1, 3), rng.uniform(-0.5, 0.5, 3)])
-        m_e, c_e, _, _ = vm.inertial_matrices(eta2, nu, params)
-        eta2_dot = vm.body_rate_to_euler(eta2) @ nu[3:]
-        m_plus = vm.inertial_matrices(eta2 + eta2_dot * h, nu, params)[0]
-        m_minus = vm.inertial_matrices(eta2 - eta2_dot * h, nu, params)[0]
+        m_e, c_e, _, _ = vm.inertial_matrices(vm.euler_pose(eta2), nu, params)
+        eta2_dot = vm.body_rate_to_euler(vm.euler_trig(eta2)) @ nu[3:]
+        m_plus = vm.inertial_matrices(vm.euler_pose(eta2 + eta2_dot * h), nu, params)[0]
+        m_minus = vm.inertial_matrices(vm.euler_pose(eta2 - eta2_dot * h), nu, params)[0]
         m_dot = (m_plus - m_minus) / (2 * h)
         sigma = rng.uniform(-1.0, 1.0, 6)
         worst = max(worst, abs(sigma @ (m_dot - 2 * c_e) @ sigma))

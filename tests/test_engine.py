@@ -2,6 +2,7 @@
 
 import ast
 import dataclasses
+import inspect
 from pathlib import Path
 
 import numpy as np
@@ -32,7 +33,7 @@ from auvform.formation import (
 from auvform.mpc import MpcConfig
 from auvform.plant import advance_plant, rk4_step
 from auvform.thrusters import ThrusterConfig
-from auvform.vehicle import RigidBodyParams, jacobian_inv
+from auvform.vehicle import RigidBodyParams, euler_pose, jacobian_inv
 
 
 def quiet_scenario(**kw):
@@ -217,6 +218,19 @@ def test_scenario_validation():
         Scenario(initial_states=[np.zeros(12)])  # 3 vehicles but one initial state
 
 
+@pytest.mark.parametrize(
+    "bad",
+    [np.zeros(11), np.zeros(13), np.zeros((12, 1)), np.full(12, np.nan),
+     np.r_[np.zeros(11), np.inf]],
+    ids=["11", "13", "column", "nan", "inf"],
+)
+def test_scenario_rejects_a_malformed_initial_state(bad):
+    # a wrong length otherwise surfaces as a numpy broadcast error inside run,
+    # and a NaN as a RuntimeWarning in the flow's layer lookup
+    with pytest.raises(ValueError, match=r"initial_states\[1\] must be a finite"):
+        Scenario(duration=0.02, initial_states=[np.zeros(12), bad, np.zeros(12)])
+
+
 def test_every_config_in_the_scenario_tree_is_frozen():
     # waypoints and initial_states set, so their arrays are walked too
     sc = Scenario(
@@ -270,6 +284,50 @@ def test_step_path_calls_no_numpy_wrapper():
     assert found == []
 
 
+def _callers(tree: ast.AST, callee: str) -> set[str]:
+    """Names of the innermost functions in tree that call `callee`."""
+    found = set()
+
+    def visit(node, owner):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, ast.FunctionDef):
+                visit(child, child.name)
+                continue
+            if isinstance(child, ast.Call):
+                func = child.func
+                if getattr(func, "id", getattr(func, "attr", None)) == callee:
+                    found.add(owner)
+            visit(child, owner)
+
+    visit(tree, None)
+    return found
+
+
+def test_pose_transforms_take_the_evaluated_pose():
+    # every transform takes the evaluated trig, pose or rotation, never the
+    # angles: none may fall back to evaluating cos/sin itself
+    from auvform import flow, vehicle
+
+    helpers = [
+        vehicle.RigidBodyParams.restoring, vehicle.rotation_body_to_inertial,
+        vehicle.euler_rate_to_body, vehicle.body_rate_to_euler, vehicle.jacobian,
+        vehicle.jacobian_inv, vehicle.jacobian_dot, vehicle.inertial_matrices,
+        vehicle.acceleration_body, flow.disturbance_force,
+    ]
+    defaulted = [
+        f"{helper.__qualname__}({name})"
+        for helper in helpers
+        for name, param in inspect.signature(helper).parameters.items()
+        if name in ("trig", "pose", "rot") and param.default is not param.empty
+    ]
+    assert defaulted == []
+    callers = set()
+    for path in sorted(Path(auvform.__file__).parent.glob("*.py")):
+        tree = ast.parse(path.read_text())
+        callers |= {f"{path.stem}.{owner}" for owner in _callers(tree, "euler_trig")}
+    assert callers == {"vehicle.euler_pose", "plant.plant_derivative"}
+
+
 def test_adaptive_gains_reject_every_write():
     sc = Scenario()
     gains = sc.controller.adaptive
@@ -308,7 +366,7 @@ def test_initial_states_match_per_row_velocity_transform():
     assert y.shape == (8, 12)
     for row, e, ed in zip(y, np.vstack([e_l, e_f]), np.vstack([ed_l, ed_f])):
         assert row[:6].tobytes() == e.tobytes()
-        assert row[6:].tobytes() == (jacobian_inv(e[3:6]) @ ed).tobytes()
+        assert row[6:].tobytes() == (jacobian_inv(euler_pose(e[3:6])) @ ed).tobytes()
 
 
 def test_controller_config_rejects_bad_gains():

@@ -329,7 +329,7 @@ def step_start_disturbance(y, t, flow):
     """d_o at (y, t) the way the engine's diagnostics build it for the log."""
     pose = euler_pose(y[:, 3:6])
     flow_vel = flow.sampler()(y[:, :3], t)
-    return disturbance_force(flow_vel, y[:, :6], y[:, 6:], flow.disturbance, rot=pose[1])
+    return disturbance_force(flow_vel, y[:, 6:], pose[1], flow.disturbance)
 
 
 @pytest.mark.parametrize("same_start", [True, False], ids=["same-start", "two-starts"])

@@ -294,7 +294,7 @@ def test_timeseries_columns_follow_simlog_fields():
 
 
 def test_export_empty_log_header_only(tmp_path):
-    bundle = export_results(SimLog.empty(0), None, tmp_path)
+    bundle = export_results(SimLog.allocate(0, 0), None, tmp_path)
     lines = bundle.timeseries.read_text().splitlines()
     assert len(lines) == 1 and lines[0].startswith("t_s,vehicle,")
     mlines = bundle.metrics.read_text().splitlines()

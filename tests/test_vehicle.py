@@ -9,6 +9,8 @@ from auvform import vehicle as vm
 from auvform.engine import SimulationAbort, Scenario, run
 from auvform.vehicle import RigidBodyParams, acceleration_body, inertial_matrices
 
+LEVEL = vm.euler_trig(np.zeros(3))  # the trig of the zero attitude
+
 
 def random_state(rng, pitch_range=0.5):
     """(eta, nu) 6-vectors with a pose away from the pitch singularity."""
@@ -31,14 +33,14 @@ def random_states(rng, n):
 
 def test_kinematic_transform_identity():
     # J^-1 holds the inertial-to-body rotation and the Euler-rate transform T
-    zero = np.zeros(3)
+    zero = vm.euler_pose(np.zeros(3))
     np.testing.assert_allclose(vm.jacobian_inv(zero), np.eye(6), atol=1e-15)
-    np.testing.assert_allclose(vm.euler_rate_to_body(zero), np.eye(3), atol=1e-15)
+    np.testing.assert_allclose(vm.euler_rate_to_body(zero[0]), np.eye(3), atol=1e-15)
     np.testing.assert_allclose(vm.jacobian(zero), np.eye(6), atol=1e-15)
 
 
 def test_kinematic_transform_pure_yaw():
-    rot = vm.jacobian_inv(np.array([0.0, 0.0, np.pi / 2]))[:3, :3]
+    rot = vm.jacobian_inv(vm.euler_pose(np.array([0.0, 0.0, np.pi / 2])))[:3, :3]
     # hand-composed Rz(pi/2)^T: inertial y maps onto body x
     expected = np.array([[0.0, 1.0, 0.0], [-1.0, 0.0, 0.0], [0.0, 0.0, 1.0]])
     np.testing.assert_allclose(rot, expected, atol=1e-12)
@@ -58,7 +60,7 @@ def test_kinematic_transform_singularity():
 def test_rotation_orthonormal():
     rng = np.random.default_rng(0)
     eta, _ = random_states(rng, 100)
-    rot = vm.rotation_body_to_inertial(eta[:, 3:])
+    rot = vm.rotation_body_to_inertial(vm.euler_trig(eta[:, 3:]))
     eye = np.broadcast_to(np.eye(3), rot.shape)
     np.testing.assert_allclose(rot @ np.swapaxes(rot, -1, -2), eye, atol=1e-10)
     np.testing.assert_allclose(np.linalg.det(rot), 1.0, atol=1e-10)
@@ -67,15 +69,16 @@ def test_rotation_orthonormal():
 def test_jacobian_maps_body_rates():
     rng = np.random.default_rng(1)
     eta, nu = random_states(rng, 20)
-    eta_dot = np.einsum("vij,vj->vi", vm.jacobian(eta[:, 3:]), nu)
+    pose = vm.euler_pose(eta[:, 3:])
+    eta_dot = np.einsum("vij,vj->vi", vm.jacobian(pose), nu)
     # invert through the defining relations of the rotation and T
-    back = np.einsum("vij,vj->vi", vm.jacobian_inv(eta[:, 3:]), eta_dot)
+    back = np.einsum("vij,vj->vi", vm.jacobian_inv(pose), eta_dot)
     np.testing.assert_allclose(back, nu, atol=1e-12)
 
 
 def test_dynamics_body_equilibrium():
     params = RigidBodyParams(restoring_gain=0.0)
-    acc = acceleration_body(np.zeros(6), np.zeros(6), np.zeros(6), np.zeros(6), params)
+    acc = acceleration_body(np.zeros(6), np.zeros(6), np.zeros(6), params, LEVEL)
     np.testing.assert_allclose(acc, np.zeros(6), atol=1e-15)
 
 
@@ -89,30 +92,30 @@ def test_dynamics_body_pure_surge():
     )
     force = 12.0
     tau = np.array([force, 0, 0, 0, 0, 0.0])
-    acc = acceleration_body(np.zeros(6), np.zeros(6), tau, np.zeros(6), params)
+    acc = acceleration_body(np.zeros(6), tau, np.zeros(6), params, LEVEL)
     np.testing.assert_allclose(acc, [force / m, 0, 0, 0, 0, 0], atol=1e-14)
 
 
 def test_dynamics_body_disturbance_cancellation():
     params = RigidBodyParams(restoring_gain=0.0)
     tau = np.array([3.0, -2.0, 1.0, 0.0, 0.5, -0.5])
-    acc = acceleration_body(np.zeros(6), np.zeros(6), tau, tau.copy(), params)
+    acc = acceleration_body(np.zeros(6), tau, tau.copy(), params, LEVEL)
     np.testing.assert_allclose(acc, np.zeros(6), atol=1e-14)
 
 
 def test_inertial_terms_identity_pose():
     params = RigidBodyParams()
     nu = np.array([0.3, 0.1, -0.2, 0.0, 0.0, 0.0])
-    m_e, _, d_e, g_e = inertial_matrices(np.zeros(3), nu, params)
+    m_e, _, d_e, g_e = inertial_matrices(vm.euler_pose(np.zeros(3)), nu, params)
     np.testing.assert_allclose(m_e, params.inertia, atol=1e-12)
     np.testing.assert_allclose(d_e, params.damping(nu), atol=1e-12)
-    np.testing.assert_allclose(g_e, params.restoring(np.zeros(3)), atol=1e-12)
+    np.testing.assert_allclose(g_e, params.restoring(LEVEL), atol=1e-12)
 
 
 def test_inertial_mass_symmetric_positive_definite():
     rng = np.random.default_rng(2)
     eta, nu = random_states(rng, 100)
-    m_e = inertial_matrices(eta[:, 3:], nu, RigidBodyParams())[0]
+    m_e = inertial_matrices(vm.euler_pose(eta[:, 3:]), nu, RigidBodyParams())[0]
     assert np.max(np.abs(m_e - np.swapaxes(m_e, -1, -2))) < 1e-10
     assert np.all(np.linalg.eigvalsh(m_e) > 0)
 
@@ -125,10 +128,10 @@ def test_skew_symmetry_of_inertial_terms():
     for _ in range(100):
         eta, nu = random_state(rng)
         eta2 = eta[3:]
-        m_e, c_e, _, _ = inertial_matrices(eta2, nu, params)
-        eta2_dot = vm.body_rate_to_euler(eta2) @ nu[3:]
-        m_plus = inertial_matrices(eta2 + eta2_dot * h, nu, params)[0]
-        m_minus = inertial_matrices(eta2 - eta2_dot * h, nu, params)[0]
+        m_e, c_e, _, _ = inertial_matrices(vm.euler_pose(eta2), nu, params)
+        eta2_dot = vm.body_rate_to_euler(vm.euler_trig(eta2)) @ nu[3:]
+        m_plus = inertial_matrices(vm.euler_pose(eta2 + eta2_dot * h), nu, params)[0]
+        m_minus = inertial_matrices(vm.euler_pose(eta2 - eta2_dot * h), nu, params)[0]
         m_dot = (m_plus - m_minus) / (2 * h)
         sigma = rng.uniform(-1.0, 1.0, 6)
         assert abs(sigma @ (m_dot - 2 * c_e) @ sigma) < 1e-6
@@ -141,17 +144,17 @@ def test_frame_consistency():
     params = RigidBodyParams()
     for _ in range(100):
         eta, nu = random_state(rng)
-        eta2 = eta[3:]
+        pose = vm.euler_pose(eta[3:])
         tau = rng.uniform(-20.0, 20.0, 6)
         tau_c = rng.uniform(-5.0, 5.0, 6)
-        qdot = acceleration_body(eta, nu, tau, tau_c, params)
-        jac = vm.jacobian(eta2)
-        jac_dot = vm.jacobian_dot(eta2, nu[3:])
+        qdot = acceleration_body(nu, tau, tau_c, params, pose[0])
+        jac = vm.jacobian(pose)
+        jac_dot = vm.jacobian_dot(pose, nu[3:])
         edd_body_route = jac_dot @ nu + jac @ qdot
 
-        m_e, c_e, d_e, g_e = inertial_matrices(eta2, nu, params)
+        m_e, c_e, d_e, g_e = inertial_matrices(pose, nu, params)
         e_dot = jac @ nu
-        rhs = vm.jacobian_inv(eta2).T @ (tau - tau_c) - c_e @ e_dot - d_e @ e_dot - g_e
+        rhs = vm.jacobian_inv(pose).T @ (tau - tau_c) - c_e @ e_dot - d_e @ e_dot - g_e
         edd_inertial_route = np.linalg.solve(m_e, rhs)
         scale = max(1.0, np.max(np.abs(edd_body_route)))
         assert np.max(np.abs(edd_body_route - edd_inertial_route)) / scale < 1e-6
@@ -159,8 +162,9 @@ def test_frame_consistency():
 
 def f_r(eta, nu, edd_r, ed_r, params, scale):
     """f_r from the inertial terms at `scale`, as the engine forms f_hat_r."""
-    mats = inertial_matrices(eta[..., 3:], nu, params, scale=scale)
-    e_dot = np.einsum("...ij,...j->...i", vm.jacobian(eta[..., 3:]), nu)
+    pose = vm.euler_pose(eta[..., 3:])
+    mats = inertial_matrices(pose, nu, params, scale=scale)
+    e_dot = np.einsum("...ij,...j->...i", vm.jacobian(pose), nu)
     return vm.reference_dynamics(mats, edd_r, ed_r, e_dot)
 
 
@@ -237,12 +241,13 @@ def test_params_cannot_go_stale_behind_their_cached_inverse():
     eta, nu = random_states(rng, 3)
     tau = rng.uniform(-20.0, 20.0, (3, 6))
     tau_c = rng.uniform(-5.0, 5.0, (3, 6))
-    acceleration_body(eta, nu, tau, tau_c, params)  # fills params.inertia_inv
+    trig = vm.euler_trig(eta[:, 3:])
+    acceleration_body(nu, tau, tau_c, params, trig)  # fills params.inertia_inv
     heavier = replace(params, inertia=2 * params.inertia)
     fresh = RigidBodyParams(inertia=2 * np.diag([30.0, 30.0, 30.0, 1.0, 5.0, 5.0]))
-    got = acceleration_body(eta, nu, tau, tau_c, heavier)
-    assert got.tobytes() == acceleration_body(eta, nu, tau, tau_c, fresh).tobytes()
-    assert not np.allclose(got, acceleration_body(eta, nu, tau, tau_c, params))
+    got = acceleration_body(nu, tau, tau_c, heavier, trig)
+    assert got.tobytes() == acceleration_body(nu, tau, tau_c, fresh, trig).tobytes()
+    assert not np.allclose(got, acceleration_body(nu, tau, tau_c, params, trig))
 
 
 def test_acceleration_rows_do_not_depend_on_the_batch_size():
@@ -264,15 +269,15 @@ def test_acceleration_rows_do_not_depend_on_the_batch_size():
     eta, nu = random_states(rng, 200)
     tau = rng.uniform(-20.0, 20.0, (200, 6))
     tau_c = rng.uniform(-5.0, 5.0, (200, 6))
-    full = acceleration_body(eta, nu, tau, tau_c, params)
+    full = acceleration_body(nu, tau, tau_c, params, vm.euler_trig(eta[:, 3:]))
     for i in range(200):
-        one = acceleration_body(eta[i], nu[i], tau[i], tau_c[i], params)
+        one = acceleration_body(nu[i], tau[i], tau_c[i], params, vm.euler_trig(eta[i, 3:]))
         assert one.shape == (6,) and one.tobytes() == full[i].tobytes()
         row = slice(i, i + 1)
-        one = acceleration_body(eta[row], nu[row], tau[row], tau_c[row], params)
+        one = acceleration_body(nu[row], tau[row], tau_c[row], params, vm.euler_trig(eta[row, 3:]))
         assert one.shape == (1, 6) and one.tobytes() == full[row].tobytes()
     for n in (2, 7, 128):
-        part = acceleration_body(eta[:n], nu[:n], tau[:n], tau_c[:n], params)
+        part = acceleration_body(nu[:n], tau[:n], tau_c[:n], params, vm.euler_trig(eta[:n, 3:]))
         assert part.tobytes() == full[:n].tobytes()
 
 
@@ -285,9 +290,10 @@ def test_held_wrench_broadcasts_over_the_rows():
     tau_c = rng.uniform(-5.0, 5.0, 6)
     tau_rows, tau_c_rows = np.tile(tau, (9, 1)), np.tile(tau_c, (9, 1))
     params = RigidBodyParams()
-    tiled = acceleration_body(eta, nu, tau_rows, tau_c_rows, params)
+    trig = vm.euler_trig(eta[:, 3:])
+    tiled = acceleration_body(nu, tau_rows, tau_c_rows, params, trig)
     for held in ((tau, tau_c), (tau, tau_c_rows), (tau_rows, tau_c)):
-        got = acceleration_body(eta, nu, *held, params)
+        got = acceleration_body(nu, *held, params, trig)
         assert got.shape == (9, 6) and got.tobytes() == tiled.tobytes()
 
 
@@ -310,7 +316,7 @@ def test_wrap_angle_range():
 
 # --- shared pose evaluation: the J-family against an unfused reference ----
 # Each reference transform evaluates its own cos/sin from the angles; the
-# library must give the same bytes with and without a passed euler_pose.
+# library, built from one shared euler_pose, must give the same bytes.
 
 POLE = np.pi / 2 - vm.PITCH_SINGULARITY_TOL
 
@@ -436,14 +442,10 @@ def test_shared_pose_transforms_match_unfused_reference_bytes(shape):
         eta2, nu = pose_rows(shape, seed)
         assert np.max(np.abs(eta2[..., 1])) > POLE - 1e-3
         pose = vm.euler_pose(eta2)
-        for kw in ({}, {"pose": pose}):
-            assert_same_bytes(vm.jacobian(eta2, **kw), ref_jacobian(eta2))
-            assert_same_bytes(vm.jacobian_inv(eta2, **kw), ref_jacobian_inv(eta2))
-            assert_same_bytes(
-                vm.jacobian_dot(eta2, nu[..., 3:], **kw), ref_jacobian_dot(eta2, nu[..., 3:])
-            )
-            got = vm.inertial_matrices(eta2, nu, params, scale=0.9, **kw)
-            for g, w in zip(got, ref_inertial_matrices(eta2, nu, params, 0.9), strict=True):
-                assert_same_bytes(g, w)
-        for trig in (None, pose[0]):
-            assert_same_bytes(vm.euler_rate_to_body(eta2, trig), ref_euler_rate_to_body(eta2))
+        assert_same_bytes(vm.jacobian(pose), ref_jacobian(eta2))
+        assert_same_bytes(vm.jacobian_inv(pose), ref_jacobian_inv(eta2))
+        assert_same_bytes(vm.jacobian_dot(pose, nu[..., 3:]), ref_jacobian_dot(eta2, nu[..., 3:]))
+        got = vm.inertial_matrices(pose, nu, params, scale=0.9)
+        for g, w in zip(got, ref_inertial_matrices(eta2, nu, params, 0.9), strict=True):
+            assert_same_bytes(g, w)
+        assert_same_bytes(vm.euler_rate_to_body(pose[0]), ref_euler_rate_to_body(eta2))
