@@ -147,7 +147,8 @@ class Scenario:
     def __post_init__(self):
         if self.initial_states is not None:
             object.__setattr__(
-                self, "initial_states", tuple(read_only(s) for s in self.initial_states)
+                self, "initial_states",
+                tuple(_state_vector(i, s) for i, s in enumerate(self.initial_states)),
             )
         self.validate()
 
@@ -166,16 +167,21 @@ class Scenario:
         if self.initial_states is not None:
             if len(self.initial_states) != self.n_vehicles:
                 raise ValueError("initial_states length must match vehicle count")
-            for i, state in enumerate(self.initial_states):
-                if state.shape != (12,) or not np.isfinite(state).all():
-                    raise ValueError(
-                        f"initial_states[{i}] must be a finite [eta, nu] 12-vector, "
-                        f"got {state.tolist()}"
-                    )
 
     @property
     def n_vehicles(self) -> int:
         return self.formation.n_vehicles
+
+
+def _state_vector(i: int, state) -> np.ndarray:
+    """initial_states[i] as a read-only finite 12-vector; a ValueError naming it otherwise."""
+    try:
+        vec = read_only(state)
+    except (TypeError, ValueError):
+        vec = np.empty(0)  # fails the shape check below
+    if vec.shape != (12,) or not np.isfinite(vec).all():
+        raise ValueError(f"initial_states[{i}] must be a finite [eta, nu] 12-vector, got {state}")
+    return vec
 
 
 @dataclass
@@ -263,6 +269,11 @@ class SimRuntime:
         self.sampler = scenario.flow.sampler()
         self.dist_model = scenario.flow.disturbance if scenario.flow.enabled else None
         n_v = scenario.n_vehicles
+        self.n_steps = round(scenario.duration / scenario.dt)
+        # the leader's [e_d, ed_d, edd_d] at every step's time, held at the path's end
+        times = np.arange(self.n_steps + 1) * scenario.dt
+        traj = scenario.trajectory
+        self.leader_refs = leader_reference(np.minimum(times, traj.duration), traj)
         self.y = self._initial_states()
         self.cstate = ControllerState(
             integral_eps=np.zeros((n_v, 6)),
@@ -286,7 +297,7 @@ class SimRuntime:
         sc = self.scenario
         if sc.initial_states is not None:
             return np.array(sc.initial_states)
-        e_l, ed_l, _ = leader_reference(0.0, sc.trajectory)
+        e_l, ed_l, _ = self.leader_refs[0]
         e_f, ed_f = follower_references(e_l, ed_l, sc.formation)
         e_d, ed_d = np.vstack([e_l, e_f]), np.vstack([ed_l, ed_f])
         nu = (jacobian_inv(euler_pose(e_d[:, 3:])) @ ed_d[..., None])[..., 0]
@@ -297,14 +308,13 @@ class SimRuntime:
         return self.step_index * self.scenario.dt
 
 
-def _references(rt: SimRuntime, t: float, eta: np.ndarray, etadot: np.ndarray):
+def _references(rt: SimRuntime, eta: np.ndarray, etadot: np.ndarray):
     sc = rt.scenario
     n_v = sc.n_vehicles
     e_d = np.empty((n_v, 6))
     ed_d = np.empty((n_v, 6))
     edd_d = np.zeros((n_v, 6))
-    t_ref = min(t, sc.trajectory.duration)
-    e_d[0], ed_d[0], edd_d[0] = leader_reference(t_ref, sc.trajectory)
+    e_d[0], ed_d[0], edd_d[0] = rt.leader_refs[rt.step_index]
     e_d[1:], ed_d[1:] = follower_references(eta[0], etadot[0], sc.formation)
     if rt.prev_ed_d is not None and n_v > 1:
         # follower desired acceleration by finite difference of the rate
@@ -316,8 +326,8 @@ def _references(rt: SimRuntime, t: float, eta: np.ndarray, etadot: np.ndarray):
 def _control_and_diagnostics(rt: SimRuntime, t: float):
     """Controller evaluation at the current state; mutates integral state.
 
-    The pose's trig and rotation are evaluated once (euler_pose) and shared
-    by J, the inertial-frame matrices and the disturbance wrench.
+    The pose's trig, rotation and T^-1 are evaluated once (euler_pose) and
+    shared by J, the inertial-frame matrices and the disturbance wrench.
     """
     sc = rt.scenario
     ctr = sc.controller
@@ -329,7 +339,7 @@ def _control_and_diagnostics(rt: SimRuntime, t: float):
     pose = euler_pose(eta[:, 3:])
     jac = jacobian(pose)
     etadot = _einsum("vij,vj->vi", jac, nu)
-    e_d, ed_d, edd_d = _references(rt, t, eta, etadot)
+    e_d, ed_d, edd_d = _references(rt, eta, etadot)
     eps, deps = tracking_error(eta, etadot, e_d, ed_d)
 
     clamp = ctr.surface.integral_clamp
@@ -358,7 +368,8 @@ def _control_and_diagnostics(rt: SimRuntime, t: float):
     f_r_true = f_hat_r / rt.alpha
     if rt.sampler is not None:
         flow_v = rt.sampler(eta[:, :3], t)
-        d_o = disturbance_force(flow_v, nu, pose[1], sc.flow.disturbance)
+        vel = _einsum("...ij,...j->...i", pose[1], nu[:, :3])
+        d_o = disturbance_force(flow_v, vel, pose[1], sc.flow.disturbance)
     else:
         flow_v = np.zeros((sc.n_vehicles, 3))
         d_o = np.zeros((sc.n_vehicles, 6))
@@ -448,7 +459,7 @@ def run(scenario: Scenario) -> SimLog:
     go through one rollout at a time.
     """
     rt = SimRuntime(scenario)
-    n_steps = round(scenario.duration / scenario.dt)
+    n_steps = rt.n_steps
     log = SimLog.allocate(n_steps + 1, scenario.n_vehicles)
     _, *logged = SimLog.__dataclass_fields__
     refs = None if rt.shell is None else np.empty((2, n_steps + 1, scenario.n_vehicles, 6))

@@ -26,7 +26,6 @@ import numpy as np
 from ._frozen import read_only
 from ._numpy_fast import clip as _clip
 from ._numpy_fast import einsum as _einsum
-from .vehicle import POS
 
 # Supremum of the raw jet speed sqrt(U^2 + V^2) with the default parameters,
 # found by dense scan over one joint space/time period (observed 1.013953);
@@ -99,12 +98,16 @@ class LayeredField:
                 f"xy_min {self.xy_min}, xy_max {self.xy_max}"
             )
 
-    def layer_index(self, z):
-        """Layer of each depth, 0 = surface band; -1 marks out-of-range."""
+    def layer_index(self, x, y, z):
+        """Layer of each point, 0 = surface band; -1 marks a point outside the workspace box."""
         depth_frac = (self.z_top - z) / (self.z_top - self.z_bottom)
         idx = np.floor(depth_frac * self.n_layers).astype(int)
         idx = _clip(idx, 0, self.n_layers - 1)
-        inside = (z >= self.z_bottom) & (z <= self.z_top)
+        inside = (
+            (z >= self.z_bottom) & (z <= self.z_top)
+            & (x >= self.xy_min[0]) & (x <= self.xy_max[0])
+            & (y >= self.xy_min[1]) & (y <= self.xy_max[1])
+        )
         return np.where(inside, idx, -1)
 
     @cached_property
@@ -174,38 +177,30 @@ def layered_velocity(x, y, z, t, fieldp: LayeredField, p: FlowParams) -> np.ndar
     yj = (y - fieldp.jet_origin[1]) / fieldp.jet_scale
     u, v = flow_velocity(xj, yj, t, p)
 
-    scale = fieldp.speed_scales[fieldp.layer_index(z)]
-    inside_xy = (
-        (x >= fieldp.xy_min[0])
-        & (x <= fieldp.xy_max[0])
-        & (y >= fieldp.xy_min[1])
-        & (y <= fieldp.xy_max[1])
-    )
-    scale = np.where(inside_xy, scale, 0.0)
-
-    u = u * scale
-    v = v * scale
-    speed = np.hypot(u, v)
+    # index -1 (outside the box) reads the scale 0.0
+    scale = fieldp.speed_scales[fieldp.layer_index(x, y, z)]
+    out = np.empty(np.shape(u) + (3,))
+    np.multiply(u, scale, out=out[..., 0])
+    np.multiply(v, scale, out=out[..., 1])
+    out[..., 2] = 0.0
+    speed = np.hypot(out[..., 0], out[..., 1])
     over = speed > fieldp.speed_cap
     if over.any():
         shrink = np.where(over, fieldp.speed_cap / np.where(over, speed, 1.0), 1.0)
-        u = u * shrink
-        v = v * shrink
-    out = np.empty(u.shape + (3,))
-    out[..., 0] = u
-    out[..., 1] = v
-    out[..., 2] = 0.0
+        uv = out[..., :2]
+        np.multiply(uv, shrink[..., None], out=uv)
     return out
 
 
 def disturbance_force(
-    flow_vel: np.ndarray, nu: np.ndarray, rot: np.ndarray, model: DisturbanceModel
+    flow_vel: np.ndarray, vel_inertial: np.ndarray, rot: np.ndarray, model: DisturbanceModel
 ) -> np.ndarray:
     """Inertial disturbance wrench d_o = [C_x, C_y, 0, 0, 0, C_z], batched.
 
-    rot is the body-to-inertial rotation of the pose (rotation_body_to_inertial).
+    rot is the body-to-inertial rotation of the pose (rotation_body_to_inertial)
+    and vel_inertial the vehicle's inertial velocity R nu1, which the caller
+    has already formed for the kinematics.
     """
-    vel_inertial = _einsum("...ij,...j->...i", rot, nu[..., POS])
     # a fresh C-ordered array, as the reduction below depends on the layout
     v_xy = np.subtract(flow_vel, vel_inertial, order="C")
     v_xy[..., 2] = 0.0

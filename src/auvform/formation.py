@@ -111,62 +111,63 @@ class TrajectorySpec:
         return seg, np.concatenate([[0.0], np.cumsum(lengths / self.speed)])
 
 
-def _spiral(t: float, spec: TrajectorySpec):
+def _spiral(t: np.ndarray, spec: TrajectorySpec, refs: np.ndarray) -> np.ndarray:
     w = spec.angular_rate
     a = w * t + spec.phase
     r = spec.radius
-    pos = spec.center + np.array(
-        [r * np.cos(a), r * np.sin(a), spec.vertical_rate * t]
-    )
-    vel = np.array([-r * w * np.sin(a), r * w * np.cos(a), spec.vertical_rate])
-    acc = np.array([-r * w * w * np.cos(a), -r * w * w * np.sin(a), 0.0])
+    cos_a, sin_a = np.cos(a), np.sin(a)
+    refs[:, 0, :3] = spec.center + np.stack([r * cos_a, r * sin_a, spec.vertical_rate * t], -1)
+    refs[:, 1, 0] = -r * w * sin_a
+    refs[:, 1, 1] = r * w * cos_a
+    refs[:, 1, 2] = spec.vertical_rate
+    refs[:, 2, 0] = -r * w * w * cos_a
+    refs[:, 2, 1] = -r * w * w * sin_a
+    refs[:, 1, 5] = w
     # horizontal tangent: psi = a + pi/2 (for positive angular rate)
-    psi = a + (np.pi / 2 if w >= 0 else -np.pi / 2)
-    return pos, vel, acc, psi, w, 0.0
+    return a + (np.pi / 2 if w >= 0 else -np.pi / 2)
 
 
-def _line(t: float, spec: TrajectorySpec):
-    pos = spec.start + spec.velocity * t
+def _heading(vx, vy):
+    """Yaw of a horizontal direction; 0 where it has no horizontal part."""
+    return np.where(np.hypot(vx, vy) > 1e-12, np.arctan2(vy, vx), 0.0)
+
+
+def _line(t: np.ndarray, spec: TrajectorySpec, refs: np.ndarray) -> np.ndarray:
     vel = spec.velocity
-    psi = (
-        np.arctan2(vel[1], vel[0]) if np.hypot(vel[0], vel[1]) > 1e-12 else 0.0
-    )
-    return pos, vel, np.zeros(3), psi, 0.0, 0.0
+    refs[:, 0, :3] = spec.start + vel * t[:, None]
+    refs[:, 1, :3] = vel
+    return _heading(vel[0], vel[1])
 
 
-def _waypoints(t: float, spec: TrajectorySpec):
+def _waypoints(t: np.ndarray, spec: TrajectorySpec, refs: np.ndarray) -> np.ndarray:
     pts = spec.waypoints
     seg, times = spec.segments
-    tt = min(t, times[-1])
-    i = int(np.searchsorted(times, tt, side="right") - 1)
-    i = min(i, len(seg) - 1)
-    frac = (tt - times[i]) / (times[i + 1] - times[i])
-    pos = pts[i] + frac * seg[i]
-    vel = seg[i] / (times[i + 1] - times[i]) if t < times[-1] else np.zeros(3)
-    psi = (
-        np.arctan2(seg[i][1], seg[i][0])
-        if np.hypot(seg[i][0], seg[i][1]) > 1e-12
-        else 0.0
-    )
-    return pos, vel, np.zeros(3), psi, 0.0, 0.0
+    tt = np.minimum(t, times[-1])
+    i = np.minimum(np.searchsorted(times, tt, side="right") - 1, len(seg) - 1)
+    span = times[i + 1] - times[i]
+    frac = (tt - times[i]) / span
+    refs[:, 0, :3] = pts[i] + frac[:, None] * seg[i]
+    refs[:, 1, :3] = np.where((t < times[-1])[:, None], seg[i] / span[:, None], 0.0)
+    return _heading(seg[i, 0], seg[i, 1])
 
 
-def leader_reference(
-    t: float, spec: TrajectorySpec
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Desired pose, rate and acceleration at time t; yaw tangent to the path."""
-    if not 0.0 <= t <= spec.duration:
-        raise ValueError(f"t={t} outside [0, {spec.duration}]")
-    if spec.kind == "spiral":
-        pos, vel, acc, psi, psid, psidd = _spiral(t, spec)
-    elif spec.kind == "line":
-        pos, vel, acc, psi, psid, psidd = _line(t, spec)
-    else:
-        pos, vel, acc, psi, psid, psidd = _waypoints(t, spec)
-    e_d, ed_d, edd_d = refs = np.zeros((3, 6))
-    refs[:, :3] = pos, vel, acc
-    refs[:, 5] = wrap_angle(psi), psid, psidd
-    return e_d, ed_d, edd_d
+_PATHS = {"spiral": _spiral, "line": _line, "waypoints": _waypoints}
+
+
+def leader_reference(t: float | np.ndarray, spec: TrajectorySpec) -> np.ndarray:
+    """Desired pose, rate and acceleration rows (..., 3, 6) at the times t; yaw tangent to the path.
+
+    t is one time or an array of times; one time gives the (3, 6) rows
+    [e_d, ed_d, edd_d] of a one-entry array.
+    """
+    t = np.asarray(t, dtype=float)
+    times = t.reshape(-1)
+    outside = ~((times >= 0.0) & (times <= spec.duration))
+    if outside.any():
+        raise ValueError(f"t={times[outside][0]} outside [0, {spec.duration}]")
+    refs = np.zeros(times.shape + (3, 6))
+    refs[:, 0, 5] = wrap_angle(_PATHS[spec.kind](times, spec, refs))
+    return refs.reshape(t.shape + (3, 6))
 
 
 def follower_references(

@@ -27,7 +27,7 @@ from ._numpy_fast import clip as _clip
 from ._numpy_fast import einsum as _einsum
 from .flow import DisturbanceModel
 from .plant import FlowSampler, Time, advance_plant
-from .vehicle import RigidBodyParams, body_rate_to_euler, euler_pose, wrap_angle
+from .vehicle import RigidBodyParams, euler_pose, wrap_angle
 
 
 @dataclass(frozen=True)
@@ -142,8 +142,8 @@ class MpcShell:
 def _inertial_rates(y: np.ndarray) -> np.ndarray:
     """Inertial rates J q (rows, 6) of states y (rows, 12)."""
     # J q blockwise: R nu1 and T^-1 nu2
-    trig, rot = euler_pose(y[..., 3:6])
+    _, rot, t_inv = euler_pose(y[..., 3:6])
     rates = np.empty(y.shape[:-1] + (6,))
     rates[..., :3] = _einsum("...ij,...j->...i", rot, y[..., 6:9])
-    rates[..., 3:] = _einsum("...ij,...j->...i", body_rate_to_euler(trig), y[..., 9:])
+    rates[..., 3:] = _einsum("...ij,...j->...i", t_inv, y[..., 9:])
     return rates

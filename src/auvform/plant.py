@@ -14,10 +14,12 @@ call of any size, so a row gets the bytes a separate call would give it.
 
 Per-derivative contract: plant_derivative evaluates cos/sin of the Euler
 angles once (euler_trig), and every pose-dependent transform takes that
-evaluated trig rather than the angles: the rotation R,
-built once and shared by the kinematics eta_dot = J q, the disturbance
-wrench and tau_c = J^T d_o; the Euler-rate matrix T^-1 of the kinematics
-and of tau_c; and the restoring term.  Every elementwise expression keeps
+evaluated trig rather than the angles: the rotation R, built once and shared
+by the kinematics eta_dot = J q, the disturbance wrench and tau_c = J^T d_o;
+the inertial velocity R nu1 of the kinematics, which the disturbance wrench
+reads; R's bottom row [-sin theta, cos theta sin phi, cos theta cos phi],
+which the restoring term reads; and the Euler-rate matrix T^-1 of the
+kinematics and of tau_c.  Every elementwise expression keeps
 its operand order and every contraction its einsum/matmul form, so the
 result is byte-identical to evaluating each term from the angles;
 tests/test_plant.py holds that unfused form as its reference.  Call overhead
@@ -75,12 +77,13 @@ def plant_derivative(
     nu = y[..., 6:]
     trig = euler_trig(eta[..., 3:])
     rot = rotation_body_to_inertial(trig)
+    pose = trig, rot, body_rate_to_euler(trig)
     out = np.empty_like(y)
     _einsum("...ij,...j->...i", rot, nu[..., :3], out=out[..., :3])
-    _einsum("...ij,...j->...i", body_rate_to_euler(trig), nu[..., 3:], out=out[..., 3:6])
+    _einsum("...ij,...j->...i", pose[2], nu[..., 3:], out=out[..., 3:6])
     if flow_sampler is not None:
         if d_o is None:
-            d_o = disturbance_force(flow_sampler(eta[..., :3], t), nu, rot, dist_model)
+            d_o = disturbance_force(flow_sampler(eta[..., :3], t), out[..., :3], rot, dist_model)
         # tau_c = J^T d_o, blockwise: rotation and Euler-rate blocks
         tau_c = np.empty_like(nu)
         _einsum("...ji,...j->...i", rot, d_o[..., :3], out=tau_c[..., :3])
@@ -91,7 +94,7 @@ def plant_derivative(
         _einsum("...ji,...j->...i", t_inv, d_o[..., 3:], out=tau_c[..., 3:])
     else:
         tau_c = np.zeros_like(nu)
-    out[..., 6:] = acceleration_body(nu, tau, tau_c, params, trig)
+    out[..., 6:] = acceleration_body(nu, tau, tau_c, params, pose)
     return out
 
 

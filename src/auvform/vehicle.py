@@ -15,11 +15,15 @@ axis.  Every helper broadcasts over leading axes, so the one implementation
 serves a single vehicle, the fleet (engine), and a batch of predictive
 rollouts (MPC); the pitch singularity is checked by the caller.  The pose
 transforms take the evaluated trig, euler_trig(eta2), or the evaluated pose,
-euler_pose(eta2) = (trig, R), never the angles, so one evaluation of cos/sin
-serves every transform built at a pose.  Exactness:
-a speed-up keeps every contraction's operands and every transcendental ufunc
-(a contiguous copy of a transposed inertia block changes the matmul's bits,
-and math.cosh and math.hypot differ from np.cosh and np.hypot on some inputs).
+euler_pose(eta2) = (trig, R, T^-1), never the angles, so one evaluation of
+cos/sin serves every transform built at a pose, and restoring reads R's
+bottom row.  Exactness: a speed-up keeps every contraction's operands and
+every transcendental ufunc.  Measured with random positive-definite inertias:
+a contiguous copy of a transposed 3x3 inertia block changes the one-row
+matmul's bits (10 of 21 inertias), while the (3, 6) transposed views
+[M11^T | M21^T] and [M12^T | M22^T] give the four 3x3 products' bits at every
+batch size tried (1 to 384); and math.cosh and math.hypot differ from
+np.cosh and np.hypot on some inputs.
 """
 
 from __future__ import annotations
@@ -139,35 +143,35 @@ class RigidBodyParams:
         """D(q) @ q without materializing the matrix."""
         return (self.d_linear + self.d_quad * np.abs(nu)) * nu
 
+    @cached_property
+    def _inertia_blocks_t(self) -> tuple[np.ndarray, np.ndarray]:
+        """[M11^T | M21^T] and [M12^T | M22^T] as (3, 6) views of the inertia.
+
+        nu1 @ first + nu2 @ second is [a1, a2] = [M11 nu1 + M12 nu2, M21 nu1 + M22 nu2],
+        with the bytes of the four blockwise 3x3 products.
+        """
+        m = self.inertia
+        return m[:, :3].T, m[:, 3:].T
+
+    def _momenta(self, nu: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+        """[a1, a2] = M q split at the translational/rotational blocks, batched."""
+        first, second = self._inertia_blocks_t
+        return np.add(nu[..., POS] @ first, nu[..., ANG] @ second, out=out)
+
     def coriolis(self, nu: np.ndarray) -> np.ndarray:
         """Rigid-body/added-mass Coriolis matrix C(q), skew-symmetric, batched."""
-        nu1 = nu[..., POS]
-        nu2 = nu[..., ANG]
-        m = self.inertia
-        a1 = nu1 @ m[:3, :3].T + nu2 @ m[:3, 3:].T
-        a2 = nu1 @ m[3:, :3].T + nu2 @ m[3:, 3:].T
-        s1 = skew(a1)
-        s2 = skew(a2)
+        a = self._momenta(nu)
+        neg_s = -skew(a.reshape(a.shape[:-1] + (2, 3)))  # -S(a1), -S(a2)
         out = np.zeros(nu.shape[:-1] + (6, 6))
-        out[..., :3, 3:] = -s1
-        out[..., 3:, :3] = -s1
-        out[..., 3:, 3:] = -s2
+        out[..., :3, 3:] = neg_s[..., 0, :, :]
+        out[..., 3:, :3] = neg_s[..., 0, :, :]
+        out[..., 3:, 3:] = neg_s[..., 1, :, :]
         return out
-
-    @cached_property
-    def _inertia_blocks_t(self) -> tuple[np.ndarray, ...]:
-        """Transposed 3x3 inertia blocks (M11, M12, M21, M22)^T, as views."""
-        m = self.inertia
-        return (m[:3, :3].T, m[:3, 3:].T, m[3:, :3].T, m[3:, 3:].T)
 
     def coriolis_force(self, nu: np.ndarray) -> np.ndarray:
         """C(q) @ q via cross products, avoiding the matrix build."""
-        nu1 = nu[..., POS]
-        nu2 = nu[..., ANG]
-        m11_t, m12_t, m21_t, m22_t = self._inertia_blocks_t
         w = np.empty(nu.shape[:-1] + (12,))
-        np.add(nu1 @ m11_t, nu2 @ m12_t, out=w[..., 0:3])  # a1
-        np.add(nu1 @ m21_t, nu2 @ m22_t, out=w[..., 3:6])  # a2
+        self._momenta(nu, out=w[..., 0:6])  # [a1, a2]
         w[..., 6:] = nu
         g = w[..., _CROSS_OPERANDS]
         cross = g[..., 0:9] * g[..., 9:18] - g[..., 18:27] * g[..., 27:36]
@@ -176,15 +180,13 @@ class RigidBodyParams:
         out[..., ANG] -= cross[..., 6:]
         return out
 
-    def restoring(self, trig: tuple) -> np.ndarray:
-        """Gravity/buoyancy vector g(e) in the body frame (left-hand side sign), from euler_trig."""
-        cphi, sphi, cth, sth = trig[:4]
-        # g[POS] = -buoyancy_net * up_body, up_body = [-sth, cth sphi, cth cphi]
+    def restoring(self, pose: tuple) -> np.ndarray:
+        """Gravity/buoyancy vector g(e) in the body frame (left-hand side sign), from euler_pose."""
+        (cphi, sphi, cth, sth, _, _), rot, _ = pose
+        # g[POS] = -buoyancy_net * up_body, and up_body = [-sth, cth sphi, cth cphi]
+        # is the bottom row of R, built from the same products
         g = np.empty(cphi.shape + (6,))
-        nb = -self.buoyancy_net
-        np.multiply(nb, -sth, out=g[..., 0])
-        np.multiply(nb, cth * sphi, out=g[..., 1])
-        np.multiply(nb, cth * cphi, out=g[..., 2])
+        np.multiply(-self.buoyancy_net, rot[..., 2, :], out=g[..., POS])
         np.multiply(self.restoring_gain * cth, sphi, out=g[..., 3])
         np.multiply(self.restoring_gain, sth, out=g[..., 4])
         g[..., 5] = 0.0
@@ -257,21 +259,21 @@ def _block_diag_3(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return out
 
 
-def euler_pose(eta2: np.ndarray) -> tuple[tuple, np.ndarray]:
-    """(euler_trig, R) of a pose: one evaluation, which the J-family takes as `pose`."""
+def euler_pose(eta2: np.ndarray) -> tuple[tuple, np.ndarray, np.ndarray]:
+    """(euler_trig, R, T^-1) of a pose: one evaluation, which the J-family takes as `pose`."""
     trig = euler_trig(eta2)
-    return trig, rotation_body_to_inertial(trig)
+    return trig, rotation_body_to_inertial(trig), body_rate_to_euler(trig)
 
 
 def jacobian(pose: tuple) -> np.ndarray:
     """J(e) with eta_dot = J @ q, batched, from euler_pose(e)."""
-    trig, rot = pose
-    return _block_diag_3(rot, body_rate_to_euler(trig))
+    _, rot, t_inv = pose
+    return _block_diag_3(rot, t_inv)
 
 
 def jacobian_inv(pose: tuple) -> np.ndarray:
     """Analytic inverse of J(e) (rotation transpose, Euler-rate matrix), from euler_pose(e)."""
-    trig, rot = pose
+    trig, rot, _ = pose
     return _block_diag_3(rot.swapaxes(-1, -2), euler_rate_to_body(trig))
 
 
@@ -281,14 +283,14 @@ def jacobian_dot(pose: tuple, nu2: np.ndarray) -> np.ndarray:
     Uses R_dot = R @ skew(nu2) for the rotation block and the phi/theta
     partials of the Euler-rate block.
     """
-    trig, rot = pose
+    trig, rot, t_inv = pose
     rot_dot = rot @ skew(nu2)
 
     cphi, sphi, cth, sth = trig[:4]
     tth = sth / cth
     sec2 = 1.0 / cth**2
 
-    eta2_dot = _einsum("...ij,...j->...i", body_rate_to_euler(trig), nu2)
+    eta2_dot = _einsum("...ij,...j->...i", t_inv, nu2)
     phid = eta2_dot[..., 0]
     thd = eta2_dot[..., 1]
 
@@ -307,11 +309,11 @@ def acceleration_body(
     tau: np.ndarray,
     tau_c: np.ndarray,
     params: RigidBodyParams,
-    trig: tuple,
+    pose: tuple,
 ) -> np.ndarray:
     """Body-frame acceleration q_dot = M^-1 (tau - tau_c - C q - D q - g), batched.
 
-    trig is euler_trig of the pose angles, for the restoring term.
+    pose is euler_pose of the pose angles, for the restoring term.
     A row gets the same bytes alone as inside a call of any size: BLAS takes
     its vector kernel for a one-row product, which rounds differently from
     the matrix kernel when M is not diagonal, so a lone row is multiplied as
@@ -321,7 +323,7 @@ def acceleration_body(
     rhs = np.subtract(tau, tau_c, out=np.empty(np.broadcast(tau, tau_c, nu).shape))
     rhs -= params.coriolis_force(nu)
     rhs -= params.damping_force(nu)
-    rhs -= params.restoring(trig)
+    rhs -= params.restoring(pose)
     rows = rhs.reshape(-1, 6)
     if len(rows) == 1:
         return (np.concatenate([rows, rows]) @ params.inertia_inv.T)[0].reshape(rhs.shape)
@@ -350,7 +352,7 @@ def inertial_matrices(
     m = scale * params.inertia
     c = scale * params.coriolis(nu)
     d = scale * params.damping(nu)
-    g = scale * params.restoring(pose[0])
+    g = scale * params.restoring(pose)
 
     m_e = jinv_t @ m @ jinv
     c_e = jinv_t @ (c - m @ jinv @ jdot) @ jinv

@@ -231,6 +231,31 @@ def test_scenario_rejects_a_malformed_initial_state(bad):
         Scenario(duration=0.02, initial_states=[np.zeros(12), bad, np.zeros(12)])
 
 
+@pytest.mark.parametrize(
+    "bad", [[0.0] * 11 + ["x"], [0.0] * 11 + [None], [[0.0] * 6, [0.0] * 5]],
+    ids=["string", "none", "ragged"],
+)
+def test_scenario_names_a_non_numeric_initial_state(bad):
+    # converted inside the check, not by numpy's bare "could not convert"
+    with pytest.raises(ValueError, match=r"initial_states\[1\] must be a finite"):
+        Scenario(duration=0.02, initial_states=[[0.0] * 12, bad, [0.0] * 12])
+
+
+def test_runtime_leader_table_holds_the_path_end():
+    # a run 1 s longer than its path: every step reads its own time's row,
+    # and the steps past the path's end read the row at its end
+    line = TrajectorySpec(kind="line", duration=0.5, velocity=np.array([0.3, -0.4, 0.0]))
+    sc = Scenario(trajectory=line, duration=1.5, dt=0.1)
+    rt = SimRuntime(sc)
+    assert rt.leader_refs.shape == (rt.n_steps + 1, 3, 6) == (16, 3, 6)
+    for k, row in enumerate(rt.leader_refs):
+        want = leader_reference(min(k * sc.dt, line.duration), line)
+        assert row.tobytes() == want.tobytes()
+    rec = [step(rt) for _ in range(rt.n_steps)]
+    assert rec[3]["e_d"][0].tobytes() == rt.leader_refs[3, 0].tobytes()
+    assert rec[-1]["ed_d"][0].tobytes() == rt.leader_refs[5, 1].tobytes()
+
+
 def test_every_config_in_the_scenario_tree_is_frozen():
     # waypoints and initial_states set, so their arrays are walked too
     sc = Scenario(

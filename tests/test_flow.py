@@ -154,20 +154,20 @@ def test_disturbance_zero_relative_velocity():
     model = DisturbanceModel()
     nu = np.array([0.4, 0.0, 0.0, 0.0, 0.0, 0.0])
     # vehicle translating with the flow: no relative motion, no wrench
-    w = disturbance_force(np.array([0.4, 0.0, 0.0]), nu, LEVEL, model)
+    w = disturbance_force(np.array([0.4, 0.0, 0.0]), LEVEL @ nu[:3], LEVEL, model)
     np.testing.assert_allclose(w, np.zeros(6), atol=1e-14)
 
 
 def test_disturbance_quadratic_law():
     model = DisturbanceModel(drag_gain=40.0)
-    w = disturbance_force(np.array([0.5, 0.0, 0.0]), np.zeros(6), LEVEL, model)
+    w = disturbance_force(np.array([0.5, 0.0, 0.0]), np.zeros(3), LEVEL, model)
     assert w[0] == pytest.approx(40.0 * 0.5**2, abs=1e-12)
 
 
 def test_disturbance_clamped():
     model = DisturbanceModel(drag_gain=40.0, force_clamp=20.0)
     # raw quadratic force 40 * 1.25^2 = 62.5 N, clamped to 20
-    w = disturbance_force(np.array([1.25, 0.0, 0.0]), np.zeros(6), LEVEL, model)
+    w = disturbance_force(np.array([1.25, 0.0, 0.0]), np.zeros(3), LEVEL, model)
     assert w[0] == pytest.approx(20.0)
 
 
@@ -181,7 +181,8 @@ def test_disturbance_structure_and_bound():
         nu[k] = np.concatenate([rng.uniform(-1.5, 1.5, 3), rng.uniform(-0.5, 0.5, 3)])
         flow[k, :2] = rng.uniform(-0.5, 0.5), rng.uniform(-0.5, 0.5)
     # the fleet batch, as the engine and the plant call it
-    w = disturbance_force(flow, nu, euler_pose(eta[:, 3:])[1], model)
+    rot = euler_pose(eta[:, 3:])[1]
+    w = disturbance_force(flow, np.einsum("vij,vj->vi", rot, nu[:, :3]), rot, model)
     assert np.max(np.abs(w)) <= model.force_clamp + 1e-12
     np.testing.assert_allclose(w[:, 2:5], np.zeros((200, 3)), atol=1e-14)
 

@@ -265,3 +265,75 @@ def test_waypoint_trajectory():
     e_d3, ed_d3, _ = leader_reference(50.0, spec)
     np.testing.assert_allclose(e_d3[:3], [10.0, 10.0, -2], atol=1e-12)
     np.testing.assert_allclose(ed_d3[:3], np.zeros(3), atol=1e-12)
+
+
+# --- the leader table: one batched call against the per-time scalar form ----
+
+
+def scalar_leader_reference(t: float, spec: TrajectorySpec) -> np.ndarray:
+    """[e_d, ed_d, edd_d] at one time, in the scalar arithmetic the engine used per step."""
+    if spec.kind == "spiral":
+        w, r = spec.angular_rate, spec.radius
+        a = w * t + spec.phase
+        pos = spec.center + np.array([r * np.cos(a), r * np.sin(a), spec.vertical_rate * t])
+        vel = np.array([-r * w * np.sin(a), r * w * np.cos(a), spec.vertical_rate])
+        acc = np.array([-r * w * w * np.cos(a), -r * w * w * np.sin(a), 0.0])
+        psi, psid = a + (np.pi / 2 if w >= 0 else -np.pi / 2), w
+    elif spec.kind == "line":
+        pos, vel, acc, psid = spec.start + spec.velocity * t, spec.velocity, np.zeros(3), 0.0
+        vx, vy = vel[0], vel[1]
+        psi = np.arctan2(vy, vx) if np.hypot(vx, vy) > 1e-12 else 0.0
+    else:
+        seg, times = spec.segments
+        tt = min(t, times[-1])
+        i = min(int(np.searchsorted(times, tt, side="right") - 1), len(seg) - 1)
+        frac = (tt - times[i]) / (times[i + 1] - times[i])
+        pos = spec.waypoints[i] + frac * seg[i]
+        vel = seg[i] / (times[i + 1] - times[i]) if t < times[-1] else np.zeros(3)
+        acc, psid = np.zeros(3), 0.0
+        psi = np.arctan2(seg[i][1], seg[i][0]) if np.hypot(seg[i][0], seg[i][1]) > 1e-12 else 0.0
+    refs = np.zeros((3, 6))
+    refs[:, :3] = pos, vel, acc
+    refs[:, 5] = wrap_angle(psi), psid, 0.0
+    return refs
+
+
+TABLE_SPECS = {
+    "spiral": spiral_spec(duration=20.0, phase=2.9, angular_rate=0.17, radius=7.3),
+    "spiral-clockwise": spiral_spec(duration=20.0, angular_rate=-0.1),
+    "line": TrajectorySpec(kind="line", duration=20.0, start=np.array([10.0, 40.0, -5.0]),
+                           velocity=np.array([-0.4, 0.3, -0.05])),
+    "line-vertical": TrajectorySpec(kind="line", duration=20.0, velocity=np.array([0.0, 0.0, -0.2])),
+    # reaches its last waypoint at about 15.9 s; a vertical leg has no heading
+    "waypoints": TrajectorySpec(
+        kind="waypoints", duration=20.0, speed=0.8,
+        waypoints=[[10.0, 40, -5], [14, 43, -5], [14, 43, -7], [10, 47, -6]],
+    ),
+}
+
+
+@pytest.mark.parametrize("name", list(TABLE_SPECS))
+def test_leader_table_matches_per_time_scalar_reference_bytes(name):
+    # the engine's table: every step's time, held at the trajectory's end
+    spec = TABLE_SPECS[name]
+    dt = 0.01
+    times = np.minimum(np.arange(2501) * dt, spec.duration)  # 25 s against a 20 s path
+    table = leader_reference(times, spec)
+    assert table.shape == (2501, 3, 6)
+    if spec.kind == "waypoints":
+        assert times[-1] > spec.segments[1][-1] + 4.0
+    for k in range(len(times)):
+        want = scalar_leader_reference(min(k * dt, spec.duration), spec)
+        assert table[k].tobytes() == want.tobytes(), k
+        assert leader_reference(times[k], spec).tobytes() == want.tobytes(), k
+
+
+def test_leader_reference_keeps_the_shape_of_its_times():
+    spec = TABLE_SPECS["waypoints"]
+    times = np.linspace(0.0, 20.0, 12).reshape(3, 4)
+    table = leader_reference(times, spec)
+    assert table.shape == (3, 4, 3, 6)
+    assert table[1, 2].tobytes() == leader_reference(times[1, 2], spec).tobytes()
+    assert leader_reference(0.0, spec).shape == (3, 6)
+    with pytest.raises(ValueError, match=r"t=20.5 outside \[0, 20.0\]"):
+        leader_reference(np.array([0.0, 20.5, 3.0]), spec)

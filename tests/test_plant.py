@@ -22,6 +22,7 @@ from auvform.flow import (
     FlowParams,
     LayeredField,
     disturbance_force,
+    layered_velocity,
 )
 from auvform.plant import advance_plant, plant_derivative
 from auvform.vehicle import PITCH_SINGULARITY_TOL, RigidBodyParams, euler_pose
@@ -180,6 +181,42 @@ def ref_advance(y, t, tau, dt, params, flow):
     return y + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
 
 
+# --- the flow sample alone: the workspace-box test folded into layer_index ---
+
+
+@pytest.mark.parametrize("surface", [1.0, 1.6], ids=["default", "shrunk"])
+def test_folded_workspace_mask_matches_the_two_pass_reference(surface):
+    # points inside, outside the box on each side, outside the depth band and
+    # on its edges; a surface layer above 1 also takes the shrink branch.
+    # Signed zeros count: a negative raw speed times a 0.0 scale is -0.0
+    field = LayeredField(layer_scale=(surface, 1.0 / 2.4, 0.25))
+    p = FlowParams()
+    rng = np.random.default_rng(11)
+    x = rng.uniform(-10.0, 90.0, 500)
+    y = rng.uniform(-10.0, 90.0, 500)
+    z = rng.uniform(-25.0, 3.0, 500)
+    x[:4], y[:4], z[:4] = [0.0, 80.0, 40.0, 40.0], [40.0, 40.0, 0.0, 80.0], [0.0, -20.0, -1.0, -1.0]
+    t = rng.uniform(0.0, 60.0, 500)
+    got = layered_velocity(x, y, z, t, field, p)
+    assert got.tobytes() == ref_layered_velocity(x, y, z, t, field, p).tobytes()
+    outside = (x < 0) | (x > 80) | (y < 0) | (y > 80) | (z < -20) | (z > 0)
+    assert outside.sum() > 100 and np.all(got[outside] == 0.0)
+    assert np.signbit(got[outside]).any()
+    shrunk = np.isclose(np.hypot(got[:, 0], got[:, 1]), field.speed_cap, rtol=1e-12, atol=0.0)
+    assert shrunk.any() == (surface > 1.0)
+    # scalar points, one per region, and a grid as the flow-grid export samples it
+    for point in [(30.0, 42.0, -3.0), (-1.0, 42.0, -3.0), (30.0, 81.0, -3.0), (30.0, 42.0, 0.5),
+                  (30.0, 42.0, -20.5), (80.0, 80.0, -20.0)]:
+        got = layered_velocity(*point, 2.5, field, p)
+        assert got.shape == (3,)
+        assert got.tobytes() == ref_layered_velocity(*point, 2.5, field, p).tobytes()
+    gx, gy = np.meshgrid(np.linspace(-5.0, 85.0, 19), np.linspace(-5.0, 85.0, 13))
+    gz = np.full_like(gx, -4.0)
+    got = layered_velocity(gx, gy, gz, 7.0, field, p)
+    assert got.shape == (13, 19, 3)
+    assert got.tobytes() == ref_layered_velocity(gx, gy, gz, 7.0, field, p).tobytes()
+
+
 # --- cases -------------------------------------------------------------------
 
 PARAMS = RigidBodyParams(
@@ -327,9 +364,10 @@ def test_cases_reach_every_branch():
 
 def step_start_disturbance(y, t, flow):
     """d_o at (y, t) the way the engine's diagnostics build it for the log."""
-    pose = euler_pose(y[:, 3:6])
+    rot = euler_pose(y[:, 3:6])[1]
     flow_vel = flow.sampler()(y[:, :3], t)
-    return disturbance_force(flow_vel, y[:, 6:], pose[1], flow.disturbance)
+    vel = np.einsum("...ij,...j->...i", rot, y[:, 6:9])
+    return disturbance_force(flow_vel, vel, rot, flow.disturbance)
 
 
 @pytest.mark.parametrize("same_start", [True, False], ids=["same-start", "two-starts"])

@@ -9,7 +9,7 @@ from auvform import vehicle as vm
 from auvform.engine import SimulationAbort, Scenario, run
 from auvform.vehicle import RigidBodyParams, acceleration_body, inertial_matrices
 
-LEVEL = vm.euler_trig(np.zeros(3))  # the trig of the zero attitude
+LEVEL = vm.euler_pose(np.zeros(3))  # the zero attitude, evaluated
 
 
 def random_state(rng, pitch_range=0.5):
@@ -147,7 +147,7 @@ def test_frame_consistency():
         pose = vm.euler_pose(eta[3:])
         tau = rng.uniform(-20.0, 20.0, 6)
         tau_c = rng.uniform(-5.0, 5.0, 6)
-        qdot = acceleration_body(nu, tau, tau_c, params, pose[0])
+        qdot = acceleration_body(nu, tau, tau_c, params, pose)
         jac = vm.jacobian(pose)
         jac_dot = vm.jacobian_dot(pose, nu[3:])
         edd_body_route = jac_dot @ nu + jac @ qdot
@@ -241,13 +241,13 @@ def test_params_cannot_go_stale_behind_their_cached_inverse():
     eta, nu = random_states(rng, 3)
     tau = rng.uniform(-20.0, 20.0, (3, 6))
     tau_c = rng.uniform(-5.0, 5.0, (3, 6))
-    trig = vm.euler_trig(eta[:, 3:])
-    acceleration_body(nu, tau, tau_c, params, trig)  # fills params.inertia_inv
+    pose = vm.euler_pose(eta[:, 3:])
+    acceleration_body(nu, tau, tau_c, params, pose)  # fills params.inertia_inv
     heavier = replace(params, inertia=2 * params.inertia)
     fresh = RigidBodyParams(inertia=2 * np.diag([30.0, 30.0, 30.0, 1.0, 5.0, 5.0]))
-    got = acceleration_body(nu, tau, tau_c, heavier, trig)
-    assert got.tobytes() == acceleration_body(nu, tau, tau_c, fresh, trig).tobytes()
-    assert not np.allclose(got, acceleration_body(nu, tau, tau_c, params, trig))
+    got = acceleration_body(nu, tau, tau_c, heavier, pose)
+    assert got.tobytes() == acceleration_body(nu, tau, tau_c, fresh, pose).tobytes()
+    assert not np.allclose(got, acceleration_body(nu, tau, tau_c, params, pose))
 
 
 def test_acceleration_rows_do_not_depend_on_the_batch_size():
@@ -269,15 +269,15 @@ def test_acceleration_rows_do_not_depend_on_the_batch_size():
     eta, nu = random_states(rng, 200)
     tau = rng.uniform(-20.0, 20.0, (200, 6))
     tau_c = rng.uniform(-5.0, 5.0, (200, 6))
-    full = acceleration_body(nu, tau, tau_c, params, vm.euler_trig(eta[:, 3:]))
+    full = acceleration_body(nu, tau, tau_c, params, vm.euler_pose(eta[:, 3:]))
     for i in range(200):
-        one = acceleration_body(nu[i], tau[i], tau_c[i], params, vm.euler_trig(eta[i, 3:]))
+        one = acceleration_body(nu[i], tau[i], tau_c[i], params, vm.euler_pose(eta[i, 3:]))
         assert one.shape == (6,) and one.tobytes() == full[i].tobytes()
         row = slice(i, i + 1)
-        one = acceleration_body(nu[row], tau[row], tau_c[row], params, vm.euler_trig(eta[row, 3:]))
+        one = acceleration_body(nu[row], tau[row], tau_c[row], params, vm.euler_pose(eta[row, 3:]))
         assert one.shape == (1, 6) and one.tobytes() == full[row].tobytes()
     for n in (2, 7, 128):
-        part = acceleration_body(nu[:n], tau[:n], tau_c[:n], params, vm.euler_trig(eta[:n, 3:]))
+        part = acceleration_body(nu[:n], tau[:n], tau_c[:n], params, vm.euler_pose(eta[:n, 3:]))
         assert part.tobytes() == full[:n].tobytes()
 
 
@@ -290,10 +290,10 @@ def test_held_wrench_broadcasts_over_the_rows():
     tau_c = rng.uniform(-5.0, 5.0, 6)
     tau_rows, tau_c_rows = np.tile(tau, (9, 1)), np.tile(tau_c, (9, 1))
     params = RigidBodyParams()
-    trig = vm.euler_trig(eta[:, 3:])
-    tiled = acceleration_body(nu, tau_rows, tau_c_rows, params, trig)
+    pose = vm.euler_pose(eta[:, 3:])
+    tiled = acceleration_body(nu, tau_rows, tau_c_rows, params, pose)
     for held in ((tau, tau_c), (tau, tau_c_rows), (tau_rows, tau_c)):
-        got = acceleration_body(nu, *held, params, trig)
+        got = acceleration_body(nu, *held, params, pose)
         assert got.shape == (9, 6) and got.tobytes() == tiled.tobytes()
 
 
@@ -449,3 +449,53 @@ def test_shared_pose_transforms_match_unfused_reference_bytes(shape):
         for g, w in zip(got, ref_inertial_matrices(eta2, nu, params, 0.9), strict=True):
             assert_same_bytes(g, w)
         assert_same_bytes(vm.euler_rate_to_body(pose[0]), ref_euler_rate_to_body(eta2))
+
+
+# --- stacked inertia products against the four blockwise matmuls ----------
+
+
+def random_spd_inertia(rng):
+    a = rng.normal(0.0, 1.0, (6, 6))
+    m = a @ a.T + 6.0 * np.eye(6)
+    return (m + m.T) / 2.0
+
+
+def ref_momenta(nu, m):
+    """[a1, a2] from the four 3x3 blocks, each a view of the transposed block."""
+    nu1, nu2 = nu[..., :3], nu[..., 3:]
+    a1 = nu1 @ m[:3, :3].T + nu2 @ m[:3, 3:].T
+    a2 = nu1 @ m[3:, :3].T + nu2 @ m[3:, 3:].T
+    return a1, a2
+
+
+def ref_coriolis(nu, m):
+    a1, a2 = ref_momenta(nu, m)
+    out = np.zeros(nu.shape[:-1] + (6, 6))
+    out[..., :3, 3:] = -vm.skew(a1)
+    out[..., 3:, :3] = -vm.skew(a1)
+    out[..., 3:, 3:] = -vm.skew(a2)
+    return out
+
+
+def ref_coriolis_force(nu, m):
+    a1, a2 = ref_momenta(nu, m)
+    nu1, nu2 = nu[..., :3], nu[..., 3:]
+    out = np.empty_like(nu)
+    out[..., :3] = -np.cross(a1, nu2)
+    out[..., 3:] = -np.cross(a1, nu1) - np.cross(a2, nu2)
+    return out
+
+
+@pytest.mark.parametrize("rows", [None, 1, 2, 3, 384])
+def test_stacked_inertia_products_match_the_blockwise_matmuls(rows):
+    # nu1 @ [M11^T | M21^T] + nu2 @ [M12^T | M22^T] must give the bytes of the
+    # four 3x3 products, one-row (vector-kernel) products included
+    rng = np.random.default_rng(21 if rows is None else rows)
+    inertias = [RigidBodyParams().inertia] + [random_spd_inertia(rng) for _ in range(6)]
+    for inertia in inertias:
+        params = RigidBodyParams(inertia=inertia)
+        nu = rng.normal(0.0, 1.0, (6,) if rows is None else (rows, 6))
+        a1, a2 = ref_momenta(nu, inertia)
+        assert_same_bytes(params._momenta(nu), np.concatenate([a1, a2], axis=-1))
+        assert_same_bytes(params.coriolis(nu), ref_coriolis(nu, inertia))
+        assert_same_bytes(params.coriolis_force(nu), ref_coriolis_force(nu, inertia))
