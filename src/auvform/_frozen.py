@@ -4,9 +4,9 @@ otherwise change a validated config behind the tables it caches."""
 import numpy as np
 
 
-def read_only(value, shape=None) -> np.ndarray:
-    """A read-only float copy of value, broadcast to shape when one is given."""
-    array = np.asarray(value, dtype=float)
+def read_only(value, shape=None, dtype=float) -> np.ndarray:
+    """A read-only copy of value (float unless dtype says), broadcast to shape when one is given."""
+    array = np.asarray(value, dtype=dtype)
     array = (array if shape is None else np.broadcast_to(array, shape)).copy()
     array.setflags(write=False)
     return array

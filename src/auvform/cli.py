@@ -1,7 +1,10 @@
 """Command-line entry point: run, compare, flow-grid and validate verbs.
 
-Exit codes: 0 success, 1 scenario/validation error or an output location
-that cannot be written (checked before simulating), 2 runtime abort.
+Exit codes: 0 success (--help included), 1 a malformed command line (an
+unknown option, a missing argument or a value of the wrong type), a
+scenario/validation error or an output location that cannot be written
+(checked before simulating), 2 runtime abort.  Every error is one stderr
+line, without a traceback.
 """
 
 from __future__ import annotations
@@ -19,6 +22,17 @@ from .scenario import ScenarioError, parse_scenario
 
 class OutputError(Exception):
     """The -o location cannot be written."""
+
+
+class UsageError(Exception):
+    """The command line is malformed."""
+
+
+class _Parser(argparse.ArgumentParser):
+    """An ArgumentParser, and its subparsers, that raise UsageError instead of exiting with 2."""
+
+    def error(self, message):
+        raise UsageError(f"{self.prog}: {message}")
 
 
 def _check_out(out: Path, is_file: bool = False) -> None:
@@ -107,7 +121,7 @@ def _cmd_validate(args) -> int:
 
 
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="auvform",
         description="Leader-follower AUV formation simulator",
     )
@@ -141,7 +155,11 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+    try:
+        args = build_parser().parse_args(argv)
+    except UsageError as exc:
+        print(f"usage error: {exc}", file=sys.stderr)
+        return 1
     try:
         return args.func(args)
     except ScenarioError as exc:

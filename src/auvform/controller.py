@@ -30,6 +30,7 @@ from functools import cached_property
 import numpy as np
 
 from ._frozen import freeze_arrays, read_only
+from ._numpy_fast import HALF
 from ._numpy_fast import clip as _clip
 from ._numpy_fast import einsum as _einsum
 
@@ -57,6 +58,12 @@ class SurfaceConfig:
         if self.integral_clamp <= 0:
             raise ValueError("integral clamp must be positive")
 
+    @cached_property
+    def operands(self) -> tuple[np.ndarray, ...]:
+        """2 lambda_s and lambda_s**2 (the bytes each law computed), and the 0-d -+integral_clamp."""
+        lam, clamp = self.lambda_s, self.integral_clamp
+        return read_only(2.0 * lam), read_only(lam**2), read_only(-clamp), read_only(clamp)
+
 
 @dataclass(frozen=True)
 class SuperTwistGains:
@@ -71,6 +78,11 @@ class SuperTwistGains:
     phi: float = 0.2
     gamma_big: float = 1.0
     gamma_small: float = 1.0
+
+    @cached_property
+    def neg_lam(self) -> np.ndarray:
+        """-lam as a 0-d operand of the reach term."""
+        return read_only(-self.lam)
 
 
 @dataclass(frozen=True)
@@ -102,6 +114,11 @@ class AdaptiveGains:
             raise ValueError(f"f_est_clamp must be nonnegative: got {self.f_est_clamp}")
 
     @cached_property
+    def f_est_bounds(self) -> tuple[np.ndarray, np.ndarray]:
+        """The 0-d clip bounds -f_est_clamp and f_est_clamp."""
+        return read_only(-self.f_est_clamp), read_only(self.f_est_clamp)
+
+    @cached_property
     def gamma_pinv(self) -> np.ndarray:
         """1 / Gamma per axis, 0 where Gamma is 0."""
         return read_only(np.divide(1.0, self.gamma, out=np.zeros(6), where=self.gamma != 0))
@@ -120,24 +137,24 @@ def sliding_surface(
     eps: np.ndarray, eps_dot: np.ndarray, integral_eps: np.ndarray, cfg: SurfaceConfig
 ) -> np.ndarray:
     """sigma = eps_dot + 2 L eps + L^2 integral(eps)."""
-    lam = cfg.lambda_s
-    return eps_dot + 2.0 * lam * eps + lam**2 * integral_eps
+    two_lam, lam_sq, _, _ = cfg.operands
+    return eps_dot + two_lam * eps + lam_sq * integral_eps
 
 
 def reference_rate(
     e_dot_d: np.ndarray, eps: np.ndarray, integral_eps: np.ndarray, cfg: SurfaceConfig
 ) -> np.ndarray:
     """ed_r = ed_d - 2 L eps - L^2 integral(eps); sigma = e_dot - ed_r."""
-    lam = cfg.lambda_s
-    return e_dot_d - 2.0 * lam * eps - lam**2 * integral_eps
+    two_lam, lam_sq, _, _ = cfg.operands
+    return e_dot_d - two_lam * eps - lam_sq * integral_eps
 
 
 def reference_accel(
     e_ddot_d: np.ndarray, eps: np.ndarray, eps_dot: np.ndarray, cfg: SurfaceConfig
 ) -> np.ndarray:
     """Time derivative of reference_rate: edd_r = edd_d - 2 L eps_dot - L^2 eps."""
-    lam = cfg.lambda_s
-    return e_ddot_d - 2.0 * lam * eps_dot - lam**2 * eps
+    two_lam, lam_sq, _, _ = cfg.operands
+    return e_ddot_d - two_lam * eps_dot - lam_sq * eps
 
 
 def validate_gains(g: SuperTwistGains) -> list[str]:
@@ -172,7 +189,7 @@ def equivalent_control(
     g: SuperTwistGains,
 ) -> np.ndarray:
     """u1: fractional-power reaching term plus model feedforward J^T f_hat_r."""
-    reach = -g.lam * np.abs(sigma) ** g.rho * np.sign(sigma)
+    reach = g.neg_lam * np.abs(sigma) ** g.rho * np.sign(sigma)
     return reach + _einsum("...ji,...j->...i", jac_full, f_hat_r)
 
 
@@ -195,7 +212,7 @@ def adaptive_update(
     if dt <= 0:
         raise ValueError("dt must be positive")
     f = f_est - gains.gamma * sigma * dt
-    return _clip(f, -gains.f_est_clamp, gains.f_est_clamp)
+    return _clip(f, *gains.f_est_bounds)
 
 
 def lyapunov_value(
@@ -206,7 +223,7 @@ def lyapunov_value(
     gamma_pinv is AdaptiveGains.gamma_pinv: axes with zero adaptation gain
     drop out of the estimate-error term.
     """
-    return 0.5 * (
+    return HALF * (
         _einsum("...i,...ij,...j->...", sigma, m_e, sigma)
         + np.add.reduce(w_vec**2 * gamma_pinv, axis=-1)
     )

@@ -265,7 +265,11 @@ class SimRuntime:
     def __init__(self, scenario: Scenario):
         self.scenario = scenario
         self.params = scenario.vehicle
-        self.alpha = scenario.vehicle.mismatch_factor
+        # run values that meet the step's arrays, as 0-d operands
+        alpha = scenario.vehicle.mismatch_factor
+        self.alpha, self.one_minus_alpha = read_only(alpha), read_only(1.0 - alpha)
+        self.dt = read_only(scenario.dt)
+        self.pitch_limit = read_only(np.pi / 2 - PITCH_SINGULARITY_TOL)
         self.sampler = scenario.flow.sampler()
         self.dist_model = scenario.flow.disturbance if scenario.flow.enabled else None
         n_v = scenario.n_vehicles
@@ -318,7 +322,7 @@ def _references(rt: SimRuntime, eta: np.ndarray, etadot: np.ndarray):
     e_d[1:], ed_d[1:] = follower_references(eta[0], etadot[0], sc.formation)
     if rt.prev_ed_d is not None and n_v > 1:
         # follower desired acceleration by finite difference of the rate
-        edd_d[1:] = (ed_d[1:] - rt.prev_ed_d[1:]) / sc.dt
+        edd_d[1:] = (ed_d[1:] - rt.prev_ed_d[1:]) / rt.dt
     rt.prev_ed_d = ed_d
     return e_d, ed_d, edd_d
 
@@ -333,7 +337,7 @@ def _control_and_diagnostics(rt: SimRuntime, t: float):
     ctr = sc.controller
     eta = rt.y[:, :6]
     nu = rt.y[:, 6:]
-    if (np.abs(eta[:, 4]) >= np.pi / 2 - PITCH_SINGULARITY_TOL).any():
+    if (np.abs(eta[:, 4]) >= rt.pitch_limit).any():
         raise SimulationAbort("pitch reached the transform singularity")
 
     pose = euler_pose(eta[:, 3:])
@@ -342,8 +346,8 @@ def _control_and_diagnostics(rt: SimRuntime, t: float):
     e_d, ed_d, edd_d = _references(rt, eta, etadot)
     eps, deps = tracking_error(eta, etadot, e_d, ed_d)
 
-    clamp = ctr.surface.integral_clamp
-    rt.cstate.integral_eps = _clip(rt.cstate.integral_eps + eps * sc.dt, -clamp, clamp)
+    _, _, lo, hi = ctr.surface.operands
+    rt.cstate.integral_eps = _clip(rt.cstate.integral_eps + eps * rt.dt, lo, hi)
     integral = rt.cstate.integral_eps
 
     sigma = sliding_surface(eps, deps, integral, ctr.surface)
@@ -373,16 +377,16 @@ def _control_and_diagnostics(rt: SimRuntime, t: float):
     else:
         flow_v = np.zeros((sc.n_vehicles, 3))
         d_o = np.zeros((sc.n_vehicles, 6))
-    f_tilde = (1.0 - rt.alpha) * f_r_true + d_o
+    f_tilde = rt.one_minus_alpha * f_r_true + d_o
     w_vec = f_est - f_tilde
     if rt.prev_f_tilde is None:
         f_tilde_dot = np.zeros_like(f_tilde)
     else:
-        f_tilde_dot = (f_tilde - rt.prev_f_tilde) / sc.dt
+        f_tilde_dot = (f_tilde - rt.prev_f_tilde) / rt.dt
     rt.prev_f_tilde = f_tilde
 
     m_e = m_e_h / rt.alpha
-    m_tilde = (1.0 - rt.alpha) * m_e
+    m_tilde = rt.one_minus_alpha * m_e
     lyap = lyapunov_value(sigma, w_vec, m_e, gains.gamma_pinv)
     assumption = assumption_holds(
         sigma, w_vec, f_tilde_dot, m_tilde, gains.k_gain, gains.gamma_pinv
@@ -415,8 +419,8 @@ def step(rt: SimRuntime) -> dict:
     Order: control -> MPC clip -> allocation -> plant advance -> adaptation.
     The plant advance is one advance_plant call over the fleet's rows with
     the true model; its k1 reuses the disturbance the diagnostics built at
-    (y, t) for the log.  The shell only clips the command here: the record's
-    mpc_cost is NaN, and run fills it in after the loop.
+    (y, t) for the log.  The shell only clips the command here: the record
+    has no mpc_cost, and run fills the log's in after the loop.
     """
     sc = rt.scenario
     n_v = sc.n_vehicles
@@ -430,7 +434,6 @@ def step(rt: SimRuntime) -> dict:
     tau6 = wrench5_to_body((sc.thrusters.tcm @ u_t.T).T)
     rec["u_cmd"] = u_cmd
     rec["u_t"] = u_t
-    rec["mpc_cost"] = np.full(n_v, np.nan)
 
     rt.y = advance_plant(
         rt.y, t, tau6, sc.dt, rt.params, rt.sampler, rt.dist_model, rec["dist"]
@@ -461,7 +464,8 @@ def run(scenario: Scenario) -> SimLog:
     rt = SimRuntime(scenario)
     n_steps = rt.n_steps
     log = SimLog.allocate(n_steps + 1, scenario.n_vehicles)
-    _, *logged = SimLog.__dataclass_fields__
+    # t is written from k; mpc_cost keeps allocate's NaN until _predicted_costs fills it
+    logged = [name for name in SimLog.__dataclass_fields__ if name not in ("t", "mpc_cost")]
     refs = None if rt.shell is None else np.empty((2, n_steps + 1, scenario.n_vehicles, 6))
 
     def write(k: int, rec: dict) -> None:
@@ -476,7 +480,6 @@ def run(scenario: Scenario) -> SimLog:
             write(k, step(rt))
         final = _control_and_diagnostics(rt, rt.t)
         final["u_cmd"] = final["u"]
-        final["mpc_cost"] = np.full(scenario.n_vehicles, np.nan)
         final["u_t"] = np.zeros((scenario.n_vehicles, 3))
         write(n_steps, final)
     except SimulationAbort as exc:

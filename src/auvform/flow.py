@@ -24,6 +24,7 @@ from functools import cached_property
 import numpy as np
 
 from ._frozen import read_only
+from ._numpy_fast import ONE
 from ._numpy_fast import clip as _clip
 from ._numpy_fast import einsum as _einsum
 
@@ -33,6 +34,10 @@ from ._numpy_fast import einsum as _einsum
 # depends only on (b0, e_amp, k), so FlowParams keeps those at
 # their defaults (at b0 = 0.5, k = 2 the supremum is about 1.205).
 RAW_SPEED_MAX = 1.014
+
+# layer_index's integer operands: the surface layer and the outside-the-box mark
+_SURFACE_LAYER = read_only(0, dtype=int)
+_NO_LAYER = read_only(-1, dtype=int)
 
 
 @dataclass(frozen=True)
@@ -98,17 +103,32 @@ class LayeredField:
                 f"xy_min {self.xy_min}, xy_max {self.xy_max}"
             )
 
+    @cached_property
+    def box_operands(self) -> tuple[np.ndarray, ...]:
+        """layer_index's 0-d operands: x_min, x_max, y_min, y_max, z_bottom, z_top,
+        the depth z_top - z_bottom, n_layers as a float and the deepest layer index."""
+        (x_min, y_min), (x_max, y_max) = self.xy_min, self.xy_max
+        bounds = (x_min, x_max, y_min, y_max, self.z_bottom, self.z_top)
+        return (*map(read_only, bounds), read_only(self.z_top - self.z_bottom),
+                read_only(self.n_layers), read_only(self.n_layers - 1, dtype=int))
+
+    @cached_property
+    def jet_operands(self) -> tuple[np.ndarray, ...]:
+        """layered_velocity's 0-d operands: the jet origin's x and y, jet_scale and speed_cap."""
+        return tuple(map(read_only, (*self.jet_origin, self.jet_scale, self.speed_cap)))
+
     def layer_index(self, x, y, z):
         """Layer of each point, 0 = surface band; -1 marks a point outside the workspace box."""
-        depth_frac = (self.z_top - z) / (self.z_top - self.z_bottom)
-        idx = np.floor(depth_frac * self.n_layers).astype(int)
-        idx = _clip(idx, 0, self.n_layers - 1)
+        x_min, x_max, y_min, y_max, z_bottom, z_top, depth, n_layers, deepest = self.box_operands
+        depth_frac = (z_top - z) / depth
+        idx = np.floor(depth_frac * n_layers).astype(int)
+        idx = _clip(idx, _SURFACE_LAYER, deepest)
         inside = (
-            (z >= self.z_bottom) & (z <= self.z_top)
-            & (x >= self.xy_min[0]) & (x <= self.xy_max[0])
-            & (y >= self.xy_min[1]) & (y <= self.xy_max[1])
+            (z >= z_bottom) & (z <= z_top)
+            & (x >= x_min) & (x <= x_max)
+            & (y >= y_min) & (y <= y_max)
         )
-        return np.where(inside, idx, -1)
+        return np.where(inside, idx, _NO_LAYER)
 
     @cached_property
     def speed_scales(self) -> np.ndarray:
@@ -140,31 +160,41 @@ class DisturbanceModel:
         if self.drag_gain < 0 or self.drag_gain_yaw < 0:
             raise ValueError("drag gains must be nonnegative")
 
+    @cached_property
+    def operands(self) -> tuple[np.ndarray, ...]:
+        """disturbance_force's 0-d operands: drag_gain, drag_gain_yaw, -force_clamp, force_clamp."""
+        clamp = self.force_clamp
+        return tuple(map(read_only, (self.drag_gain, self.drag_gain_yaw, -clamp, clamp)))
+
 
 def _jet_terms(x, y, t, p: FlowParams):
-    """(b, cos phase, sin phase, num, den): each phase trig evaluated once."""
+    """(b, cos phase, sin phase, num, den): each phase trig evaluated once.
+
+    b and the other time-only products are scalars for one time t (arrays
+    for per-row times), each converted once before it meets the points.
+    """
     b = p.b0 + p.e_amp * np.cos(p.omega * t + p.theta0)
-    phase = p.k * (x - p.c * t)
+    phase = p.k * (x - np.asarray(p.c * t))
     cos_ph = np.cos(phase)
     sin_ph = np.sin(phase)
-    num = y - b * cos_ph
-    den = np.sqrt(1.0 + p.k**2 * b**2 * sin_ph**2)
+    num = y - np.asarray(b) * cos_ph
+    den = np.sqrt(ONE + np.asarray(p.k**2 * b**2) * sin_ph**2)
     return b, cos_ph, sin_ph, num, den
 
 
 def stream_function(x, y, t, p: FlowParams) -> np.ndarray:
     """Jet stream function; range (0, 2), equal to 1 on the meander centerline."""
     *_, num, den = _jet_terms(x, y, t, p)
-    return 1.0 - np.tanh(num / den)
+    return ONE - np.tanh(num / den)
 
 
 def flow_velocity(x, y, t, p: FlowParams) -> tuple[np.ndarray, np.ndarray]:
     """Analytic (U, V) = (-dC/dy, dC/dx) of the stream function."""
     b, cos_ph, sin_ph, num, den = _jet_terms(x, y, t, p)
     f = num / den
-    sech2 = 1.0 / np.cosh(f) ** 2
-    dnum_dx = b * p.k * sin_ph
-    dden_dx = p.k**3 * b**2 * sin_ph * cos_ph / den
+    sech2 = ONE / np.cosh(f) ** 2
+    dnum_dx = np.asarray(b * p.k) * sin_ph
+    dden_dx = np.asarray(p.k**3 * b**2) * sin_ph * cos_ph / den
     df_dx = (dnum_dx * den - num * dden_dx) / den**2
     u = sech2 / den
     v = -sech2 * df_dx
@@ -173,20 +203,21 @@ def flow_velocity(x, y, t, p: FlowParams) -> tuple[np.ndarray, np.ndarray]:
 
 def layered_velocity(x, y, z, t, fieldp: LayeredField, p: FlowParams) -> np.ndarray:
     """3-D current at world coordinates: layered, rescaled, capped horizontal flow."""
-    xj = (x - fieldp.jet_origin[0]) / fieldp.jet_scale
-    yj = (y - fieldp.jet_origin[1]) / fieldp.jet_scale
+    origin_x, origin_y, jet_scale, cap = fieldp.jet_operands
+    xj = (x - origin_x) / jet_scale
+    yj = (y - origin_y) / jet_scale
     u, v = flow_velocity(xj, yj, t, p)
 
     # index -1 (outside the box) reads the scale 0.0
-    scale = fieldp.speed_scales[fieldp.layer_index(x, y, z)]
+    scale = fieldp.speed_scales.take(fieldp.layer_index(x, y, z))
     out = np.empty(np.shape(u) + (3,))
     np.multiply(u, scale, out=out[..., 0])
     np.multiply(v, scale, out=out[..., 1])
     out[..., 2] = 0.0
     speed = np.hypot(out[..., 0], out[..., 1])
-    over = speed > fieldp.speed_cap
+    over = speed > cap
     if over.any():
-        shrink = np.where(over, fieldp.speed_cap / np.where(over, speed, 1.0), 1.0)
+        shrink = np.where(over, cap / np.where(over, speed, ONE), ONE)
         uv = out[..., :2]
         np.multiply(uv, shrink[..., None], out=uv)
     return out
@@ -206,11 +237,12 @@ def disturbance_force(
     v_xy[..., 2] = 0.0
     # the Euclidean norm as np.linalg.norm computes it, without its wrapper
     mag = np.sqrt(np.add.reduce(v_xy * v_xy, axis=-1, keepdims=True))
-    force = _clip(model.drag_gain * mag * v_xy, -model.force_clamp, model.force_clamp)
+    gain, gain_yaw, lo, hi = model.operands
+    force = _clip(gain * mag * v_xy, lo, hi)
 
     # lateral slip in the body frame drives the yaw component
     v_body = _einsum("...ji,...j->...i", rot, v_xy)
-    yaw = _clip(model.drag_gain_yaw * v_body[..., 1], -model.force_clamp, model.force_clamp)
+    yaw = _clip(gain_yaw * v_body[..., 1], lo, hi)
     out = np.zeros(force.shape[:-1] + (6,))
     out[..., 0] = force[..., 0]
     out[..., 1] = force[..., 1]

@@ -183,8 +183,8 @@ def follower_references(
     psi = leader_eta[5]
     psid = leader_etadot[5]
     c, s = np.cos(psi), np.sin(psi)
-    rz = np.array([[c, -s, 0.0], [s, c, 0.0], [0.0, 0.0, 1.0]])
-    drz = np.array([[-s, -c, 0.0], [c, -s, 0.0], [0.0, 0.0, 0.0]])
+    rz = np.array((c, -s, 0.0, s, c, 0.0, 0.0, 0.0, 1.0)).reshape(3, 3)
+    drz = np.array((-s, -c, 0.0, c, -s, 0.0, 0.0, 0.0, 0.0)).reshape(3, 3)
     xyz, yaw = formation.slots
     e_d, ed_d = np.zeros((2, len(yaw), 6))
     e_d[:, :3] = leader_eta[:3] + (rz @ xyz[..., None])[..., 0]

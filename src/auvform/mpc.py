@@ -20,9 +20,12 @@ batch of vehicles.  Nothing here draws random numbers.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
+from ._frozen import read_only
+from ._numpy_fast import HALF
 from ._numpy_fast import clip as _clip
 from ._numpy_fast import einsum as _einsum
 from .flow import DisturbanceModel
@@ -46,6 +49,11 @@ class MpcConfig:
             raise ValueError("n_e must be at least 1")
         if self.tau_lo > self.tau_hi or self.state_lo > self.state_hi:
             raise ValueError("bounds must be well ordered (lower <= upper)")
+
+    @cached_property
+    def tau_bounds(self) -> tuple[np.ndarray, np.ndarray]:
+        """The 0-d command bounds tau_lo and tau_hi."""
+        return read_only(self.tau_lo), read_only(self.tau_hi)
 
 
 class MpcShell:
@@ -72,7 +80,7 @@ class MpcShell:
 
     def clip(self, nominal: np.ndarray) -> np.ndarray:
         """The command to apply: nominal clipped to [tau_lo, tau_hi] per axis."""
-        return _clip(nominal, self.cfg.tau_lo, self.cfg.tau_hi)
+        return _clip(nominal, *self.cfg.tau_bounds)
 
     def cost(self, rates: np.ndarray, ed_d: np.ndarray, edd_d: np.ndarray) -> np.ndarray:
         """Tracking cost (B,) of predicted rates (B, n_e, 6) against the references.
@@ -128,7 +136,7 @@ class MpcShell:
         e_seq = (
             e_d[:, None, :]
             + ed_d[:, None, :] * steps
-            + 0.5 * edd_d[:, None, :] * steps**2
+            + HALF * edd_d[:, None, :] * steps**2
         )
 
         rates, poses = self.rollout(y0, t, u)

@@ -25,7 +25,10 @@ result is byte-identical to evaluating each term from the angles;
 tests/test_plant.py holds that unfused form as its reference.  Call overhead
 may go but no operand or ufunc may change: each einsum writes its block of
 the result through out=, and the C entry points of _numpy_fast give the bytes
-numpy's Python wrappers give.
+numpy's Python wrappers give.  A scalar operand only changes its type: the
+RK4 coefficients 0.5 dt, dt and dt/6 are computed as before, as scalars, and
+meet the arrays as 0-d arrays, as every constant does (see _numpy_fast); the
+stage times stay scalar arithmetic, and `**` exponents stay Python scalars.
 """
 
 from __future__ import annotations
@@ -34,6 +37,7 @@ from typing import Callable
 
 import numpy as np
 
+from ._numpy_fast import TWO
 from ._numpy_fast import einsum as _einsum
 from .flow import DisturbanceModel, disturbance_force
 from .vehicle import (
@@ -52,10 +56,14 @@ def rk4_step(f, y: np.ndarray, t: Time, dt: float, k1: np.ndarray | None = None)
     """One classic Runge-Kutta step of y' = f(y, t); k1 = f(y, t) when given."""
     if k1 is None:
         k1 = f(y, t)
-    k2 = f(y + 0.5 * dt * k1, t + 0.5 * dt)
-    k3 = f(y + 0.5 * dt * k2, t + 0.5 * dt)
-    k4 = f(y + dt * k3, t + dt)
-    return y + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+    # each coefficient computed once, as the scalar it was, and met as a 0-d array
+    h = 0.5 * dt
+    half, whole, sixth = np.asarray(h), np.asarray(dt), np.asarray(dt / 6.0)
+    t_half = t + h
+    k2 = f(y + half * k1, t_half)
+    k3 = f(y + half * k2, t_half)
+    k4 = f(y + whole * k3, t + dt)
+    return y + sixth * (k1 + TWO * k2 + TWO * k3 + k4)
 
 
 def plant_derivative(

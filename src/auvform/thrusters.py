@@ -76,6 +76,11 @@ class ThrusterConfig:
         return read_only(build_tcm(self))
 
     @cached_property
+    def u_bounds(self) -> tuple[np.ndarray, np.ndarray]:
+        """The 0-d thrust bounds -u_limit and u_limit."""
+        return read_only(-self.u_limit), read_only(self.u_limit)
+
+    @cached_property
     def _pseudo_inverses(self) -> tuple[np.ndarray, dict]:
         """pinv(B), and the pseudo-inverses of B's columns by free set that allocate fills."""
         return read_only(np.linalg.pinv(self.tcm)), {}
@@ -110,10 +115,10 @@ def allocate(tau: np.ndarray, cfg: ThrusterConfig) -> tuple[np.ndarray, np.ndarr
     b = cfg.tcm
     b_pinv, free_pinv = cfg._pseudo_inverses
     u = b_pinv @ tau
-    lim = cfg.u_limit
-    sat = np.abs(u) > lim
+    lo, hi = cfg.u_bounds
+    sat = np.abs(u) > hi
     if sat.any():
-        u = _clip(u, -lim, lim)
+        u = _clip(u, lo, hi)
         free = ~sat
         if free.any():
             rem = tau - b[:, sat] @ u[sat]
@@ -121,7 +126,7 @@ def allocate(tau: np.ndarray, cfg: ThrusterConfig) -> tuple[np.ndarray, np.ndarr
             if key not in free_pinv:
                 free_pinv[key] = np.linalg.pinv(b[:, free])
             u[free] = free_pinv[key] @ rem
-            u = _clip(u, -lim, lim)
+            u = _clip(u, lo, hi)
     residual = b @ u - tau
     return u, residual
 

@@ -23,7 +23,12 @@ a contiguous copy of a transposed 3x3 inertia block changes the one-row
 matmul's bits (10 of 21 inertias), while the (3, 6) transposed views
 [M11^T | M21^T] and [M12^T | M22^T] give the four 3x3 products' bits at every
 batch size tried (1 to 384); and math.cosh and math.hypot differ from
-np.cosh and np.hypot on some inputs.
+np.cosh and np.hypot on some inputs.  A scalar operand may become a 0-d array
+(the rule in _numpy_fast: the same float64 loop on the same values), except a
+`**` exponent, which stays a Python scalar for numpy's square and sqrt fast
+paths, and an integer operand, which becomes a 0-d integer array.  C(q) is one
+gather, keeping the -0.0 that negating skew's zero diagonal leaves, and D(q)
+one strided write of its diagonal.
 """
 
 from __future__ import annotations
@@ -34,6 +39,7 @@ from functools import cached_property
 import numpy as np
 
 from ._frozen import freeze_arrays, read_only
+from ._numpy_fast import NEG_PI, ONE, PI, TWO_PI
 from ._numpy_fast import einsum as _einsum
 
 PITCH_SINGULARITY_TOL = 1e-6
@@ -55,10 +61,24 @@ _CROSS_OPERANDS = np.concatenate(
 )
 
 
+def _neg_skew_at(v: int, neg: int) -> np.ndarray:
+    """Entries of -S(a) in [a1, a2, -a1, -a2, 0.0, -0.0], a at v and -a at neg."""
+    return np.array([[13, v + 2, neg + 1], [neg + 2, 13, v], [v + 1, neg, 13]])
+
+
+# C(q) = [[0, -S(a1)], [-S(a1), -S(a2)]] as one gather from [a1, a2, -a1, -a2, 0.0, -0.0];
+# -S(a) keeps the -0.0 that negating skew's zero diagonal leaves
+_SIGNED_ZEROS = np.array([0.0, -0.0])
+_CORIOLIS_ENTRIES = np.block([
+    [np.full((3, 3), 12), _neg_skew_at(0, 6)],
+    [_neg_skew_at(0, 6), _neg_skew_at(3, 9)],
+]).ravel()
+
+
 def wrap_angle(a):
     """Wrap angles to (-pi, pi]."""
-    w = (np.asarray(a) + np.pi) % (2.0 * np.pi) - np.pi
-    return np.where(w == -np.pi, np.pi, w)
+    w = (np.asarray(a) + PI) % TWO_PI - PI
+    return np.where(w == NEG_PI, PI, w)
 
 
 def skew(v: np.ndarray) -> np.ndarray:
@@ -119,6 +139,11 @@ class RigidBodyParams:
     def inertia_inv(self) -> np.ndarray:
         return read_only(np.linalg.inv(self.inertia))
 
+    @cached_property
+    def restoring_operands(self) -> tuple[np.ndarray, np.ndarray]:
+        """restoring's 0-d operands: -buoyancy_net and restoring_gain."""
+        return read_only(-self.buoyancy_net), read_only(self.restoring_gain)
+
     def estimated(self) -> "RigidBodyParams":
         """The hatted model: every coefficient scaled by mismatch_factor."""
         a = self.mismatch_factor
@@ -133,11 +158,9 @@ class RigidBodyParams:
 
     def damping(self, nu: np.ndarray) -> np.ndarray:
         """D(q) as a matrix, batched: diag(d_linear + d_quad * |q|)."""
-        diag = self.d_linear + self.d_quad * np.abs(nu)
-        out = np.zeros(nu.shape[:-1] + (6, 6))
-        idx = np.arange(6)
-        out[..., idx, idx] = diag
-        return out
+        out = np.zeros(nu.shape[:-1] + (36,))
+        out[..., ::7] = self.d_linear + self.d_quad * np.abs(nu)  # the flat diagonal
+        return out.reshape(nu.shape[:-1] + (6, 6))
 
     def damping_force(self, nu: np.ndarray) -> np.ndarray:
         """D(q) @ q without materializing the matrix."""
@@ -160,20 +183,18 @@ class RigidBodyParams:
 
     def coriolis(self, nu: np.ndarray) -> np.ndarray:
         """Rigid-body/added-mass Coriolis matrix C(q), skew-symmetric, batched."""
-        a = self._momenta(nu)
-        neg_s = -skew(a.reshape(a.shape[:-1] + (2, 3)))  # -S(a1), -S(a2)
-        out = np.zeros(nu.shape[:-1] + (6, 6))
-        out[..., :3, 3:] = neg_s[..., 0, :, :]
-        out[..., 3:, :3] = neg_s[..., 0, :, :]
-        out[..., 3:, 3:] = neg_s[..., 1, :, :]
-        return out
+        w = np.empty(nu.shape[:-1] + (14,))
+        self._momenta(nu, out=w[..., 0:6])  # [a1, a2]
+        np.negative(w[..., 0:6], out=w[..., 6:12])
+        w[..., 12:] = _SIGNED_ZEROS
+        return w.take(_CORIOLIS_ENTRIES, axis=-1).reshape(nu.shape[:-1] + (6, 6))
 
     def coriolis_force(self, nu: np.ndarray) -> np.ndarray:
         """C(q) @ q via cross products, avoiding the matrix build."""
         w = np.empty(nu.shape[:-1] + (12,))
         self._momenta(nu, out=w[..., 0:6])  # [a1, a2]
         w[..., 6:] = nu
-        g = w[..., _CROSS_OPERANDS]
+        g = w.take(_CROSS_OPERANDS, axis=-1)
         cross = g[..., 0:9] * g[..., 9:18] - g[..., 18:27] * g[..., 27:36]
         # [-S(a1) nu2 ; -S(a1) nu1 - S(a2) nu2], S(a) x = a cross x
         out = -cross[..., :6]
@@ -183,12 +204,13 @@ class RigidBodyParams:
     def restoring(self, pose: tuple) -> np.ndarray:
         """Gravity/buoyancy vector g(e) in the body frame (left-hand side sign), from euler_pose."""
         (cphi, sphi, cth, sth, _, _), rot, _ = pose
+        neg_buoyancy, gain = self.restoring_operands
         # g[POS] = -buoyancy_net * up_body, and up_body = [-sth, cth sphi, cth cphi]
         # is the bottom row of R, built from the same products
         g = np.empty(cphi.shape + (6,))
-        np.multiply(-self.buoyancy_net, rot[..., 2, :], out=g[..., POS])
-        np.multiply(self.restoring_gain * cth, sphi, out=g[..., 3])
-        np.multiply(self.restoring_gain, sth, out=g[..., 4])
+        np.multiply(neg_buoyancy, rot[..., 2, :], out=g[..., POS])
+        np.multiply(gain * cth, sphi, out=g[..., 3])
+        np.multiply(gain, sth, out=g[..., 4])
         g[..., 5] = 0.0
         return g
 
@@ -224,16 +246,19 @@ def rotation_body_to_inertial(trig: tuple) -> np.ndarray:
     return m
 
 
-def euler_rate_to_body(trig: tuple) -> np.ndarray:
-    """T(e): maps Euler-angle rates to body angular velocity, nu2 = T @ eta2_dot."""
+def euler_rate_to_body(trig: tuple, out: np.ndarray | None = None) -> np.ndarray:
+    """T(e): maps Euler-angle rates to body angular velocity, nu2 = T @ eta2_dot.
+
+    out, when given, is a zero-filled (..., 3, 3) array (or view) that T is written into.
+    """
     cphi, sphi, cth, sth = trig[:4]
-    m = np.zeros(cphi.shape + (3, 3))
+    m = np.zeros(cphi.shape + (3, 3)) if out is None else out
     m[..., 0, 0] = 1.0
-    m[..., 0, 2] = -sth
+    np.negative(sth, out=m[..., 0, 2])
     m[..., 1, 1] = cphi
-    m[..., 1, 2] = cth * sphi
-    m[..., 2, 1] = -sphi
-    m[..., 2, 2] = cth * cphi
+    np.multiply(cth, sphi, out=m[..., 1, 2])
+    np.negative(sphi, out=m[..., 2, 1])
+    np.multiply(cth, cphi, out=m[..., 2, 2])
     return m
 
 
@@ -274,7 +299,10 @@ def jacobian(pose: tuple) -> np.ndarray:
 def jacobian_inv(pose: tuple) -> np.ndarray:
     """Analytic inverse of J(e) (rotation transpose, Euler-rate matrix), from euler_pose(e)."""
     trig, rot, _ = pose
-    return _block_diag_3(rot.swapaxes(-1, -2), euler_rate_to_body(trig))
+    out = np.zeros(rot.shape[:-2] + (6, 6))
+    out[..., :3, :3] = rot.swapaxes(-1, -2)
+    euler_rate_to_body(trig, out=out[..., 3:, 3:])
+    return out
 
 
 def jacobian_dot(pose: tuple, nu2: np.ndarray) -> np.ndarray:
@@ -288,7 +316,7 @@ def jacobian_dot(pose: tuple, nu2: np.ndarray) -> np.ndarray:
 
     cphi, sphi, cth, sth = trig[:4]
     tth = sth / cth
-    sec2 = 1.0 / cth**2
+    sec2 = ONE / cth**2
 
     eta2_dot = _einsum("...ij,...j->...i", t_inv, nu2)
     phid = eta2_dot[..., 0]

@@ -203,3 +203,20 @@ def test_normaliser_covers_only_the_default_jet_shape():
         with pytest.raises(ValueError, match="RAW_SPEED_MAX"):
             FlowParams(**{name: getattr(FlowParams, name) * 1.01})
     FlowParams(omega=0.2, theta0=0.0, c=0.3)
+
+
+@pytest.mark.parametrize("batch", [(), (1,), (3,), (384,), (4, 5)],
+                         ids=["unbatched", "1", "3", "384", "4x5"])
+def test_speed_scale_gather_matches_the_fancy_index(batch):
+    # layered_velocity reads speed_scales with take; the index form was its reference
+    rng = np.random.default_rng(len(batch) + sum(batch))
+    field = LayeredField()
+    x, y = rng.uniform(-10.0, 90.0, (2,) + batch)
+    z = rng.uniform(-25.0, 3.0, batch)
+    for point in [(x, y, z), (float(np.ravel(x)[0]), 40.0, -3.0), (40.0, 40.0, 1.0)]:
+        idx = field.layer_index(*point)
+        got, want = field.speed_scales.take(idx), field.speed_scales[idx]
+        assert type(got) is type(want) and np.shape(got) == np.shape(want)
+        assert np.asarray(got).tobytes() == np.asarray(want).tobytes()
+    if batch == (384,):
+        assert set(np.unique(field.layer_index(x, y, z))) == {-1, 0, 1, 2}

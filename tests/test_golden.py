@@ -15,8 +15,10 @@ these digests unchanged; a deliberate behaviour change updates them and says
 so.
 
 The digests were taken with numpy 2.4.6 on Python 3.11.7, x86-64 Intel Xeon
-(AVX-512F).  Floating-point results may differ in the last bit on another
-numpy build or CPU, in which case these tests fail without a code change.
+(AVX-512F), whose dispatched SIMD features are PINNED_DISPATCH.  Floating-point
+results may differ in the last bit on another numpy build or CPU, in which
+case these tests fail without a code change; each failure message names the
+features present then and now (see tests/test_dispatch.py).
 """
 
 import hashlib
@@ -29,6 +31,11 @@ import pytest
 from auvform.engine import SimRuntime, compute_metrics, detect_convergence, run
 from auvform.export import compare_runs, export_flow_grid, export_results
 from auvform.scenario import parse_scenario
+
+try:
+    from numpy._core._multiarray_umath import __cpu_dispatch__, __cpu_features__
+except ImportError:  # numpy < 2
+    from numpy.core._multiarray_umath import __cpu_dispatch__, __cpu_features__
 
 SPIRAL = Path(__file__).resolve().parents[1] / "scenarios" / "spiral.yaml"
 
@@ -48,6 +55,13 @@ PHASE_MPC = {
 TIMESERIES_OFFSET = "d7cf37d388df9adcdf0b7b1820e5f192d1146a8dd0ad4e7b3b4ed3910a69596e"
 COMPARISON = "750137e5b4008c1459d44ef8ea320ff8490ed9c639f53ce40567f92c5ae7844e"
 FLOW_GRID = "72510b4584f19934a653df820a963d388558cd84fcad76b65e61e1f6a11022a4"
+
+# numpy's dispatched SIMD features present on the machine that pinned the digests
+PINNED_DISPATCH = ["X86_V3", "X86_V4", "AVX512_ICL", "AVX512_SPR"]
+DISPATCH_NOTE = (
+    f"digests pinned under numpy dispatch {PINNED_DISPATCH}; this run dispatches "
+    f"{[f for f in __cpu_dispatch__ if __cpu_features__.get(f)]} (numpy {np.__version__})"
+)
 
 
 def simlog_sha256(log) -> str:
@@ -85,44 +99,45 @@ def offset_log(spiral_1s):
 
 
 def test_spiral_simlog_digest(mpc_log):
-    assert simlog_sha256(mpc_log) == SIMLOG_MPC
+    assert simlog_sha256(mpc_log) == SIMLOG_MPC, DISPATCH_NOTE
 
 
 def test_spiral_timeseries_digest(mpc_log, tmp_path):
     bundle = export_results(mpc_log, None, tmp_path)
-    assert hashlib.sha256(bundle.timeseries.read_bytes()).hexdigest() == TIMESERIES_MPC
+    assert hashlib.sha256(bundle.timeseries.read_bytes()).hexdigest() == TIMESERIES_MPC, \
+        DISPATCH_NOTE
 
 
 def test_baseline_simlog_digest(spiral_1s):
     sc = replace(spiral_1s, controller=replace(spiral_1s.controller, baseline=True))
-    assert simlog_sha256(run(sc)) == SIMLOG_BASELINE
+    assert simlog_sha256(run(sc)) == SIMLOG_BASELINE, DISPATCH_NOTE
 
 
 def test_offset_start_mpc_off_simlog_digest(spiral_1s, offset_log):
     assert np.any(np.abs(offset_log.u_t) >= spiral_1s.thrusters.u_limit)
-    assert simlog_sha256(offset_log) == SIMLOG_OFFSET
+    assert simlog_sha256(offset_log) == SIMLOG_OFFSET, DISPATCH_NOTE
 
 
 def test_offset_start_timeseries_digest(offset_log, tmp_path):
     assert np.all(np.isnan(offset_log.mpc_cost))
     bundle = export_results(offset_log, None, tmp_path)
-    assert file_sha256(bundle.timeseries) == TIMESERIES_OFFSET
+    assert file_sha256(bundle.timeseries) == TIMESERIES_OFFSET, DISPATCH_NOTE
 
 
 def test_spiral_metrics_and_phase_digests(spiral_1s, mpc_log, tmp_path):
     t_c = detect_convergence(mpc_log, spiral_1s.convergence_threshold)
     bundle = export_results(mpc_log, compute_metrics(mpc_log, t_c), tmp_path)
-    assert file_sha256(bundle.metrics) == METRICS_MPC
-    assert {ax: file_sha256(p) for ax, p in bundle.phase.items()} == PHASE_MPC
+    assert file_sha256(bundle.metrics) == METRICS_MPC, DISPATCH_NOTE
+    assert {ax: file_sha256(p) for ax, p in bundle.phase.items()} == PHASE_MPC, DISPATCH_NOTE
 
 
 def test_comparison_digest(spiral_1s, tmp_path):
     compare_runs(spiral_1s, tmp_path)
-    assert file_sha256(tmp_path / "comparison.csv") == COMPARISON
+    assert file_sha256(tmp_path / "comparison.csv") == COMPARISON, DISPATCH_NOTE
 
 
 def test_flow_grid_digest(spiral_1s, tmp_path):
     flow = spiral_1s.flow
     path = export_flow_grid(flow.params, flow.layers, [0, 2.5, 7.25], tmp_path / "grid.csv",
                             spacing=5.0)
-    assert file_sha256(path) == FLOW_GRID
+    assert file_sha256(path) == FLOW_GRID, DISPATCH_NOTE

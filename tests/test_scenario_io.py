@@ -48,6 +48,14 @@ def write(tmp_path: Path, text: str, name: str = "scenario.yaml") -> Path:
     return p
 
 
+def run_cli(*argv: str) -> subprocess.CompletedProcess:
+    env = dict(os.environ, PYTHONPATH=str(Path(auvform.__file__).parents[1]))
+    return subprocess.run(
+        [sys.executable, "-m", "auvform.cli", *argv],
+        capture_output=True, text=True, env=env, timeout=120,
+    )
+
+
 def quick_scenario_yaml(duration: float = 2.0, flow: str = "false") -> str:
     return f"""
 sim: {{dt_s: 0.01, duration_s: {duration}, seed: 1}}
@@ -484,11 +492,7 @@ def test_cli_bad_input_is_a_scenario_error(tmp_path, argv, key):
         "out": tmp_path / "out",
         **{name: write(tmp_path, doc, f"{name}.yaml") for name, doc in BAD_DOCS.items()},
     }
-    env = dict(os.environ, PYTHONPATH=str(Path(auvform.__file__).parents[1]))
-    done = subprocess.run(
-        [sys.executable, "-m", "auvform.cli", *(a.format(**paths) for a in argv)],
-        capture_output=True, text=True, env=env, timeout=120,
-    )
+    done = run_cli(*(a.format(**paths) for a in argv))
     assert done.returncode == 1
     assert done.stderr.startswith(f"scenario error: {key}")
     assert "Traceback" not in done.stderr
@@ -517,16 +521,52 @@ def test_cli_unwritable_output_is_an_output_error(tmp_path, argv, message):
     paths["file"].write_text("kept\n")
     paths["dir"].mkdir()
     before = sorted(tmp_path.rglob("*"))
-    env = dict(os.environ, PYTHONPATH=str(Path(auvform.__file__).parents[1]))
-    done = subprocess.run(
-        [sys.executable, "-m", "auvform.cli", *(a.format(**paths) for a in argv)],
-        capture_output=True, text=True, env=env, timeout=120,
-    )
+    done = run_cli(*(a.format(**paths) for a in argv))
     assert done.returncode == 1
     assert done.stderr == f"output error: {message.format(**paths)}\n"
     assert done.stdout == ""
     assert sorted(tmp_path.rglob("*")) == before
     assert paths["file"].read_text() == "kept\n"
+
+
+@pytest.mark.parametrize(
+    ("argv", "names"),
+    [
+        (["run", "{scenario}", "-o", "{out}", "--dt", "abc"], "argument --dt: invalid float"),
+        (["run", "{scenario}", "-o", "{out}", "--seed", "1.5"], "argument --seed: invalid int"),
+        (["compare", "{scenario}", "-o", "{out}", "--seed", "x"], "argument --seed"),
+        (["run", "{scenario}", "-o", "{out}", "--bogus"], "unrecognized arguments: --bogus"),
+        (["run", "{scenario}"], "-o/--out"),
+        (["simulate", "{scenario}"], "invalid choice: 'simulate'"),
+        ([], "command"),
+    ],
+    ids=["dt-not-a-number", "seed-fraction", "seed-not-a-number", "unknown-option",
+         "missing-out", "unknown-verb", "no-verb"],
+)
+def test_cli_malformed_command_line_exits_1(tmp_path, argv, names):
+    paths = {"scenario": write(tmp_path, quick_scenario_yaml(duration=0.5)),
+             "out": tmp_path / "out"}
+    done = run_cli(*(a.format(**paths) for a in argv))
+    assert done.returncode == 1
+    assert done.stderr.startswith("usage error: auvform")
+    assert names in done.stderr
+    assert done.stderr.count("\n") == 1
+    assert "Traceback" not in done.stderr
+    assert not paths["out"].exists()
+
+
+def test_cli_help_exits_0_and_a_pitch_abort_exits_2(tmp_path):
+    assert run_cli("run", "--help").returncode == 0
+    pitched = quick_scenario_yaml(duration=0.5) + """
+initial:
+  mode: explicit
+  states:
+    - [20.0, 40.0, -8.0, 0, 1.5707962, 0, 0, 0, 0, 0, 0, 0]
+    - [18.0, 41.5, -8.0, 0, 0, 0, 0, 0, 0, 0, 0, 0]
+"""
+    done = run_cli("run", str(write(tmp_path, pitched)), "-o", str(tmp_path / "out"))
+    assert done.returncode == 2
+    assert done.stderr == "runtime abort: pitch reached the transform singularity\n"
 
 
 @pytest.mark.parametrize("key", ["u1_saturated: true", "u2_mode: supertwist",

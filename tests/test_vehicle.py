@@ -499,3 +499,59 @@ def test_stacked_inertia_products_match_the_blockwise_matmuls(rows):
         assert_same_bytes(params._momenta(nu), np.concatenate([a1, a2], axis=-1))
         assert_same_bytes(params.coriolis(nu), ref_coriolis(nu, inertia))
         assert_same_bytes(params.coriolis_force(nu), ref_coriolis_force(nu, inertia))
+
+
+# --- the structured builders against the forms they replaced --------------
+
+
+def former_damping(params, nu):
+    out = np.zeros(nu.shape[:-1] + (6, 6))
+    idx = np.arange(6)
+    out[..., idx, idx] = params.d_linear + params.d_quad * np.abs(nu)
+    return out
+
+
+def former_coriolis(params, nu):
+    a = params._momenta(nu)
+    neg_s = -vm.skew(a.reshape(a.shape[:-1] + (2, 3)))  # -S(a1), -S(a2)
+    out = np.zeros(nu.shape[:-1] + (6, 6))
+    out[..., :3, 3:] = neg_s[..., 0, :, :]
+    out[..., 3:, :3] = neg_s[..., 0, :, :]
+    out[..., 3:, 3:] = neg_s[..., 1, :, :]
+    return out
+
+
+def former_coriolis_force(params, nu):
+    w = np.empty(nu.shape[:-1] + (12,))
+    params._momenta(nu, out=w[..., 0:6])
+    w[..., 6:] = nu
+    g = w[..., vm._CROSS_OPERANDS]  # the fancy-index gather
+    cross = g[..., 0:9] * g[..., 9:18] - g[..., 18:27] * g[..., 27:36]
+    out = -cross[..., :6]
+    out[..., 3:] -= cross[..., 6:]
+    return out
+
+
+@pytest.mark.parametrize("batch", [(), (1,), (3,), (384,), (4, 5)],
+                         ids=["unbatched", "1", "3", "384", "4x5"])
+def test_structured_builders_match_their_former_forms(batch):
+    rng = np.random.default_rng(sum(batch) + 40)
+    inertias = [RigidBodyParams().inertia] + [random_spd_inertia(rng) for _ in range(4)]
+    for inertia in inertias:
+        params = RigidBodyParams(inertia=inertia, d_linear=rng.uniform(0.0, 30.0, 6),
+                                 d_quad=rng.uniform(0.0, 200.0, 6))
+        nu = rng.normal(0.0, 1.0, batch + (6,))
+        nu.flat[::5] = 0.0  # zero momenta components too
+        assert_same_bytes(params.damping(nu), former_damping(params, nu))
+        assert_same_bytes(params.coriolis_force(nu), former_coriolis_force(params, nu))
+        c = params.coriolis(nu)
+        assert_same_bytes(c, former_coriolis(params, nu))
+        # the diagonals of the three -S(a) blocks hold -0.0, the top-left block +0.0
+        diag = c.reshape(batch + (36,))[..., [3, 10, 17, 18, 25, 32, 21, 28, 35]]
+        assert np.all(diag == 0.0) and np.all(np.signbit(diag))
+        assert not np.signbit(c[..., :3, :3]).any()
+
+        eta2 = rng.uniform(-1.4, 1.4, batch + (3,))
+        pose = vm.euler_pose(eta2)
+        assert_same_bytes(vm.jacobian_inv(pose), ref_jacobian_inv(eta2))
+        assert_same_bytes(vm.euler_rate_to_body(pose[0]), ref_euler_rate_to_body(eta2))
