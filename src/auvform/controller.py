@@ -53,9 +53,9 @@ class SurfaceConfig:
 
     def __post_init__(self):
         freeze_arrays(self, lambda_s=(6,))
-        if (self.lambda_s <= 0).any():
+        if not (self.lambda_s > 0).all():
             raise ValueError("surface gain entries must be positive")
-        if self.integral_clamp <= 0:
+        if not self.integral_clamp > 0:
             raise ValueError("integral clamp must be positive")
 
     @cached_property
@@ -108,9 +108,9 @@ class AdaptiveGains:
 
     def __post_init__(self):
         freeze_arrays(self, k_gain=(6,), gamma=(6,))
-        if (self.k_gain < 0).any() or (self.gamma < 0).any():
+        if not ((self.k_gain >= 0).all() and (self.gamma >= 0).all()):
             raise ValueError("adaptation gains must be nonnegative")
-        if self.f_est_clamp < 0:
+        if not self.f_est_clamp >= 0:
             raise ValueError(f"f_est_clamp must be nonnegative: got {self.f_est_clamp}")
 
     @cached_property
@@ -209,7 +209,7 @@ def adaptive_update(
     f_est: np.ndarray, gains: AdaptiveGains, sigma: np.ndarray, dt: float
 ) -> np.ndarray:
     """The next estimate: an Euler step of f_est_dot = -Gamma sigma, clamped per axis."""
-    if dt <= 0:
+    if not dt > 0:
         raise ValueError("dt must be positive")
     f = f_est - gains.gamma * sigma * dt
     return _clip(f, *gains.f_est_bounds)

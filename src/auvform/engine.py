@@ -21,7 +21,6 @@ import numpy as np
 
 from ._frozen import read_only
 from ._numpy_fast import clip as _clip
-from ._numpy_fast import einsum as _einsum
 from .controller import (
     AdaptiveGains,
     ControllerState,
@@ -54,6 +53,7 @@ from .vehicle import (
     RigidBodyParams,
     euler_pose,
     inertial_matrices,
+    inertial_rates,
     jacobian,
     jacobian_inv,
     reference_dynamics,
@@ -98,24 +98,20 @@ class ControllerConfig:
 
 @dataclass(frozen=True)
 class FlowConfig:
-    """Current model and its coupling into vehicle forces."""
+    """Current model and its coupling into vehicle forces.
+
+    The plant and the MPC shell take the enabled config as their one `flow`
+    argument, or None with the flow off.
+    """
 
     params: FlowParams = field(default_factory=FlowParams)
     layers: LayeredField = field(default_factory=LayeredField)
     disturbance: DisturbanceModel = field(default_factory=DisturbanceModel)
     enabled: bool = True
 
-    def sampler(self):
-        if not self.enabled:
-            return None
-        params, layers = self.params, self.layers
-
-        def sample(pos: np.ndarray, t: float) -> np.ndarray:
-            return layered_velocity(
-                pos[..., 0], pos[..., 1], pos[..., 2], t, layers, params
-            )
-
-        return sample
+    def velocity(self, pos: np.ndarray, t: float | np.ndarray) -> np.ndarray:
+        """The current (..., 3) at inertial positions pos (..., 3) and time(s) t."""
+        return layered_velocity(pos[..., 0], pos[..., 1], pos[..., 2], t, self.layers, self.params)
 
 
 @dataclass(frozen=True)
@@ -156,13 +152,13 @@ class Scenario:
         """The run-level checks; each sub-config checked itself when built."""
         if not (np.isfinite(self.dt) and np.isfinite(self.duration)):
             raise ValueError("dt and duration must be finite")
-        if self.dt <= 0:
+        if not self.dt > 0:
             raise ValueError("dt must be positive")
-        if self.duration < self.dt:
+        if not self.duration >= self.dt:
             raise ValueError("duration must be at least one step")
-        if self.seed < 0:
+        if not self.seed >= 0:
             raise ValueError("seed must be nonnegative")
-        if self.convergence_threshold <= 0:
+        if not self.convergence_threshold > 0:
             raise ValueError("convergence threshold must be positive")
         if self.initial_states is not None:
             if len(self.initial_states) != self.n_vehicles:
@@ -270,8 +266,7 @@ class SimRuntime:
         self.alpha, self.one_minus_alpha = read_only(alpha), read_only(1.0 - alpha)
         self.dt = read_only(scenario.dt)
         self.pitch_limit = read_only(np.pi / 2 - PITCH_SINGULARITY_TOL)
-        self.sampler = scenario.flow.sampler()
-        self.dist_model = scenario.flow.disturbance if scenario.flow.enabled else None
+        self.flow = scenario.flow if scenario.flow.enabled else None
         n_v = scenario.n_vehicles
         self.n_steps = round(scenario.duration / scenario.dt)
         # the leader's [e_d, ed_d, edd_d] at every step's time, held at the path's end
@@ -289,9 +284,7 @@ class SimRuntime:
         self.step_index = 0
         self.shell = None
         if scenario.mpc.enabled:
-            self.shell = MpcShell(
-                scenario.mpc, self.params, self.dist_model, self.sampler, scenario.dt
-            )
+            self.shell = MpcShell(scenario.mpc, self.params, self.flow, scenario.dt)
         w = scenario.controller.baseline_w
         if w is None:
             w = scenario.flow.disturbance.force_clamp if scenario.flow.enabled else 1.0
@@ -331,7 +324,8 @@ def _control_and_diagnostics(rt: SimRuntime, t: float):
     """Controller evaluation at the current state; mutates integral state.
 
     The pose's trig, rotation and T^-1 are evaluated once (euler_pose) and
-    shared by J, the inertial-frame matrices and the disturbance wrench.
+    shared by J, the rates J q, the inertial-frame matrices and the
+    disturbance wrench, which reads R nu1 from the rates.
     """
     sc = rt.scenario
     ctr = sc.controller
@@ -342,7 +336,7 @@ def _control_and_diagnostics(rt: SimRuntime, t: float):
 
     pose = euler_pose(eta[:, 3:])
     jac = jacobian(pose)
-    etadot = _einsum("vij,vj->vi", jac, nu)
+    etadot = inertial_rates(pose, nu)
     e_d, ed_d, edd_d = _references(rt, eta, etadot)
     eps, deps = tracking_error(eta, etadot, e_d, ed_d)
 
@@ -370,10 +364,9 @@ def _control_and_diagnostics(rt: SimRuntime, t: float):
 
     # stability diagnostics against the computable truth
     f_r_true = f_hat_r / rt.alpha
-    if rt.sampler is not None:
-        flow_v = rt.sampler(eta[:, :3], t)
-        vel = _einsum("...ij,...j->...i", pose[1], nu[:, :3])
-        d_o = disturbance_force(flow_v, vel, pose[1], sc.flow.disturbance)
+    if rt.flow is not None:
+        flow_v = rt.flow.velocity(eta[:, :3], t)
+        d_o = disturbance_force(flow_v, etadot[:, :3], pose[1], rt.flow.disturbance)
     else:
         flow_v = np.zeros((sc.n_vehicles, 3))
         d_o = np.zeros((sc.n_vehicles, 6))
@@ -435,9 +428,7 @@ def step(rt: SimRuntime) -> dict:
     rec["u_cmd"] = u_cmd
     rec["u_t"] = u_t
 
-    rt.y = advance_plant(
-        rt.y, t, tau6, sc.dt, rt.params, rt.sampler, rt.dist_model, rec["dist"]
-    )
+    rt.y = advance_plant(rt.y, t, tau6, sc.dt, rt.params, rt.flow, rec["dist"])
     rt.y[:, 3:6] = wrap_angle(rt.y[:, 3:6])
     if not np.isfinite(rt.y).all():
         raise SimulationAbort("state became non-finite")

@@ -89,13 +89,13 @@ class LayeredField:
     def __post_init__(self):
         for name in ("layer_scale", "jet_origin", "xy_min", "xy_max"):
             object.__setattr__(self, name, tuple(float(v) for v in getattr(self, name)))
-        if self.n_layers < 1 or len(self.layer_scale) != self.n_layers:
+        if not self.n_layers >= 1 or len(self.layer_scale) != self.n_layers:
             raise ValueError("layer_scale length must equal n_layers")
-        if self.z_bottom >= self.z_top:
+        if not self.z_bottom < self.z_top:
             raise ValueError("z_bottom must be below z_top")
-        if self.speed_cap < 0:
+        if not self.speed_cap >= 0:
             raise ValueError("speed_cap must be nonnegative")
-        if self.jet_scale <= 0:
+        if not self.jet_scale > 0:
             raise ValueError("jet_scale must be positive")
         if not all(lo < hi for lo, hi in zip(self.xy_min, self.xy_max)):
             raise ValueError(
@@ -155,9 +155,9 @@ class DisturbanceModel:
     force_clamp: float = 20.0
 
     def __post_init__(self):
-        if self.force_clamp < 0:
+        if not self.force_clamp >= 0:
             raise ValueError("force_clamp must be nonnegative")
-        if self.drag_gain < 0 or self.drag_gain_yaw < 0:
+        if not (self.drag_gain >= 0 and self.drag_gain_yaw >= 0):
             raise ValueError("drag gains must be nonnegative")
 
     @cached_property

@@ -82,18 +82,18 @@ class TrajectorySpec:
         freeze_arrays(self, center=None, start=None, velocity=None, waypoints=None)
         if self.kind not in ("spiral", "line", "waypoints"):
             raise ValueError(f"unknown trajectory kind {self.kind!r}")
-        if self.duration <= 0:
+        if not self.duration > 0:
             raise ValueError("duration must be positive")
         for name in ("center", "start", "velocity"):
             if getattr(self, name).shape != (3,):
                 raise ValueError(f"trajectory {name} needs 3 entries")
-        if self.kind == "spiral" and self.radius <= 0:
+        if self.kind == "spiral" and not self.radius > 0:
             raise ValueError("spiral radius must be positive")
         if self.kind == "waypoints":
             pts = self.waypoints
             if pts is None or pts.shape[1:] != (3,) or len(pts) < 2:
                 raise ValueError("waypoint trajectory needs at least 2 points of 3 entries")
-            if self.speed <= 0:
+            if not self.speed > 0:
                 raise ValueError("waypoint speed must be positive")
             advances = np.diff(self.segments[1]) > 0
             if not advances.all():

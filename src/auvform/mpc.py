@@ -14,23 +14,28 @@ No rollout feeds back into the fleet, so a run rolls out none while it
 steps: engine.run scores every step's held command after the loop, from the
 rows it logged, through MpcShell.rollout over many steps' rows at once, each
 row from its own start time.  MpcShell.solve runs the same rollout for one
-batch of vehicles.  Nothing here draws random numbers.
+batch of vehicles.  Each predicted step is one advance_plant under the
+scenario's current (the enabled FlowConfig, or None with the flow off), and
+its rates J q come from vehicle.inertial_rates, as the plant's kinematics
+do.  Nothing here draws random numbers.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
+from typing import TYPE_CHECKING
 
 import numpy as np
 
 from ._frozen import read_only
 from ._numpy_fast import HALF
 from ._numpy_fast import clip as _clip
-from ._numpy_fast import einsum as _einsum
-from .flow import DisturbanceModel
-from .plant import FlowSampler, Time, advance_plant
-from .vehicle import RigidBodyParams, euler_pose, wrap_angle
+from .plant import Time, advance_plant
+from .vehicle import RigidBodyParams, euler_pose, inertial_rates, wrap_angle
+
+if TYPE_CHECKING:
+    from .engine import FlowConfig
 
 
 @dataclass(frozen=True)
@@ -45,9 +50,9 @@ class MpcConfig:
     state_hi: float = 5.0
 
     def __post_init__(self):
-        if self.n_e < 1:
+        if not self.n_e >= 1:
             raise ValueError("n_e must be at least 1")
-        if self.tau_lo > self.tau_hi or self.state_lo > self.state_hi:
+        if not (self.tau_lo <= self.tau_hi and self.state_lo <= self.state_hi):
             raise ValueError("bounds must be well ordered (lower <= upper)")
 
     @cached_property
@@ -59,21 +64,15 @@ class MpcConfig:
 class MpcShell:
     """Stateless solver bound to one scenario's estimated model and flow.
 
-    dist_model is required whenever flow_sampler is given; both are None with the flow off.
+    flow is the enabled FlowConfig, or None with the flow off.
     """
 
     def __init__(
-        self,
-        cfg: MpcConfig,
-        params: RigidBodyParams,
-        dist_model: DisturbanceModel | None,
-        flow_sampler: FlowSampler | None,
-        dt: float,
+        self, cfg: MpcConfig, params: RigidBodyParams, flow: FlowConfig | None, dt: float
     ):
         self.cfg = cfg
         self.params_est = params.estimated()
-        self.dist_model = dist_model
-        self.flow_sampler = flow_sampler
+        self.flow = flow
         self.dt = dt
         # offsets of the n_e predicted steps from the rollout's start
         self.steps = dt * np.arange(1, cfg.n_e + 1)[:, None]
@@ -107,10 +106,9 @@ class MpcShell:
         y = y0
         for k in range(self.cfg.n_e):
             y = advance_plant(
-                y, t0 + k * dt, u, dt, self.params_est, self.flow_sampler, self.dist_model,
-                d_o if k == 0 else None,
+                y, t0 + k * dt, u, dt, self.params_est, self.flow, d_o if k == 0 else None
             )
-            rates[..., k, :] = _inertial_rates(y)
+            inertial_rates(euler_pose(y[..., 3:6]), y[..., 6:], out=rates[..., k, :])
             poses[..., k, :] = y[..., :6]
         return rates, poses
 
@@ -146,12 +144,3 @@ class MpcShell:
         feasible = ((err >= cfg.state_lo) & (err <= cfg.state_hi)).all(axis=(-1, -2))
         return np.repeat(u[:, None], cfg.n_e, axis=1), cost, feasible
 
-
-def _inertial_rates(y: np.ndarray) -> np.ndarray:
-    """Inertial rates J q (rows, 6) of states y (rows, 12)."""
-    # J q blockwise: R nu1 and T^-1 nu2
-    _, rot, t_inv = euler_pose(y[..., 3:6])
-    rates = np.empty(y.shape[:-1] + (6,))
-    rates[..., :3] = _einsum("...ij,...j->...i", rot, y[..., 6:9])
-    rates[..., 3:] = _einsum("...ij,...j->...i", t_inv, y[..., 9:])
-    return rates

@@ -3,8 +3,10 @@
 State y = [eta, nu] (12 per vehicle), batched over leading axes.  The applied
 body wrench is zero-order-held across one step; the flow disturbance is part
 of the continuous dynamics and is re-evaluated inside each integrator
-substep.  A caller that already holds the disturbance d_o at the step start
-(y, t) hands it in as `d_o`, and k1 uses it instead of sampling the flow.
+substep.  The current is one argument, `flow`: the enabled FlowConfig, whose
+velocity and disturbance model give d_o, or None with the flow off.  A caller
+that already holds the disturbance d_o at the step start (y, t) hands it in
+as `d_o`, and k1 uses it instead of sampling the flow.
 
 Per-row times: `t` is one time for every row or a (rows,) array of per-row
 times.  The MPC shell's rollouts advance many steps' rows in one call this
@@ -15,8 +17,9 @@ call of any size, so a row gets the bytes a separate call would give it.
 Per-derivative contract: plant_derivative evaluates cos/sin of the Euler
 angles once (euler_trig), and every pose-dependent transform takes that
 evaluated trig rather than the angles: the rotation R, built once and shared
-by the kinematics eta_dot = J q, the disturbance wrench and tau_c = J^T d_o;
-the inertial velocity R nu1 of the kinematics, which the disturbance wrench
+by the kinematics eta_dot = J q (vehicle.inertial_rates, the engine's and
+the rollout's J q too), the disturbance wrench and tau_c = J^T d_o; the
+inertial velocity R nu1 of the kinematics, which the disturbance wrench
 reads; R's bottom row [-sin theta, cos theta sin phi, cos theta cos phi],
 which the restoring term reads; and the Euler-rate matrix T^-1 of the
 kinematics and of tau_c.  Every elementwise expression keeps
@@ -33,22 +36,25 @@ stage times stay scalar arithmetic, and `**` exponents stay Python scalars.
 
 from __future__ import annotations
 
-from typing import Callable
+from typing import TYPE_CHECKING
 
 import numpy as np
 
 from ._numpy_fast import TWO
 from ._numpy_fast import einsum as _einsum
-from .flow import DisturbanceModel, disturbance_force
+from .flow import disturbance_force
 from .vehicle import (
     RigidBodyParams,
     acceleration_body,
     body_rate_to_euler,
     euler_trig,
+    inertial_rates,
     rotation_body_to_inertial,
 )
 
-FlowSampler = Callable[[np.ndarray, float | np.ndarray], np.ndarray]
+if TYPE_CHECKING:
+    from .engine import FlowConfig
+
 Time = float | np.ndarray
 
 
@@ -71,15 +77,14 @@ def plant_derivative(
     t: Time,
     tau: np.ndarray,
     params: RigidBodyParams,
-    flow_sampler: FlowSampler | None = None,
-    dist_model: DisturbanceModel | None = None,
+    flow: FlowConfig | None = None,
     d_o: np.ndarray | None = None,
 ) -> np.ndarray:
     """d/dt [eta, nu] under a held body wrench and the current disturbance.
 
-    dist_model is required whenever flow_sampler is given.  d_o, when given,
-    is the inertial disturbance wrench at (y, t); the flow is then not
-    sampled.  It is only used while the flow is on.
+    flow is the enabled FlowConfig, or None with the flow off.  d_o, when
+    given, is the inertial disturbance wrench at (y, t); the flow is then
+    not sampled.  It is only used while the flow is on.
     """
     eta = y[..., :6]
     nu = y[..., 6:]
@@ -87,11 +92,11 @@ def plant_derivative(
     rot = rotation_body_to_inertial(trig)
     pose = trig, rot, body_rate_to_euler(trig)
     out = np.empty_like(y)
-    _einsum("...ij,...j->...i", rot, nu[..., :3], out=out[..., :3])
-    _einsum("...ij,...j->...i", pose[2], nu[..., 3:], out=out[..., 3:6])
-    if flow_sampler is not None:
+    inertial_rates(pose, nu, out=out[..., :6])
+    if flow is not None:
         if d_o is None:
-            d_o = disturbance_force(flow_sampler(eta[..., :3], t), out[..., :3], rot, dist_model)
+            flow_vel = flow.velocity(eta[..., :3], t)
+            d_o = disturbance_force(flow_vel, out[..., :3], rot, flow.disturbance)
         # tau_c = J^T d_o, blockwise: rotation and Euler-rate blocks
         tau_c = np.empty_like(nu)
         _einsum("...ji,...j->...i", rot, d_o[..., :3], out=tau_c[..., :3])
@@ -112,18 +117,17 @@ def advance_plant(
     tau: np.ndarray,
     dt: float,
     params: RigidBodyParams,
-    flow_sampler: FlowSampler | None = None,
-    dist_model: DisturbanceModel | None = None,
+    flow: FlowConfig | None = None,
     d_o: np.ndarray | None = None,
 ) -> np.ndarray:
     """RK4-advance the plant by dt with the wrench held constant.
 
-    dist_model is required whenever flow_sampler is given.  d_o, when
+    flow is the enabled FlowConfig, or None with the flow off.  d_o, when
     given, is the disturbance wrench at (y, t), used by k1.
     """
     y = np.asarray(y, dtype=float)
 
     def f(yy, tt, d_o=None):
-        return plant_derivative(yy, tt, tau, params, flow_sampler, dist_model, d_o)
+        return plant_derivative(yy, tt, tau, params, flow, d_o)
 
     return rk4_step(f, y, t, dt, k1=f(y, t, d_o))

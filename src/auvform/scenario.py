@@ -166,7 +166,6 @@ _TABLE = [
     # [min, max] along x and y: one column each of flow.layers.xy_min/xy_max
     ("workspace.x_m", None, _floats(2)),
     ("workspace.y_m", None, _floats(2)),
-    ("initial.mode", None, str),
     ("initial.states", "initial_states", _list_of(_floats(12), "[eta, nu] 12-vectors")),
 ]
 
@@ -233,14 +232,6 @@ def scenario_from_dict(raw: dict) -> Scenario:
     changes["flow.layers.xy_min"] = (float(x[0]), float(y[0]))
     changes["flow.layers.xy_max"] = (float(x[1]), float(y[1]))
 
-    mode = values.get("initial.mode", "on_reference")
-    if mode not in ("on_reference", "explicit"):
-        raise ScenarioError(f"unknown initial mode {mode!r}")
-    if mode == "on_reference":
-        changes.pop("initial_states", None)
-    elif "initial_states" not in changes:
-        raise ScenarioError("initial.mode explicit requires initial.states")
-
     try:
         return _replaced(base, changes)
     except ValueError as exc:
@@ -281,7 +272,6 @@ def scenario_to_dict(sc: Scenario) -> dict:
         "vehicle.inertia_diag": np.diag(sc.vehicle.inertia).tolist(),
         "workspace.x_m": [layers.xy_min[0], layers.xy_max[0]],
         "workspace.y_m": [layers.xy_min[1], layers.xy_max[1]],
-        "initial.mode": "on_reference" if sc.initial_states is None else "explicit",
     }
     out: dict = {}
     for key, attr, _ in _TABLE:

@@ -67,7 +67,7 @@ class ThrusterConfig:
             val = getattr(self, name)
             if not lo <= val <= hi:
                 raise ValueError(f"thruster coefficient {name}={val} outside [{lo}, {hi}]")
-        if self.u_limit <= 0:
+        if not self.u_limit > 0:
             raise ValueError("u_limit must be positive")
 
     @cached_property

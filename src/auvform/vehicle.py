@@ -128,9 +128,9 @@ class RigidBodyParams:
             raise ValueError("inertia must be 6x6")
         if not np.allclose(self.inertia, self.inertia.T, atol=1e-12):
             raise ValueError("inertia must be symmetric")
-        if (np.linalg.eigvalsh(self.inertia) <= 0).any():
+        if not (np.linalg.eigvalsh(self.inertia) > 0).all():
             raise ValueError("inertia must be positive definite")
-        if (self.d_linear < 0).any() or (self.d_quad < 0).any():
+        if not ((self.d_linear >= 0).all() and (self.d_quad >= 0).all()):
             raise ValueError("damping coefficients must be nonnegative")
         if not 0.0 < self.mismatch_factor <= 1.0:
             raise ValueError("mismatch_factor must lie in (0, 1]")
@@ -277,13 +277,6 @@ def body_rate_to_euler(trig: tuple) -> np.ndarray:
     return m
 
 
-def _block_diag_3(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    out = np.zeros(a.shape[:-2] + (6, 6))
-    out[..., :3, :3] = a
-    out[..., 3:, 3:] = b
-    return out
-
-
 def euler_pose(eta2: np.ndarray) -> tuple[tuple, np.ndarray, np.ndarray]:
     """(euler_trig, R, T^-1) of a pose: one evaluation, which the J-family takes as `pose`."""
     trig = euler_trig(eta2)
@@ -293,7 +286,23 @@ def euler_pose(eta2: np.ndarray) -> tuple[tuple, np.ndarray, np.ndarray]:
 def jacobian(pose: tuple) -> np.ndarray:
     """J(e) with eta_dot = J @ q, batched, from euler_pose(e)."""
     _, rot, t_inv = pose
-    return _block_diag_3(rot, t_inv)
+    out = np.zeros(rot.shape[:-2] + (6, 6))
+    out[..., :3, :3] = rot
+    out[..., 3:, 3:] = t_inv
+    return out
+
+
+def inertial_rates(pose: tuple, nu: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+    """eta_dot = J(e) q blockwise, [R nu1, T^-1 nu2], batched, from euler_pose(e).
+
+    out, when given, is the (..., 6) array (or view) the rates are written into.
+    """
+    _, rot, t_inv = pose
+    if out is None:
+        out = np.empty(nu.shape)
+    _einsum("...ij,...j->...i", rot, nu[..., POS], out=out[..., POS])
+    _einsum("...ij,...j->...i", t_inv, nu[..., ANG], out=out[..., ANG])
+    return out
 
 
 def jacobian_inv(pose: tuple) -> np.ndarray:
@@ -309,27 +318,30 @@ def jacobian_dot(pose: tuple, nu2: np.ndarray) -> np.ndarray:
     """Time derivative of J(e) along the motion, from the Euler-rate chain rule.
 
     Uses R_dot = R @ skew(nu2) for the rotation block and the phi/theta
-    partials of the Euler-rate block.
+    partials of the Euler-rate block, each entry written into the 6x6 result
+    by its last ufunc; cos phi tan theta and sin phi tan theta are read from
+    T^-1's first row.
     """
     trig, rot, t_inv = pose
-    rot_dot = rot @ skew(nu2)
+    out = np.zeros(rot.shape[:-2] + (6, 6))
+    np.matmul(rot, skew(nu2), out=out[..., :3, :3])
 
     cphi, sphi, cth, sth = trig[:4]
-    tth = sth / cth
+    sphi_tth, cphi_tth = t_inv[..., 0, 1], t_inv[..., 0, 2]
     sec2 = ONE / cth**2
 
     eta2_dot = _einsum("...ij,...j->...i", t_inv, nu2)
     phid = eta2_dot[..., 0]
     thd = eta2_dot[..., 1]
 
-    ang_dot = np.zeros(cphi.shape + (3, 3))
-    ang_dot[..., 0, 1] = cphi * tth * phid + sphi * sec2 * thd
-    ang_dot[..., 0, 2] = -sphi * tth * phid + cphi * sec2 * thd
-    ang_dot[..., 1, 1] = -sphi * phid
-    ang_dot[..., 1, 2] = -cphi * phid
-    ang_dot[..., 2, 1] = (cphi * phid + sphi * sth * thd / cth) / cth
-    ang_dot[..., 2, 2] = (-sphi * phid + cphi * sth * thd / cth) / cth
-    return _block_diag_3(rot_dot, ang_dot)
+    ang_dot = out[..., 3:, 3:]
+    np.add(cphi_tth * phid, sphi * sec2 * thd, out=ang_dot[..., 0, 1])
+    np.add(-sphi_tth * phid, cphi * sec2 * thd, out=ang_dot[..., 0, 2])
+    np.multiply(-sphi, phid, out=ang_dot[..., 1, 1])
+    np.multiply(-cphi, phid, out=ang_dot[..., 1, 2])
+    np.divide(cphi * phid + sphi * sth * thd / cth, cth, out=ang_dot[..., 2, 1])
+    np.divide(-sphi * phid + cphi * sth * thd / cth, cth, out=ang_dot[..., 2, 2])
+    return out
 
 
 def acceleration_body(

@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 
 import auvform
-from auvform.controller import adaptive_update
+from auvform.controller import AdaptiveGains, SurfaceConfig, adaptive_update
 from auvform.engine import (
     ControllerConfig,
     FlowConfig,
@@ -23,6 +23,7 @@ from auvform.engine import (
     run,
     step,
 )
+from auvform.flow import DisturbanceModel, LayeredField
 from auvform.formation import (
     FollowerOffset,
     FormationSpec,
@@ -309,6 +310,38 @@ def test_step_path_calls_no_numpy_wrapper():
     assert found == []
 
 
+def _unused_imports(source: str) -> list[str]:
+    """Names a module imports and never reads or lists in __all__.
+
+    __future__ imports are directives, not names.
+    """
+    tree = ast.parse(source)
+    imported = {}
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and node.module == "__future__":
+            continue
+        if isinstance(node, (ast.Import, ast.ImportFrom)):
+            for alias in node.names:
+                name = alias.asname or alias.name.partition(".")[0]
+                imported[name] = node.lineno
+    used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    for node in ast.walk(tree):
+        targets = {getattr(t, "id", None) for t in getattr(node, "targets", ())}
+        if isinstance(node, ast.Assign) and "__all__" in targets:
+            used |= {item.value for item in ast.walk(node.value) if isinstance(item, ast.Constant)}
+    return [f"{line}: {name}" for name, line in imported.items() if name not in used]
+
+
+def test_no_module_imports_a_name_it_never_uses():
+    # __init__ re-exports the package's public names, so it is not checked
+    found = []
+    for path in sorted(Path(auvform.__file__).parent.glob("*.py")):
+        if path.name != "__init__.py":
+            found += [f"{path.name}:{hit}" for hit in _unused_imports(path.read_text())]
+    assert found == []
+    assert _unused_imports("import numpy as np\nfrom .flow import a, b\nnp.zeros(a)\n") == ["2: b"]
+
+
 def _callers(tree: ast.AST, callee: str) -> set[str]:
     """Names of the innermost functions in tree that call `callee`."""
     found = set()
@@ -336,8 +369,8 @@ def test_pose_transforms_take_the_evaluated_pose():
     helpers = [
         vehicle.RigidBodyParams.restoring, vehicle.rotation_body_to_inertial,
         vehicle.euler_rate_to_body, vehicle.body_rate_to_euler, vehicle.jacobian,
-        vehicle.jacobian_inv, vehicle.jacobian_dot, vehicle.inertial_matrices,
-        vehicle.acceleration_body, flow.disturbance_force,
+        vehicle.jacobian_inv, vehicle.jacobian_dot, vehicle.inertial_rates,
+        vehicle.inertial_matrices, vehicle.acceleration_body, flow.disturbance_force,
     ]
     defaulted = [
         f"{helper.__qualname__}({name})"
@@ -399,3 +432,42 @@ def test_controller_config_rejects_bad_gains():
 
     with pytest.raises(ValueError):
         ControllerConfig(gains=SuperTwistGains(rho=0.6))
+
+
+NAN = float("nan")
+NAN_6 = [1.0, 1.0, 1.0, 1.0, 1.0, NAN]
+NAN_CASES = {
+    "surface_gain": lambda: SurfaceConfig(lambda_s=NAN_6),
+    "integral_clamp": lambda: SurfaceConfig(integral_clamp=NAN),
+    "k_gain": lambda: AdaptiveGains(k_gain=NAN_6),
+    "gamma": lambda: AdaptiveGains(gamma=NAN_6),
+    "f_est_clamp": lambda: AdaptiveGains(f_est_clamp=NAN),
+    "adaptive_update_dt": lambda: adaptive_update(np.zeros(6), AdaptiveGains(), np.zeros(6), NAN),
+    "seed": lambda: Scenario(seed=NAN),
+    "convergence_threshold": lambda: Scenario(convergence_threshold=NAN),
+    "z_bottom": lambda: LayeredField(z_bottom=NAN),
+    "z_top": lambda: LayeredField(z_top=NAN),
+    "speed_cap": lambda: LayeredField(speed_cap=NAN),
+    "jet_scale": lambda: LayeredField(jet_scale=NAN),
+    "force_clamp": lambda: DisturbanceModel(force_clamp=NAN),
+    "drag_gain": lambda: DisturbanceModel(drag_gain=NAN),
+    "drag_gain_yaw": lambda: DisturbanceModel(drag_gain_yaw=NAN),
+    "trajectory_duration": lambda: TrajectorySpec(duration=NAN),
+    "spiral_radius": lambda: TrajectorySpec(radius=NAN),
+    "n_e": lambda: MpcConfig(n_e=NAN),
+    "tau_lo": lambda: MpcConfig(tau_lo=NAN),
+    "tau_hi": lambda: MpcConfig(tau_hi=NAN),
+    "state_lo": lambda: MpcConfig(state_lo=NAN),
+    "state_hi": lambda: MpcConfig(state_hi=NAN),
+    "u_limit": lambda: ThrusterConfig(u_limit=NAN),
+    "d_linear": lambda: RigidBodyParams(d_linear=NAN_6),
+    "d_quad": lambda: RigidBodyParams(d_quad=NAN_6),
+}
+
+
+@pytest.mark.parametrize("build", list(NAN_CASES.values()), ids=list(NAN_CASES))
+def test_range_checks_reject_nan(build):
+    # each check is written to fail on NaN (not x > 0), as a comparison
+    # with NaN is false; a NaN u_limit never saturates, a NaN threshold gives t_c = 0
+    with pytest.raises(ValueError):
+        build()

@@ -13,8 +13,7 @@ import numpy as np
 import pytest
 
 from auvform import engine, mpc
-from auvform.engine import SimRuntime, SimulationAbort, run, step
-from auvform.flow import DisturbanceModel, FlowParams, LayeredField, layered_velocity
+from auvform.engine import FlowConfig, SimRuntime, SimulationAbort, run, step
 from auvform.formation import FormationSpec
 from auvform.mpc import MpcConfig, MpcShell
 from auvform.plant import advance_plant
@@ -24,20 +23,9 @@ from auvform.vehicle import RigidBodyParams, euler_pose, jacobian, wrap_angle
 SPIRAL = Path(__file__).resolve().parents[1] / "scenarios" / "spiral.yaml"
 
 
-def make_sampler():
-    params = FlowParams()
-    layers = LayeredField()
-
-    def sample(pos, t):
-        pos = np.asarray(pos, dtype=float)
-        return layered_velocity(pos[..., 0], pos[..., 1], pos[..., 2], t, layers, params)
-
-    return sample
-
-
-def rollout(params, y0, tau, n_e, sampler=None, dist=None, dt=0.01, t0=0.0):
+def rollout(params, y0, tau, n_e, flow=None, dt=0.01, t0=0.0):
     """Rates of the n_e-step rollout for one vehicle holding tau."""
-    shell = MpcShell(MpcConfig(n_e=n_e), params, dist, sampler, dt)
+    shell = MpcShell(MpcConfig(n_e=n_e), params, flow, dt)
     u = np.asarray(tau, dtype=float)[None]
     rates, _ = shell.rollout(np.asarray(y0, dtype=float)[None], t0, u)
     return rates[0]
@@ -53,16 +41,15 @@ def test_rollout_zero_controls_from_equilibrium():
 def test_rollout_matches_plant_advance():
     # with a perfect model the prediction is the simulator's own integrator
     params = RigidBodyParams(mismatch_factor=1.0)
-    sampler = make_sampler()
-    dist = DisturbanceModel()
+    flow = FlowConfig()
     rng = np.random.default_rng(0)
     y0 = np.array([30.0, 40.0, -3.0, 0.0, 0.05, 0.4, 0.5, 0.1, 0.0, 0.0, 0.0, 0.05])
     tau = rng.uniform(-20, 20, 6)
     dt = 0.01
-    rates = rollout(params, y0, tau, 5, sampler, dist, dt=dt, t0=1.0)
+    rates = rollout(params, y0, tau, 5, flow, dt=dt, t0=1.0)
     y = y0
     for k in range(5):
-        y = advance_plant(y, 1.0 + k * dt, tau, dt, params, sampler, dist)
+        y = advance_plant(y, 1.0 + k * dt, tau, dt, params, flow)
         expected = jacobian(euler_pose(y[3:6])) @ y[6:]
         np.testing.assert_allclose(rates[k], expected, atol=1e-9)
 
@@ -80,7 +67,7 @@ def test_rollout_one_step_horizon():
 def _solve_setup(**cfg_kw):
     cfg = MpcConfig(**cfg_kw)
     params = RigidBodyParams(mismatch_factor=0.9)
-    shell = MpcShell(cfg, params, None, None, 0.01)
+    shell = MpcShell(cfg, params, None, 0.01)
     eta = np.array([48.0, 40.0, -3.0, 0.0, 0.0, np.pi / 2])
     nu = np.array([0.8, 0.0, -0.04, 0.0, 0.0, 0.0])
     y0 = np.concatenate([eta, nu])[None]
@@ -169,7 +156,7 @@ def test_mpc_optimize_nominal_already_optimal():
     # zero-cost nominal: perfect tracking, constant command; returned unchanged
     cfg = MpcConfig(n_e=3)
     params = RigidBodyParams(restoring_gain=0.0, mismatch_factor=1.0)
-    shell = MpcShell(cfg, params, None, None, 0.01)
+    shell = MpcShell(cfg, params, None, 0.01)
     y0 = np.concatenate([[5.0, 5.0, -5.0], np.zeros(9)])[None]
     zero = np.zeros((1, 6))
     seqs, costs, feasible = shell.solve(y0, 0.0, zero, y0[:, :6], zero, zero)
@@ -192,9 +179,7 @@ def full_rollout_cost(shell, y0, t, nominal, e_d, ed_d, edd_d):
     rates = np.empty(u.shape[:-1] + (cfg.n_e, 6))
     y = y0
     for k in range(cfg.n_e):
-        y = advance_plant(
-            y, t + k * dt, u, dt, shell.params_est, shell.flow_sampler, shell.dist_model
-        )
+        y = advance_plant(y, t + k * dt, u, dt, shell.params_est, shell.flow)
         jac = jacobian(euler_pose(y[..., 3:6]))
         rates[..., k, :] = np.einsum("...ij,...j->...i", jac, y[..., 6:])
     return np.sum((rates - ed_seq) ** 2, axis=(-1, -2))

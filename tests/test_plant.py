@@ -302,10 +302,6 @@ def assert_same_bytes(got: np.ndarray, want: np.ndarray) -> None:
     assert got.tobytes() == want.tobytes(), np.max(np.abs(got - want))
 
 
-def flow_args(flow):
-    return (flow.sampler(), flow.disturbance) if flow is not None else (None, None)
-
-
 @pytest.mark.parametrize("flow_name", list(FLOWS))
 @pytest.mark.parametrize("shape", SHAPES, ids=lambda s: "x".join(map(str, s)))
 def test_derivative_bytes_match_unfused_reference(shape, flow_name):
@@ -313,7 +309,7 @@ def test_derivative_bytes_match_unfused_reference(shape, flow_name):
     for seed in range(3):
         for y, tau in cases(shape, seed):
             for t in (0.0, 7.3, 41.25):
-                got = plant_derivative(y, t, tau, PARAMS, *flow_args(flow))
+                got = plant_derivative(y, t, tau, PARAMS, flow)
                 assert_same_bytes(got, ref_derivative(y, t, tau, PARAMS, flow))
 
 
@@ -323,7 +319,7 @@ def test_advance_bytes_match_unfused_reference(shape, flow_name):
     flow = FLOWS[flow_name]
     for y, tau in cases(shape, 11):
         for _ in range(3):
-            got = advance_plant(y, 2.0, tau, 0.01, PARAMS, *flow_args(flow))
+            got = advance_plant(y, 2.0, tau, 0.01, PARAMS, flow)
             assert_same_bytes(got, ref_advance(y, 2.0, tau, 0.01, PARAMS, flow))
             y = got
 
@@ -334,19 +330,19 @@ def test_held_wrench_matches_the_tiled_wrench(flow_name):
     y, tau = states(12, 4), wrench(12, 4)[5]
     tiled = np.tile(tau, (12, 1))
     assert_same_bytes(
-        plant_derivative(y, 7.3, tau, PARAMS, *flow_args(flow)),
-        plant_derivative(y, 7.3, tiled, PARAMS, *flow_args(flow)),
+        plant_derivative(y, 7.3, tau, PARAMS, flow),
+        plant_derivative(y, 7.3, tiled, PARAMS, flow),
     )
     assert_same_bytes(
-        advance_plant(y, 7.3, tau, 0.01, PARAMS, *flow_args(flow)),
-        advance_plant(y, 7.3, tiled, 0.01, PARAMS, *flow_args(flow)),
+        advance_plant(y, 7.3, tau, 0.01, PARAMS, flow),
+        advance_plant(y, 7.3, tiled, 0.01, PARAMS, flow),
     )
 
 
 def test_cases_reach_every_branch():
     y = states(36, 0)
     capped = FLOWS["capped"]
-    flow_vel = capped.sampler()(y[:, :3], 7.3)
+    flow_vel = capped.velocity(y[:, :3], 7.3)
     speed = np.hypot(flow_vel[:, 0], flow_vel[:, 1])
     # some rows shrink to the cap, some lie outside the flow volume
     assert np.any(np.isclose(speed, capped.layers.speed_cap, rtol=1e-12, atol=0.0))
@@ -355,7 +351,7 @@ def test_cases_reach_every_branch():
     assert np.any(np.abs(y[:, 4]) > POLE - 1e-3)
     assert np.any(np.all(y[:, 6:] == 0.0, axis=1))
     model = FLOWS["default"].disturbance
-    d_o = ref_disturbance(FlowConfig().sampler()(y[:, :3], 7.3), y[:, :6], y[:, 6:], model)
+    d_o = ref_disturbance(FlowConfig().velocity(y[:, :3], 7.3), y[:, :6], y[:, 6:], model)
     assert np.any(np.abs(d_o) == model.force_clamp)
 
 
@@ -365,7 +361,7 @@ def test_cases_reach_every_branch():
 def step_start_disturbance(y, t, flow):
     """d_o at (y, t) the way the engine's diagnostics build it for the log."""
     rot = euler_pose(y[:, 3:6])[1]
-    flow_vel = flow.sampler()(y[:, :3], t)
+    flow_vel = flow.velocity(y[:, :3], t)
     vel = np.einsum("...ij,...j->...i", rot, y[:, 6:9])
     return disturbance_force(flow_vel, vel, rot, flow.disturbance)
 
@@ -383,10 +379,10 @@ def test_stacked_advance_matches_separate_calls(n_v, flow_name, same_start):
         for _ in range(3):
             stacked = advance_plant(
                 np.concatenate([y_a, y_b]), t, np.concatenate([tau_a, tau_b]),
-                0.01, PARAMS, *flow_args(flow),
+                0.01, PARAMS, flow,
             )
-            want_a = advance_plant(y_a, t, tau_a, 0.01, PARAMS, *flow_args(flow))
-            want_b = advance_plant(y_b, t, tau_b, 0.01, PARAMS, *flow_args(flow))
+            want_a = advance_plant(y_a, t, tau_a, 0.01, PARAMS, flow)
+            want_b = advance_plant(y_b, t, tau_b, 0.01, PARAMS, flow)
             assert_same_bytes(stacked[:n_v], want_a)
             assert_same_bytes(stacked[n_v:], want_b)
             y_a, y_b = want_a, want_b
@@ -399,14 +395,14 @@ def test_handed_in_disturbance_matches_sampled(n_v, flow_name):
     y, tau = states(max(n_v, 12), 2)[:n_v], wrench(n_v, 2)
     for t in (0.0, 7.3, 41.25):
         d_o = step_start_disturbance(y, t, flow)
-        sampled = plant_derivative(y, t, tau, PARAMS, *flow_args(flow))
-        got = plant_derivative(y, t, tau, PARAMS, *flow_args(flow), d_o=d_o)
+        sampled = plant_derivative(y, t, tau, PARAMS, flow)
+        got = plant_derivative(y, t, tau, PARAMS, flow, d_o=d_o)
         assert_same_bytes(got, sampled)
         # the handed-in wrench is the one used
-        shifted = plant_derivative(y, t, tau, PARAMS, *flow_args(flow), d_o=d_o + 1.0)
+        shifted = plant_derivative(y, t, tau, PARAMS, flow, d_o=d_o + 1.0)
         assert not np.any(shifted[:, 6:] == sampled[:, 6:])
-        got = advance_plant(y, t, tau, 0.01, PARAMS, *flow_args(flow), d_o=d_o)
-        assert_same_bytes(got, advance_plant(y, t, tau, 0.01, PARAMS, *flow_args(flow)))
+        got = advance_plant(y, t, tau, 0.01, PARAMS, flow, d_o=d_o)
+        assert_same_bytes(got, advance_plant(y, t, tau, 0.01, PARAMS, flow))
 
 
 @pytest.mark.parametrize("n_v", [1, 3])
@@ -420,10 +416,10 @@ def test_stacked_advance_with_handed_in_disturbance(n_v):
     d_o = step_start_disturbance(y, 7.3, flow)
     stacked = advance_plant(
         np.concatenate([y, y]), 7.3, np.concatenate([tau_a, tau_b]), 0.01,
-        est, *flow_args(flow), d_o=np.concatenate([d_o, d_o]),
+        est, flow, d_o=np.concatenate([d_o, d_o]),
     )
-    assert_same_bytes(stacked[:n_v], advance_plant(y, 7.3, tau_a, 0.01, est, *flow_args(flow)))
-    assert_same_bytes(stacked[n_v:], advance_plant(y, 7.3, tau_b, 0.01, est, *flow_args(flow)))
+    assert_same_bytes(stacked[:n_v], advance_plant(y, 7.3, tau_a, 0.01, est, flow))
+    assert_same_bytes(stacked[n_v:], advance_plant(y, 7.3, tau_b, 0.01, est, flow))
 
 
 def stage_times(n_flights: int, n_v: int) -> np.ndarray:
@@ -439,9 +435,9 @@ def test_per_row_times_match_scalar_time_calls(flow_name):
     y, tau = states(12, 12), wrench(12, 12)
     t = stage_times(4, 3)
     for _ in range(3):
-        got = advance_plant(y, t, tau, 0.01, PARAMS, *flow_args(flow))
+        got = advance_plant(y, t, tau, 0.01, PARAMS, flow)
         for i in range(len(y)):
-            want = advance_plant(y[i], float(t[i]), tau[i], 0.01, PARAMS, *flow_args(flow))
+            want = advance_plant(y[i], float(t[i]), tau[i], 0.01, PARAMS, flow)
             assert_same_bytes(got[i], want)
         y = got
 
@@ -458,13 +454,13 @@ def test_unequal_blocks_match_separate_calls(n_v, flow_name):
     t = stage_times(5, n_v)
     first, rest = slice(0, n_v), slice(n_v, None)
     for _ in range(3):
-        got = advance_plant(y, t, tau, 0.01, est, *flow_args(flow))
+        got = advance_plant(y, t, tau, 0.01, est, flow)
         assert_same_bytes(got[first], advance_plant(
-            y[first], float(t[0]), tau[first], 0.01, est, *flow_args(flow)))
+            y[first], float(t[0]), tau[first], 0.01, est, flow))
         assert_same_bytes(got[rest], advance_plant(
-            y[rest], t[rest], tau[rest], 0.01, est, *flow_args(flow)))
+            y[rest], t[rest], tau[rest], 0.01, est, flow))
         for start in range(n_v, n_rows, n_v):
             block = slice(start, start + n_v)
             assert_same_bytes(got[block], advance_plant(
-                y[block], float(t[start]), tau[block], 0.01, est, *flow_args(flow)))
+                y[block], float(t[start]), tau[block], 0.01, est, flow))
         y = got

@@ -13,7 +13,7 @@ import yaml
 
 import auvform
 from auvform.cli import main as cli_main
-from auvform.engine import SimLog, compute_metrics, detect_convergence, run
+from auvform.engine import SimLog, SimRuntime, compute_metrics, detect_convergence, run
 from auvform.export import (
     _COLUMNS,
     chatter_count,
@@ -131,6 +131,38 @@ def test_round_trip(tmp_path):
     assert serialize_scenario(sc2) == text
 
 
+EXPLICIT_STATES = """
+initial:
+  states:
+    - [20.0, 40.0, -8.0, 0.0, 0.0, 0.1, 0.2, 0.0, 0.0, 0.0, 0.0, 0.0]
+    - [18.0, 41.5, -8.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0, -0.05]
+"""
+
+
+def test_initial_states_given_are_the_start(tmp_path):
+    # the start follows from whether initial.states is given; no mode key
+    sc = parse_scenario(write(tmp_path, quick_scenario_yaml() + EXPLICIT_STATES))
+    want = np.array(yaml.safe_load(EXPLICIT_STATES)["initial"]["states"])
+    assert sc.initial_states is not None
+    np.testing.assert_array_equal(np.array(sc.initial_states), want)
+    np.testing.assert_array_equal(SimRuntime(sc).y, want)
+
+
+def test_explicit_states_survive_a_round_trip(tmp_path):
+    sc = parse_scenario(write(tmp_path, quick_scenario_yaml() + EXPLICIT_STATES))
+    serialize_scenario(sc, tmp_path / "round.yaml")
+    sc2 = parse_scenario(tmp_path / "round.yaml")
+    assert len(sc2.initial_states) == len(sc.initial_states)
+    for got, want in zip(sc2.initial_states, sc.initial_states, strict=True):
+        assert got.tobytes() == want.tobytes()
+
+
+@pytest.mark.parametrize("mode", ["explicit", "on_reference"])
+def test_initial_mode_key_rejected(tmp_path, mode):
+    path = write(tmp_path, MINIMAL + f"initial: {{mode: {mode}}}\n")
+    with pytest.raises(ScenarioError, match="unknown key"):
+        parse_scenario(path)
+
 # Every documented key at a valid value other than its default, each value
 # distinct, so a key wired to the wrong attribute changes a digest below.
 # b0, e_amp and wavenumber are spelled at their defaults: FlowParams.validate
@@ -193,13 +225,14 @@ thrusters: {k1: 0.31, k2: 0.32, k3: 0.71, l1: 0.41, l2: 0.42, t1: 0.51, t2: 0.52
             t3: 0.11, t4: 0.12, r1_m: -0.21, r2_m: -0.22, r3_m: 0.33, u_limit_n: 71.0}
 workspace: {x_m: [5.0, 75.0], y_m: [2.0, 78.0]}
 initial:
-  mode: explicit
   states:
     - [10.0, 20.0, -5.0, 0.0, 0.0, 0.1, 0.2, 0.0, 0.0, 0.0, 0.0, 0.0]
     - [8.0, 21.0, -4.5, 0.0, 0.0, 0.2, 0.3, 0.0, 0.0, 0.0, 0.0, 0.0]
     - [7.0, 18.0, -5.5, 0.0, 0.0, 0.3, 0.4, 0.0, 0.0, 0.0, 0.0, 0.0]
 """
-EVERY_KEY_YAML_SHA = "6f1c10a25491e7271f37951f8603a44e0b5642e8349b4943a38db83e14e003c2"
+# initial.mode is no longer written; with "  mode: explicit" put back after
+# "initial:" the serialized text gives the earlier 6f1c10a2...e003c2
+EVERY_KEY_YAML_SHA = "319177221e8ad8147a0091106e58779838b2e2a2dad3b944b65b6ed144e935fa"
 # formation.offsets and initial_states are tuples, which the digest names; hashed
 # under their former name, list, the fields give the earlier 72bd3637...cf46eb8.
 # controller.adaptive no longer carries the run's f_est; hashed with a zero f_est
@@ -432,7 +465,7 @@ BAD_DOCS = {
     "yaw_bool": MINIMAL + "formation: {offsets: [{xyz_m: [1, 2, 0], yaw_rad: true}]}\n",
     "points_scalar": "sim: {duration_s: 1.0}\ntrajectory: {kind: waypoints, waypoints: {points_m: 5}}\n",
     "offsets_scalar": MINIMAL + "formation: {offsets: 5}\n",
-    "states_scalar": MINIMAL + "initial: {mode: explicit, states: 5}\n",
+    "states_scalar": MINIMAL + "initial: {states: 5}\n",
     "points_repeat": "sim: {duration_s: 1.0}\ntrajectory: {kind: waypoints, waypoints: "
                      "{points_m: [[10, 40, -5], [12, 40, -5], [12, 40, -5]]}}\n",
     "baseline_lam_neg": MINIMAL + "controller: {baseline_lam: -2.1}\n",
@@ -559,7 +592,6 @@ def test_cli_help_exits_0_and_a_pitch_abort_exits_2(tmp_path):
     assert run_cli("run", "--help").returncode == 0
     pitched = quick_scenario_yaml(duration=0.5) + """
 initial:
-  mode: explicit
   states:
     - [20.0, 40.0, -8.0, 0, 1.5707962, 0, 0, 0, 0, 0, 0, 0]
     - [18.0, 41.5, -8.0, 0, 0, 0, 0, 0, 0, 0, 0, 0]
@@ -625,7 +657,6 @@ def test_cli_runtime_abort_exit_code(tmp_path):
     # enormous initial velocity blows the state up mid-run
     text = quick_scenario_yaml(duration=2.0) + """
 initial:
-  mode: explicit
   states:
     - [20.0, 40.0, -8.0, 0, 0, 0, 1.0e9, 0, 0, 0, 0, 0]
     - [18.0, 41.5, -8.0, 0, 0, 0, 0, 0, 0, 0, 0, 0]

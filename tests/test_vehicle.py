@@ -435,7 +435,10 @@ def assert_same_bytes(got, want):
     assert got.tobytes() == want.tobytes(), np.max(np.abs(got - want))
 
 
-@pytest.mark.parametrize("shape", [(3,), (3, 3), (36, 3)], ids=["1", "3", "36"])
+@pytest.mark.parametrize(
+    "shape", [(3,), (3, 3), (36, 3), (1, 3), (384, 3), (4, 5, 3)],
+    ids=["1", "3", "36", "1-row", "384", "4x5"],  # "1" is one unbatched pose
+)
 def test_shared_pose_transforms_match_unfused_reference_bytes(shape):
     params = RigidBodyParams(buoyancy_net=0.7)
     for seed in range(4):
@@ -443,6 +446,14 @@ def test_shared_pose_transforms_match_unfused_reference_bytes(shape):
         assert np.max(np.abs(eta2[..., 1])) > POLE - 1e-3
         pose = vm.euler_pose(eta2)
         assert_same_bytes(vm.jacobian(pose), ref_jacobian(eta2))
+        # J q against the 6x6 contraction the engine formed eta_dot with,
+        # alone and written into a column view of a wider array
+        rates = np.einsum("...ij,...j->...i", ref_jacobian(eta2), nu)
+        assert_same_bytes(vm.inertial_rates(pose, nu), rates)
+        wide = np.full(shape[:-1] + (9,), np.nan)
+        vm.inertial_rates(pose, nu, out=wide[..., 2:8])
+        assert_same_bytes(wide[..., 2:8], rates)
+        assert np.isnan(wide[..., [0, 1, 8]]).all()
         assert_same_bytes(vm.jacobian_inv(pose), ref_jacobian_inv(eta2))
         assert_same_bytes(vm.jacobian_dot(pose, nu[..., 3:]), ref_jacobian_dot(eta2, nu[..., 3:]))
         got = vm.inertial_matrices(pose, nu, params, scale=0.9)
