@@ -1,5 +1,5 @@
-"""Read-only arrays for the frozen config dataclasses: an in-place write would
-otherwise change a validated config behind the tables it caches."""
+"""Read-only arrays and finite fields for the frozen config dataclasses: an in-place
+write would otherwise change a validated config behind the tables it caches."""
 
 import numpy as np
 
@@ -18,3 +18,12 @@ def freeze_arrays(config, **shapes) -> None:
         value = getattr(config, name)
         if value is not None:
             object.__setattr__(config, name, read_only(value, shape))
+    require_finite(config, *shapes)
+
+
+def require_finite(config, *names: str) -> None:
+    """Raise a ValueError naming the first of the named fields with a non-finite entry."""
+    for name in names:
+        value = getattr(config, name)
+        if value is not None and not np.isfinite(value).all():
+            raise ValueError(f"{name} must be finite, got {value}")

@@ -269,17 +269,17 @@ class SimRuntime:
         self.flow = scenario.flow if scenario.flow.enabled else None
         n_v = scenario.n_vehicles
         self.n_steps = round(scenario.duration / scenario.dt)
-        # the leader's [e_d, ed_d, edd_d] at every step's time, held at the path's end
-        times = np.arange(self.n_steps + 1) * scenario.dt
-        traj = scenario.trajectory
-        self.leader_refs = leader_reference(np.minimum(times, traj.duration), traj)
+        # [e_d, ed_d, edd_d] by step and vehicle: the leader's at each step's time,
+        # held at the path's end; _references writes the followers' rows
+        self.refs = np.zeros((3, self.n_steps + 1, n_v, 6))
+        times = np.minimum(np.arange(self.n_steps + 1) * scenario.dt, scenario.trajectory.duration)
+        self.refs[:, :, 0] = leader_reference(times, scenario.trajectory).swapaxes(0, 1)
         self.y = self._initial_states()
         self.cstate = ControllerState(
             integral_eps=np.zeros((n_v, 6)),
             f_est=np.zeros((n_v, 6)),
             adaptive=scenario.controller.adaptive,
         )
-        self.prev_ed_d: np.ndarray | None = None
         self.prev_f_tilde: np.ndarray | None = None
         self.step_index = 0
         self.shell = None
@@ -294,9 +294,8 @@ class SimRuntime:
         sc = self.scenario
         if sc.initial_states is not None:
             return np.array(sc.initial_states)
-        e_l, ed_l, _ = self.leader_refs[0]
-        e_f, ed_f = follower_references(e_l, ed_l, sc.formation)
-        e_d, ed_d = np.vstack([e_l, e_f]), np.vstack([ed_l, ed_f])
+        e_d, ed_d = self.refs[:2, 0].copy()
+        e_d[1:], ed_d[1:] = follower_references(e_d[0], ed_d[0], sc.formation)
         nu = (jacobian_inv(euler_pose(e_d[:, 3:])) @ ed_d[..., None])[..., 0]
         return np.concatenate([e_d, nu], axis=1)
 
@@ -305,22 +304,18 @@ class SimRuntime:
         return self.step_index * self.scenario.dt
 
 
-def _references(rt: SimRuntime, eta: np.ndarray, etadot: np.ndarray):
-    sc = rt.scenario
-    n_v = sc.n_vehicles
-    e_d = np.empty((n_v, 6))
-    ed_d = np.empty((n_v, 6))
-    edd_d = np.zeros((n_v, 6))
-    e_d[0], ed_d[0], edd_d[0] = rt.leader_refs[rt.step_index]
-    e_d[1:], ed_d[1:] = follower_references(eta[0], etadot[0], sc.formation)
-    if rt.prev_ed_d is not None and n_v > 1:
-        # follower desired acceleration by finite difference of the rate
-        edd_d[1:] = (ed_d[1:] - rt.prev_ed_d[1:]) / rt.dt
-    rt.prev_ed_d = ed_d
-    return e_d, ed_d, edd_d
+def _references(rt: SimRuntime, eta: np.ndarray, etadot: np.ndarray) -> np.ndarray:
+    """Write the step's follower rows of rt.refs (edd_d as ed_d's difference from the row
+    before, 0 at step 0); returns the step's (3, V, 6) view."""
+    k = rt.step_index
+    ref = rt.refs[:, k]
+    ref[0, 1:], ref[1, 1:] = follower_references(eta[0], etadot[0], rt.scenario.formation)
+    if k:
+        ref[2, 1:] = (ref[1, 1:] - rt.refs[1, k - 1, 1:]) / rt.dt
+    return ref
 
 
-def _control_and_diagnostics(rt: SimRuntime, t: float):
+def _control_and_diagnostics(rt: SimRuntime):
     """Controller evaluation at the current state; mutates integral state.
 
     The pose's trig, rotation and T^-1 are evaluated once (euler_pose) and
@@ -365,7 +360,7 @@ def _control_and_diagnostics(rt: SimRuntime, t: float):
     # stability diagnostics against the computable truth
     f_r_true = f_hat_r / rt.alpha
     if rt.flow is not None:
-        flow_v = rt.flow.velocity(eta[:, :3], t)
+        flow_v = rt.flow.velocity(eta[:, :3], rt.t)
         d_o = disturbance_force(flow_v, etadot[:, :3], pose[1], rt.flow.disturbance)
     else:
         flow_v = np.zeros((sc.n_vehicles, 3))
@@ -388,10 +383,6 @@ def _control_and_diagnostics(rt: SimRuntime, t: float):
     return {
         "eta": eta,
         "nu": nu,
-        "etadot": etadot,
-        "e_d": e_d,
-        "ed_d": ed_d,
-        "edd_d": edd_d,
         "eps": eps,
         "deps": deps,
         "sigma": sigma,
@@ -417,8 +408,7 @@ def step(rt: SimRuntime) -> dict:
     """
     sc = rt.scenario
     n_v = sc.n_vehicles
-    t = rt.t
-    rec = _control_and_diagnostics(rt, t)
+    rec = _control_and_diagnostics(rt)
     u_cmd = rec["u"] if rt.shell is None else rt.shell.clip(rec["u"])
     u5 = body_to_wrench5(u_cmd)
     u_t = np.empty((n_v, 3))
@@ -428,7 +418,7 @@ def step(rt: SimRuntime) -> dict:
     rec["u_cmd"] = u_cmd
     rec["u_t"] = u_t
 
-    rt.y = advance_plant(rt.y, t, tau6, sc.dt, rt.params, rt.flow, rec["dist"])
+    rt.y = advance_plant(rt.y, rt.t, tau6, sc.dt, rt.params, rt.flow, rec["dist"])
     rt.y[:, 3:6] = wrap_angle(rt.y[:, 3:6])
     if not np.isfinite(rt.y).all():
         raise SimulationAbort("state became non-finite")
@@ -449,52 +439,47 @@ def run(scenario: Scenario) -> SimLog:
     on SimulationAbort for the rows kept in the partial log: the held-command
     rollout from the step's logged state (eta, nu) at its time t, holding
     its u_cmd, with k1 using its logged dist, scored against the step's
-    reference rates, which run keeps aside.  _COST_CHUNK_STEPS steps' rows
-    go through one rollout at a time.
+    reference rate and acceleration in rt.refs.  _COST_CHUNK_STEPS steps'
+    rows go through one rollout at a time.
     """
     rt = SimRuntime(scenario)
     n_steps = rt.n_steps
     log = SimLog.allocate(n_steps + 1, scenario.n_vehicles)
     # t is written from k; mpc_cost keeps allocate's NaN until _predicted_costs fills it
     logged = [name for name in SimLog.__dataclass_fields__ if name not in ("t", "mpc_cost")]
-    refs = None if rt.shell is None else np.empty((2, n_steps + 1, scenario.n_vehicles, 6))
 
     def write(k: int, rec: dict) -> None:
         log.t[k] = k * scenario.dt
         for name in logged:
             getattr(log, name)[k] = rec[name]
-        if refs is not None:
-            refs[:, k] = rec["ed_d"], rec["edd_d"]
 
     try:
         for k in range(n_steps):
             write(k, step(rt))
-        final = _control_and_diagnostics(rt, rt.t)
+        final = _control_and_diagnostics(rt)
         final["u_cmd"] = final["u"]
         final["u_t"] = np.zeros((scenario.n_vehicles, 3))
         write(n_steps, final)
     except SimulationAbort as exc:
-        _predicted_costs(rt.shell, log, refs, rt.step_index)
+        _predicted_costs(rt, log, rt.step_index)
         raise SimulationAbort(str(exc), log.truncated(rt.step_index)) from exc
-    _predicted_costs(rt.shell, log, refs, n_steps)
+    _predicted_costs(rt, log, n_steps)
     return log
 
 
-def _predicted_costs(
-    shell: MpcShell | None, log: SimLog, refs: np.ndarray | None, n: int
-) -> None:
+def _predicted_costs(rt: SimRuntime, log: SimLog, n: int) -> None:
     """Write the shell's predicted cost of steps 0..n-1 to their rows of log.mpc_cost."""
-    if shell is None:
+    if rt.shell is None:
         return
     v = log.n_vehicles
     y0 = np.concatenate([log.eta[:n], log.nu[:n]], axis=-1).reshape(-1, 12)
     t0 = np.repeat(log.t[:n], v)
-    u, d_o, ed_d, edd_d = (x[:n].reshape(-1, 6) for x in (log.u_cmd, log.dist, *refs))
+    u, d_o, ed_d, edd_d = (x[:n].reshape(-1, 6) for x in (log.u_cmd, log.dist, *rt.refs[1:]))
     cost = log.mpc_cost[:n].reshape(-1)
     for a in range(0, n * v, _COST_CHUNK_STEPS * v):
         r = slice(a, a + _COST_CHUNK_STEPS * v)
-        rates, _ = shell.rollout(y0[r], t0[r], u[r], d_o[r])
-        cost[r] = shell.cost(rates, ed_d[r], edd_d[r])
+        rates, _ = rt.shell.rollout(y0[r], t0[r], u[r], d_o[r])
+        cost[r] = rt.shell.cost(rates, ed_d[r], edd_d[r])
 
 
 def detect_convergence(log: SimLog, threshold: float) -> float | None:

@@ -23,7 +23,7 @@ from functools import cached_property
 
 import numpy as np
 
-from ._frozen import read_only
+from ._frozen import read_only, require_finite
 from ._numpy_fast import ONE
 from ._numpy_fast import clip as _clip
 from ._numpy_fast import einsum as _einsum
@@ -52,9 +52,7 @@ class FlowParams:
     k: float = 0.82
 
     def __post_init__(self):
-        vals = [self.b0, self.e_amp, self.omega, self.theta0, self.c, self.k]
-        if not all(np.isfinite(v) for v in vals):
-            raise ValueError("flow parameters must be finite")
+        require_finite(self, "b0", "e_amp", "omega", "theta0", "c", "k")
         normalised = (FlowParams.b0, FlowParams.e_amp, FlowParams.k)
         if (self.b0, self.e_amp, self.k) != normalised:
             raise ValueError(
@@ -91,6 +89,9 @@ class LayeredField:
             object.__setattr__(self, name, tuple(float(v) for v in getattr(self, name)))
         if not self.n_layers >= 1 or len(self.layer_scale) != self.n_layers:
             raise ValueError("layer_scale length must equal n_layers")
+        if not all(0.0 <= s < np.inf for s in self.layer_scale):
+            raise ValueError(f"layer_scale must be finite and nonnegative, got {self.layer_scale}")
+        require_finite(self, "jet_origin")
         if not self.z_bottom < self.z_top:
             raise ValueError("z_bottom must be below z_top")
         if not self.speed_cap >= 0:

@@ -13,7 +13,7 @@ from functools import cached_property
 
 import numpy as np
 
-from ._frozen import freeze_arrays, read_only
+from ._frozen import freeze_arrays, read_only, require_finite
 from .vehicle import wrap_angle
 
 
@@ -28,6 +28,7 @@ class FollowerOffset:
         freeze_arrays(self, xyz=None)
         if self.xyz.shape != (3,):
             raise ValueError("each formation offset xyz needs 3 entries")
+        require_finite(self, "yaw")
 
 
 @dataclass(frozen=True)
@@ -84,6 +85,7 @@ class TrajectorySpec:
             raise ValueError(f"unknown trajectory kind {self.kind!r}")
         if not self.duration > 0:
             raise ValueError("duration must be positive")
+        require_finite(self, "radius", "angular_rate", "vertical_rate", "phase", "speed")
         for name in ("center", "start", "velocity"):
             if getattr(self, name).shape != (3,):
                 raise ValueError(f"trajectory {name} needs 3 entries")

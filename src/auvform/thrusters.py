@@ -13,7 +13,7 @@ from functools import cached_property
 
 import numpy as np
 
-from ._frozen import read_only
+from ._frozen import read_only, require_finite
 from ._numpy_fast import clip as _clip
 
 # rows of the 5-DOF wrench inside a 6-DOF body wrench [X Y Z K M N]
@@ -69,6 +69,7 @@ class ThrusterConfig:
                 raise ValueError(f"thruster coefficient {name}={val} outside [{lo}, {hi}]")
         if not self.u_limit > 0:
             raise ValueError("u_limit must be positive")
+        require_finite(self, "r1", "r2", "r3")
 
     @cached_property
     def tcm(self) -> np.ndarray:

@@ -38,7 +38,7 @@ from functools import cached_property
 
 import numpy as np
 
-from ._frozen import freeze_arrays, read_only
+from ._frozen import freeze_arrays, read_only, require_finite
 from ._numpy_fast import NEG_PI, ONE, PI, TWO_PI
 from ._numpy_fast import einsum as _einsum
 
@@ -134,6 +134,7 @@ class RigidBodyParams:
             raise ValueError("damping coefficients must be nonnegative")
         if not 0.0 < self.mismatch_factor <= 1.0:
             raise ValueError("mismatch_factor must lie in (0, 1]")
+        require_finite(self, "restoring_gain", "buoyancy_net")
 
     @cached_property
     def inertia_inv(self) -> np.ndarray:

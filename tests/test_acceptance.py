@@ -38,6 +38,7 @@ from auvform.plant import rk4_step
 from auvform.scenario import parse_scenario
 from auvform.thrusters import ThrusterConfig, allocate, build_tcm
 from auvform.vehicle import RigidBodyParams
+from test_golden import DISPATCH_NOTE, file_sha256, simlog_sha256
 
 C_LYAP = 50.0
 SCENARIO_PATH = Path(__file__).resolve().parents[1] / "scenarios" / "spiral.yaml"
@@ -263,6 +264,17 @@ def test_criterion_10_determinism(spiral, comparison, tmp_path):
         arrays_equal and bytes_equal and elapsed < 240.0,
         f"two runs byte-identical = {arrays_equal and bytes_equal}; {elapsed:.0f} s",
     )
+
+
+# the full 45 s spiral's outputs, pinned like tests/test_golden.py's first second
+SIMLOG_FULL = "8016106ef670379dc0c91005c4e28ea2423c21c6d0437d44d3e073b9d6ce31cf"
+TIMESERIES_FULL = "ae7d711aeeefe04a9bf28f43e3b615855c2242167b3ada9e40b6e9d35aeef51c"
+
+
+def test_spiral_full_run_digests(spiral, tmp_path):
+    assert simlog_sha256(spiral.log) == SIMLOG_FULL, DISPATCH_NOTE
+    bundle = export_results(spiral.log, None, tmp_path)
+    assert file_sha256(bundle.timeseries) == TIMESERIES_FULL, DISPATCH_NOTE
 
 
 def test_spiral_stays_inside_workspace(spiral):

@@ -34,7 +34,7 @@ from auvform.formation import (
 from auvform.mpc import MpcConfig
 from auvform.plant import advance_plant, rk4_step
 from auvform.thrusters import ThrusterConfig
-from auvform.vehicle import RigidBodyParams, euler_pose, jacobian_inv
+from auvform.vehicle import RigidBodyParams, euler_pose, inertial_rates, jacobian_inv
 
 
 def quiet_scenario(**kw):
@@ -248,13 +248,21 @@ def test_runtime_leader_table_holds_the_path_end():
     line = TrajectorySpec(kind="line", duration=0.5, velocity=np.array([0.3, -0.4, 0.0]))
     sc = Scenario(trajectory=line, duration=1.5, dt=0.1)
     rt = SimRuntime(sc)
-    assert rt.leader_refs.shape == (rt.n_steps + 1, 3, 6) == (16, 3, 6)
-    for k, row in enumerate(rt.leader_refs):
-        want = leader_reference(min(k * sc.dt, line.duration), line)
-        assert row.tobytes() == want.tobytes()
+    assert rt.refs.shape == (3, rt.n_steps + 1, 3, 6) == (3, 16, 3, 6)
+    leader = [leader_reference(min(k * sc.dt, line.duration), line) for k in range(16)]
     rec = [step(rt) for _ in range(rt.n_steps)]
-    assert rec[3]["e_d"][0].tobytes() == rt.leader_refs[3, 0].tobytes()
-    assert rec[-1]["ed_d"][0].tobytes() == rt.leader_refs[5, 1].tobytes()
+    for k, want in enumerate(leader):
+        assert rt.refs[:, k, 0].tobytes() == want.tobytes()
+    assert rt.refs[:, 15, 0].tobytes() == rt.refs[:, 5, 0].tobytes()
+    # each step's follower rows: the slots of its logged leader pose and rate,
+    # and the rate's difference from the step before over dt (zero at step 0)
+    for k, r in enumerate(rec):
+        rates = inertial_rates(euler_pose(r["eta"][:, 3:]), r["nu"])
+        e_f, ed_f = follower_references(r["eta"][0], rates[0], sc.formation)
+        assert rt.refs[0, k, 1:].tobytes() == e_f.tobytes()
+        assert rt.refs[1, k, 1:].tobytes() == ed_f.tobytes()
+        edd_f = (ed_f - rt.refs[1, k - 1, 1:]) / sc.dt if k else np.zeros((2, 6))
+        assert rt.refs[2, k, 1:].tobytes() == edd_f.tobytes()
 
 
 def test_every_config_in_the_scenario_tree_is_frozen():
@@ -462,6 +470,23 @@ NAN_CASES = {
     "u_limit": lambda: ThrusterConfig(u_limit=NAN),
     "d_linear": lambda: RigidBodyParams(d_linear=NAN_6),
     "d_quad": lambda: RigidBodyParams(d_quad=NAN_6),
+    # fields with no range: each is checked for finiteness alone
+    "layer_scale": lambda: LayeredField(layer_scale=(1.0, NAN, 0.25)),
+    "layer_scale_negative": lambda: LayeredField(layer_scale=(1.0, -1.0, 0.25)),
+    "jet_origin": lambda: LayeredField(jet_origin=(0.0, NAN)),
+    "restoring_gain": lambda: RigidBodyParams(restoring_gain=NAN),
+    "buoyancy_net": lambda: RigidBodyParams(buoyancy_net=NAN),
+    "r1": lambda: ThrusterConfig(r1=NAN),
+    "r2": lambda: ThrusterConfig(r2=NAN),
+    "r3": lambda: ThrusterConfig(r3=NAN),
+    "trajectory_center": lambda: TrajectorySpec(center=np.array([40.0, NAN, -8.0])),
+    "line_velocity": lambda: TrajectorySpec(kind="line", velocity=np.array([NAN, 0.0, 0.0])),
+    "line_start": lambda: TrajectorySpec(kind="line", start=np.array([10.0, 40.0, NAN])),
+    "angular_rate": lambda: TrajectorySpec(angular_rate=NAN),
+    "vertical_rate": lambda: TrajectorySpec(vertical_rate=NAN),
+    "phase": lambda: TrajectorySpec(phase=NAN),
+    "offset_xyz": lambda: FollowerOffset(np.array([-2.0, NAN, 0.0])),
+    "offset_yaw": lambda: FollowerOffset(np.zeros(3), yaw=NAN),
 }
 
 
@@ -470,4 +495,16 @@ def test_range_checks_reject_nan(build):
     # each check is written to fail on NaN (not x > 0), as a comparison
     # with NaN is false; a NaN u_limit never saturates, a NaN threshold gives t_c = 0
     with pytest.raises(ValueError):
+        build()
+
+
+@pytest.mark.parametrize("name, build", [
+    ("inertia", lambda: RigidBodyParams(inertia=np.full((6, 6), NAN))),
+    ("waypoints", lambda: TrajectorySpec(kind="waypoints", waypoints=[[0.0, 0, -2], [NAN, 0, -2]])),
+    ("xyz", lambda: FollowerOffset(np.array([np.inf, 1.5, 0.0]))),
+], ids=["inertia", "waypoints", "offset_xyz"])
+def test_frozen_arrays_name_a_non_finite_entry(name, build):
+    # named as non-finite, not by the first check a NaN fails ("must be symmetric",
+    # "must not repeat")
+    with pytest.raises(ValueError, match=f"^{name} must be finite"):
         build()

@@ -193,12 +193,10 @@ def stepped_costs(sc):
     rt = SimRuntime(sc)
     want, clipped = [], 0
     try:
-        for _ in range(round(sc.duration / sc.dt)):
+        for k in range(round(sc.duration / sc.dt)):
             y0, t = rt.y.copy(), rt.t
             rec = step(rt)
-            want.append(full_rollout_cost(
-                rt.shell, y0, t, rec["u"], rec["e_d"], rec["ed_d"], rec["edd_d"]
-            ))
+            want.append(full_rollout_cost(rt.shell, y0, t, rec["u"], *rt.refs[:, k]))
             clipped += int(np.any(rec["u_cmd"] != rec["u"]))
     except SimulationAbort:
         pass
