@@ -1,29 +1,30 @@
-"""Read-only arrays and finite fields for the frozen config dataclasses: an in-place
-write would otherwise change a validated config behind the tables it caches."""
+"""One validity rule for the frozen config dataclasses, and read-only arrays: an
+in-place write would otherwise change a validated config behind the tables it caches."""
+
+from dataclasses import fields
 
 import numpy as np
 
 
-def read_only(value, shape=None, dtype=float) -> np.ndarray:
-    """A read-only copy of value (float unless dtype says), broadcast to shape when one is given."""
-    array = np.asarray(value, dtype=dtype)
-    array = (array if shape is None else np.broadcast_to(array, shape)).copy()
+def read_only(value, dtype=float) -> np.ndarray:
+    """A read-only copy of value, float unless dtype says."""
+    array = np.asarray(value, dtype=dtype).copy()
     array.setflags(write=False)
     return array
 
 
-def freeze_arrays(config, **shapes) -> None:
-    """Set each named field of a frozen dataclass to read_only(value, shape); None stays None."""
-    for name, shape in shapes.items():
-        value = getattr(config, name)
-        if value is not None:
-            object.__setattr__(config, name, read_only(value, shape))
-    require_finite(config, *shapes)
-
-
-def require_finite(config, *names: str) -> None:
-    """Raise a ValueError naming the first of the named fields with a non-finite entry."""
-    for name in names:
-        value = getattr(config, name)
-        if value is not None and not np.isfinite(value).all():
+def freeze(config, **shapes) -> None:
+    """Make each named field (None stays None) a read-only float array of exactly its
+    shape (None: any), and require every number of every field to be finite; nested
+    configs, strings, bools and None hold none.  A ValueError names the field."""
+    for f in fields(config):
+        name, value = f.name, getattr(config, f.name)
+        if name in shapes and value is not None:
+            value, shape = read_only(value), shapes[name]
+            if shape is not None and value.shape != shape:
+                want, got = (shape[0], value.size) if len(shape) == 1 else (shape, value.shape)
+                raise ValueError(f"{name} needs {want} entries, got {got}")
+            object.__setattr__(config, name, value)
+        numbers = np.asarray(value)
+        if numbers.dtype.kind in "fi" and not np.isfinite(numbers).all():
             raise ValueError(f"{name} must be finite, got {value}")

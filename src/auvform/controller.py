@@ -29,7 +29,7 @@ from functools import cached_property
 
 import numpy as np
 
-from ._frozen import freeze_arrays, read_only
+from ._frozen import freeze, read_only
 from ._numpy_fast import HALF
 from ._numpy_fast import clip as _clip
 from ._numpy_fast import einsum as _einsum
@@ -52,7 +52,7 @@ class SurfaceConfig:
     integral_clamp: float = 0.3
 
     def __post_init__(self):
-        freeze_arrays(self, lambda_s=(6,))
+        freeze(self, lambda_s=(6,))
         if not (self.lambda_s > 0).all():
             raise ValueError("surface gain entries must be positive")
         if not self.integral_clamp > 0:
@@ -69,7 +69,7 @@ class SurfaceConfig:
 class SuperTwistGains:
     """Gains of the reaching term plus the convergence-condition constants.
 
-    Unchecked, so validate_gains can report on any set; ControllerConfig rejects an infeasible one.
+    Only finiteness is checked here; validate_gains judges the ranges for ControllerConfig.
     """
 
     lam: float = 2.1
@@ -78,6 +78,9 @@ class SuperTwistGains:
     phi: float = 0.2
     gamma_big: float = 1.0
     gamma_small: float = 1.0
+
+    def __post_init__(self):
+        freeze(self)
 
     @cached_property
     def neg_lam(self) -> np.ndarray:
@@ -107,7 +110,7 @@ class AdaptiveGains:
     f_est_clamp: float = 40.0
 
     def __post_init__(self):
-        freeze_arrays(self, k_gain=(6,), gamma=(6,))
+        freeze(self, k_gain=(6,), gamma=(6,))
         if not ((self.k_gain >= 0).all() and (self.gamma >= 0).all()):
             raise ValueError("adaptation gains must be nonnegative")
         if not self.f_est_clamp >= 0:

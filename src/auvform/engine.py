@@ -19,7 +19,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from ._frozen import read_only
+from ._frozen import freeze, read_only
 from ._numpy_fast import clip as _clip
 from .controller import (
     AdaptiveGains,
@@ -87,6 +87,7 @@ class ControllerConfig:
     baseline_w: float | None = None  # None: disturbance clamp when flow is on
 
     def __post_init__(self):
+        freeze(self)
         problems = validate_gains(self.gains)
         if not self.baseline_lam > 0:
             problems.append(f"baseline_lam must be positive: got {self.baseline_lam}")
@@ -108,6 +109,9 @@ class FlowConfig:
     layers: LayeredField = field(default_factory=LayeredField)
     disturbance: DisturbanceModel = field(default_factory=DisturbanceModel)
     enabled: bool = True
+
+    def __post_init__(self):
+        freeze(self)
 
     def velocity(self, pos: np.ndarray, t: float | np.ndarray) -> np.ndarray:
         """The current (..., 3) at inertial positions pos (..., 3) and time(s) t."""
@@ -141,17 +145,17 @@ class Scenario:
     initial_states: tuple[np.ndarray, ...] | None = None
 
     def __post_init__(self):
+        # each state converted first, so a ragged one is named by its index
         if self.initial_states is not None:
             object.__setattr__(
                 self, "initial_states",
                 tuple(_state_vector(i, s) for i, s in enumerate(self.initial_states)),
             )
+        freeze(self)
         self.validate()
 
     def validate(self) -> None:
         """The run-level checks; each sub-config checked itself when built."""
-        if not (np.isfinite(self.dt) and np.isfinite(self.duration)):
-            raise ValueError("dt and duration must be finite")
         if not self.dt > 0:
             raise ValueError("dt must be positive")
         if not self.duration >= self.dt:

@@ -183,20 +183,16 @@ def chatter_count(u: np.ndarray) -> int:
 def compare_runs(scenario: Scenario, out_dir: str | Path | None = None) -> ComparisonResult:
     """Run the proposed and first-order baseline controllers on identical terms.
 
-    Both variants share the scenario and its flow.  RMSE is taken over the
-    whole run (from t = 0) so transients count for both sides; chatter counts
-    consecutive-step sign flips of the commanded wrench.
+    Both variants share the scenario and its flow.  RMSE is compute_metrics'
+    pos_rmse over the whole run (from t = 0), so transients count for both
+    sides; chatter counts consecutive-step sign flips of the commanded wrench.
     """
     proposed_sc = replace(scenario, controller=replace(scenario.controller, baseline=False))
     baseline_sc = replace(scenario, controller=replace(scenario.controller, baseline=True))
     log_p = run(proposed_sc)
     log_b = run(baseline_sc)
-
-    def axis_rmse(log: SimLog) -> np.ndarray:
-        return np.sqrt(np.mean(log.eps[:, :, :3] ** 2, axis=(0, 1)))
-
-    rmse_p = axis_rmse(log_p)
-    rmse_b = axis_rmse(log_b)
+    rmse_p = compute_metrics(log_p, log_p.t[0]).pos_rmse
+    rmse_b = compute_metrics(log_b, log_b.t[0]).pos_rmse
     tiny = 1e-12
     ratio = (rmse_p + tiny) / (rmse_b + tiny)
     chat_p = chatter_count(log_p.u_cmd.reshape(log_p.n_steps, -1))

@@ -23,7 +23,7 @@ from functools import cached_property
 
 import numpy as np
 
-from ._frozen import read_only, require_finite
+from ._frozen import freeze, read_only
 from ._numpy_fast import ONE
 from ._numpy_fast import clip as _clip
 from ._numpy_fast import einsum as _einsum
@@ -52,7 +52,7 @@ class FlowParams:
     k: float = 0.82
 
     def __post_init__(self):
-        require_finite(self, "b0", "e_amp", "omega", "theta0", "c", "k")
+        freeze(self)
         normalised = (FlowParams.b0, FlowParams.e_amp, FlowParams.k)
         if (self.b0, self.e_amp, self.k) != normalised:
             raise ValueError(
@@ -66,15 +66,14 @@ class FlowParams:
 class LayeredField:
     """Depth layering and placement of the jet inside the workspace.
 
-    The depth range [z_bottom, z_top] is split into n_layers equal bands;
-    layer_scale[0] is the surface (strongest) band.  Default ratios follow
+    The depth range [z_bottom, z_top] is split into len(layer_scale) equal
+    bands; layer_scale[0] is the surface (strongest) band.  Default ratios follow
     |V_c1| = 2.4 |V_c2| = 4 |V_c3|.  jet_origin/jet_scale place and stretch
     the jet coordinates over the workspace so the meander crosses the
     operating area instead of hugging a 1-2 m band.  Outside the workspace
     box the flow is zero.
     """
 
-    n_layers: int = 3
     z_top: float = 0.0
     z_bottom: float = -20.0
     layer_scale: tuple[float, ...] = (1.0, 1.0 / 2.4, 0.25)
@@ -85,13 +84,11 @@ class LayeredField:
     xy_max: tuple[float, float] = (80.0, 80.0)
 
     def __post_init__(self):
+        freeze(self)
         for name in ("layer_scale", "jet_origin", "xy_min", "xy_max"):
             object.__setattr__(self, name, tuple(float(v) for v in getattr(self, name)))
-        if not self.n_layers >= 1 or len(self.layer_scale) != self.n_layers:
-            raise ValueError("layer_scale length must equal n_layers")
-        if not all(0.0 <= s < np.inf for s in self.layer_scale):
-            raise ValueError(f"layer_scale must be finite and nonnegative, got {self.layer_scale}")
-        require_finite(self, "jet_origin")
+        if not (self.layer_scale and min(self.layer_scale) >= 0.0):
+            raise ValueError(f"layer_scale must be nonempty and nonnegative: {self.layer_scale}")
         if not self.z_bottom < self.z_top:
             raise ValueError("z_bottom must be below z_top")
         if not self.speed_cap >= 0:
@@ -103,6 +100,10 @@ class LayeredField:
                 f"workspace bounds must be ordered (min < max on x and y), got "
                 f"xy_min {self.xy_min}, xy_max {self.xy_max}"
             )
+
+    @property
+    def n_layers(self) -> int:
+        return len(self.layer_scale)
 
     @cached_property
     def box_operands(self) -> tuple[np.ndarray, ...]:
@@ -156,6 +157,7 @@ class DisturbanceModel:
     force_clamp: float = 20.0
 
     def __post_init__(self):
+        freeze(self)
         if not self.force_clamp >= 0:
             raise ValueError("force_clamp must be nonnegative")
         if not (self.drag_gain >= 0 and self.drag_gain_yaw >= 0):

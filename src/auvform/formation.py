@@ -13,7 +13,7 @@ from functools import cached_property
 
 import numpy as np
 
-from ._frozen import freeze_arrays, read_only, require_finite
+from ._frozen import freeze, read_only
 from .vehicle import wrap_angle
 
 
@@ -25,10 +25,7 @@ class FollowerOffset:
     yaw: float = 0.0
 
     def __post_init__(self):
-        freeze_arrays(self, xyz=None)
-        if self.xyz.shape != (3,):
-            raise ValueError("each formation offset xyz needs 3 entries")
-        require_finite(self, "yaw")
+        freeze(self, xyz=(3,))
 
 
 @dataclass(frozen=True)
@@ -41,6 +38,7 @@ class FormationSpec:
     )
 
     def __post_init__(self):
+        freeze(self)
         object.__setattr__(self, "offsets", tuple(self.offsets))
         pts = [tuple(o.xyz) + (o.yaw,) for o in self.offsets]
         if len(set(pts)) != len(pts):
@@ -80,15 +78,11 @@ class TrajectorySpec:
     speed: float = 0.5
 
     def __post_init__(self):
-        freeze_arrays(self, center=None, start=None, velocity=None, waypoints=None)
+        freeze(self, center=(3,), start=(3,), velocity=(3,), waypoints=None)
         if self.kind not in ("spiral", "line", "waypoints"):
             raise ValueError(f"unknown trajectory kind {self.kind!r}")
         if not self.duration > 0:
             raise ValueError("duration must be positive")
-        require_finite(self, "radius", "angular_rate", "vertical_rate", "phase", "speed")
-        for name in ("center", "start", "velocity"):
-            if getattr(self, name).shape != (3,):
-                raise ValueError(f"trajectory {name} needs 3 entries")
         if self.kind == "spiral" and not self.radius > 0:
             raise ValueError("spiral radius must be positive")
         if self.kind == "waypoints":

@@ -28,7 +28,7 @@ from typing import TYPE_CHECKING
 
 import numpy as np
 
-from ._frozen import read_only
+from ._frozen import freeze, read_only
 from ._numpy_fast import HALF
 from ._numpy_fast import clip as _clip
 from .plant import Time, advance_plant
@@ -50,6 +50,7 @@ class MpcConfig:
     state_hi: float = 5.0
 
     def __post_init__(self):
+        freeze(self)
         if not self.n_e >= 1:
             raise ValueError("n_e must be at least 1")
         if not (self.tau_lo <= self.tau_hi and self.state_lo <= self.state_hi):

@@ -134,7 +134,6 @@ _TABLE = [
     ("flow.theta0_rad", "flow.params.theta0", _float),
     ("flow.phase_speed_m_s", "flow.params.c", _float),
     ("flow.wavenumber", "flow.params.k", _float),
-    ("flow.layers.n_layers", "flow.layers.n_layers", _int),
     ("flow.layers.z_top_m", "flow.layers.z_top", _float),
     ("flow.layers.z_bottom_m", "flow.layers.z_bottom", _float),
     ("flow.layers.layer_scale", "flow.layers.layer_scale", _float_tuple()),

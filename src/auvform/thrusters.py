@@ -10,10 +10,12 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
+from itertools import product
+from types import MappingProxyType
 
 import numpy as np
 
-from ._frozen import read_only, require_finite
+from ._frozen import freeze, read_only
 from ._numpy_fast import clip as _clip
 
 # rows of the 5-DOF wrench inside a 6-DOF body wrench [X Y Z K M N]
@@ -63,13 +65,13 @@ class ThrusterConfig:
     u_limit: float = 60.0
 
     def __post_init__(self):
+        freeze(self)
         for name, (lo, hi) in _COEFF_RANGES.items():
             val = getattr(self, name)
             if not lo <= val <= hi:
                 raise ValueError(f"thruster coefficient {name}={val} outside [{lo}, {hi}]")
         if not self.u_limit > 0:
             raise ValueError("u_limit must be positive")
-        require_finite(self, "r1", "r2", "r3")
 
     @cached_property
     def tcm(self) -> np.ndarray:
@@ -82,9 +84,12 @@ class ThrusterConfig:
         return read_only(-self.u_limit), read_only(self.u_limit)
 
     @cached_property
-    def _pseudo_inverses(self) -> tuple[np.ndarray, dict]:
-        """pinv(B), and the pseudo-inverses of B's columns by free set that allocate fills."""
-        return read_only(np.linalg.pinv(self.tcm)), {}
+    def _pseudo_inverses(self) -> tuple[np.ndarray, MappingProxyType]:
+        """pinv(B), and a read-only table of pinv(B[:, free]) by each proper free mask's bytes."""
+        b = self.tcm
+        masks = np.array(list(product((False, True), repeat=b.shape[1])))[1:-1]
+        free_pinv = {m.tobytes(): read_only(np.linalg.pinv(b[:, m])) for m in masks}
+        return read_only(np.linalg.pinv(b)), MappingProxyType(free_pinv)
 
 
 def build_tcm(cfg: ThrusterConfig) -> np.ndarray:
@@ -111,7 +116,7 @@ def allocate(tau: np.ndarray, cfg: ThrusterConfig) -> tuple[np.ndarray, np.ndarr
     unreachable share of the command (nonzero for out-of-range wrenches or
     saturated thrusters).  Pseudo-inverse solve, clip, then one re-solve of
     the unsaturated thrusters against what the saturated ones left over.
-    The pseudo-inverses are cached on cfg, once per free set.
+    The pseudo-inverses are built once per cfg, every free set's at once.
     """
     b = cfg.tcm
     b_pinv, free_pinv = cfg._pseudo_inverses
@@ -123,10 +128,7 @@ def allocate(tau: np.ndarray, cfg: ThrusterConfig) -> tuple[np.ndarray, np.ndarr
         free = ~sat
         if free.any():
             rem = tau - b[:, sat] @ u[sat]
-            key = free.tobytes()
-            if key not in free_pinv:
-                free_pinv[key] = np.linalg.pinv(b[:, free])
-            u[free] = free_pinv[key] @ rem
+            u[free] = free_pinv[free.tobytes()] @ rem
             u = _clip(u, lo, hi)
     residual = b @ u - tau
     return u, residual

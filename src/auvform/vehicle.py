@@ -38,7 +38,7 @@ from functools import cached_property
 
 import numpy as np
 
-from ._frozen import freeze_arrays, read_only, require_finite
+from ._frozen import freeze, read_only
 from ._numpy_fast import NEG_PI, ONE, PI, TWO_PI
 from ._numpy_fast import einsum as _einsum
 
@@ -123,9 +123,7 @@ class RigidBodyParams:
     mismatch_factor: float = 1.0
 
     def __post_init__(self):
-        freeze_arrays(self, inertia=None, d_linear=(6,), d_quad=(6,))
-        if self.inertia.shape != (6, 6):
-            raise ValueError("inertia must be 6x6")
+        freeze(self, inertia=(6, 6), d_linear=(6,), d_quad=(6,))
         if not np.allclose(self.inertia, self.inertia.T, atol=1e-12):
             raise ValueError("inertia must be symmetric")
         if not (np.linalg.eigvalsh(self.inertia) > 0).all():
@@ -134,7 +132,6 @@ class RigidBodyParams:
             raise ValueError("damping coefficients must be nonnegative")
         if not 0.0 < self.mismatch_factor <= 1.0:
             raise ValueError("mismatch_factor must lie in (0, 1]")
-        require_finite(self, "restoring_gain", "buoyancy_net")
 
     @cached_property
     def inertia_inv(self) -> np.ndarray:

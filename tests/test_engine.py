@@ -3,6 +3,7 @@
 import ast
 import dataclasses
 import inspect
+import re
 from pathlib import Path
 
 import numpy as np
@@ -265,13 +266,37 @@ def test_runtime_leader_table_holds_the_path_end():
         assert rt.refs[2, k, 1:].tobytes() == edd_f.tobytes()
 
 
+def with_first_number(value, bad):
+    """value with its first number set to bad: a scalar, or entry 0 of an array or tuple."""
+    if isinstance(value, tuple):
+        return (with_first_number(value[0], bad),) + value[1:]
+    if isinstance(value, np.ndarray):
+        value = value.copy()
+        value.flat[0] = bad
+        return value
+    return bad
+
+
+# fields the Python API accepted at +inf or -inf before every numeric field was checked
+ONCE_ACCEPTED_AT_INF = {
+    "LayeredField.z_top", "LayeredField.z_bottom", "LayeredField.jet_scale",
+    "LayeredField.speed_cap", "LayeredField.xy_max", "ThrusterConfig.u_limit",
+    "MpcConfig.tau_hi", "MpcConfig.tau_lo", "MpcConfig.state_hi",
+    "Scenario.convergence_threshold", "Scenario.seed", "TrajectorySpec.duration",
+    "DisturbanceModel.force_clamp", "DisturbanceModel.drag_gain",
+    "SurfaceConfig.integral_clamp", "AdaptiveGains.f_est_clamp",
+    "ControllerConfig.baseline_lam", "ControllerConfig.baseline_w", "SuperTwistGains.lam",
+}
+
+
 def test_every_config_in_the_scenario_tree_is_frozen():
-    # waypoints and initial_states set, so their arrays are walked too
+    # waypoints, initial_states and baseline_w set, so their numbers are walked too
     sc = Scenario(
         trajectory=TrajectorySpec(kind="waypoints", waypoints=[[0.0, 0, -2], [10.0, 0, -2]]),
         initial_states=[np.zeros(12)] * 3,
+        controller=ControllerConfig(baseline_w=3.5),
     )
-    frozen, mutable = set(), set()
+    frozen, mutable, numeric = set(), set(), set()
 
     def walk(obj, path):
         if isinstance(obj, tuple):
@@ -283,12 +308,24 @@ def test_every_config_in_the_scenario_tree_is_frozen():
                 mutable.add(name)
                 return
             frozen.add(name)
+            check_numbers(obj)
             for f in dataclasses.fields(obj):
                 value = getattr(obj, f.name)
                 assert not isinstance(value, list), f"{path}.{f.name} holds a list"
                 walk(value, f"{path}.{f.name}")
         elif isinstance(obj, np.ndarray):
             assert not obj.flags.writeable, f"{path} is a writable array"
+
+    def check_numbers(config):
+        # every number, or one entry of an array or tuple, at NaN, +inf and -inf
+        for f in dataclasses.fields(config):
+            value = getattr(config, f.name)
+            if np.asarray(value).dtype.kind not in "fi":
+                continue
+            numeric.add(f"{type(config).__name__}.{f.name}")
+            for bad in (np.nan, np.inf, -np.inf):
+                with pytest.raises(ValueError, match=rf"^{f.name}\b"):
+                    dataclasses.replace(config, **{f.name: with_first_number(value, bad)})
 
     walk(sc, "scenario")
     assert mutable == set()
@@ -298,6 +335,7 @@ def test_every_config_in_the_scenario_tree_is_frozen():
         "AdaptiveGains", "FlowConfig", "FlowParams", "LayeredField", "DisturbanceModel",
         "MpcConfig",
     }
+    assert ONCE_ACCEPTED_AT_INF <= numeric
 
 
 STEP_PATH = ("engine", "controller", "vehicle", "plant", "flow", "formation", "thrusters", "mpc")
@@ -508,3 +546,29 @@ def test_frozen_arrays_name_a_non_finite_entry(name, build):
     # "must not repeat")
     with pytest.raises(ValueError, match=f"^{name} must be finite"):
         build()
+
+
+# every array field with a fixed shape: its config and its shape
+SHAPED = [
+    (RigidBodyParams, "inertia", (6, 6)),
+    (RigidBodyParams, "d_linear", (6,)),
+    (RigidBodyParams, "d_quad", (6,)),
+    (SurfaceConfig, "lambda_s", (6,)),
+    (AdaptiveGains, "k_gain", (6,)),
+    (AdaptiveGains, "gamma", (6,)),
+    (FollowerOffset, "xyz", (3,)),
+    (TrajectorySpec, "center", (3,)),
+    (TrajectorySpec, "start", (3,)),
+    (TrajectorySpec, "velocity", (3,)),
+]
+
+
+@pytest.mark.parametrize(("config", "name", "shape"), SHAPED,
+                         ids=[f"{c.__name__}.{n}" for c, n, _ in SHAPED])
+def test_shaped_arrays_reject_a_wrong_length(config, name, shape):
+    entries = shape[0] if len(shape) == 1 else shape
+    want = rf"^{name} needs {re.escape(str(entries))} entries, got "
+    # one entry short, one too many, and a scalar, which is not broadcast to the shape
+    for value in (np.ones(shape)[:-1], np.ones((shape[0] + 1,) + shape[1:]), 1.0):
+        with pytest.raises(ValueError, match=want):
+            config(**{name: value})

@@ -23,7 +23,7 @@ CASES = [
     (LayeredField(), "box_operands",
      lambda c: (c.xy_min[0], c.xy_max[0], c.xy_min[1], c.xy_max[1], c.z_bottom, c.z_top,
                 c.z_top - c.z_bottom, float(c.n_layers), c.n_layers - 1),
-     dict(xy_min=(-5.0, 2.0), xy_max=(60.0, 70.0), z_top=-1.0, z_bottom=-13.0, n_layers=2,
+     dict(xy_min=(-5.0, 2.0), xy_max=(60.0, 70.0), z_top=-1.0, z_bottom=-13.0,
           layer_scale=(1.0, 0.5))),
     (LayeredField(), "jet_operands",
      lambda c: (c.jet_origin[0], c.jet_origin[1], c.jet_scale, c.speed_cap),

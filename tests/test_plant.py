@@ -26,40 +26,9 @@ from auvform.flow import (
 )
 from auvform.plant import advance_plant, plant_derivative
 from auvform.vehicle import PITCH_SINGULARITY_TOL, RigidBodyParams, euler_pose
+from test_vehicle import assert_same_bytes, ref_body_rate_to_euler, ref_rotation
 
 # --- reference: the unfused arithmetic -------------------------------------
-
-
-def ref_rotation(eta2):
-    cphi, sphi = np.cos(eta2[..., 0]), np.sin(eta2[..., 0])
-    cth, sth = np.cos(eta2[..., 1]), np.sin(eta2[..., 1])
-    cpsi, spsi = np.cos(eta2[..., 2]), np.sin(eta2[..., 2])
-    m = np.empty(eta2.shape[:-1] + (3, 3))
-    m[..., 0, 0] = cpsi * cth
-    m[..., 0, 1] = cpsi * sth * sphi - spsi * cphi
-    m[..., 0, 2] = cpsi * sth * cphi + spsi * sphi
-    m[..., 1, 0] = spsi * cth
-    m[..., 1, 1] = spsi * sth * sphi + cpsi * cphi
-    m[..., 1, 2] = spsi * sth * cphi - cpsi * sphi
-    m[..., 2, 0] = -sth
-    m[..., 2, 1] = cth * sphi
-    m[..., 2, 2] = cth * cphi
-    return m
-
-
-def ref_body_rate_to_euler(eta2):
-    cphi, sphi = np.cos(eta2[..., 0]), np.sin(eta2[..., 0])
-    cth, sth = np.cos(eta2[..., 1]), np.sin(eta2[..., 1])
-    tth = sth / cth
-    m = np.zeros(eta2.shape[:-1] + (3, 3))
-    m[..., 0, 0] = 1.0
-    m[..., 0, 1] = sphi * tth
-    m[..., 0, 2] = cphi * tth
-    m[..., 1, 1] = cphi
-    m[..., 1, 2] = -sphi
-    m[..., 2, 1] = sphi / cth
-    m[..., 2, 2] = cphi / cth
-    return m
 
 
 def ref_cross(a, b):
@@ -237,7 +206,7 @@ FLOWS = {
     "default": FlowConfig(),
     # surface layer scaled past the cap: the over-cap shrink branch runs
     "capped": FlowConfig(
-        layers=LayeredField(n_layers=4, z_bottom=-16.0, layer_scale=(3.0, 2.0, 1.0, 0.5),
+        layers=LayeredField(z_bottom=-16.0, layer_scale=(3.0, 2.0, 1.0, 0.5),
                             speed_cap=0.2)
     ),
     "off": None,
@@ -295,11 +264,6 @@ def cases(shape, seed):
     if len(shape) == 2:
         return [(y, tau)]
     return list(zip(y, tau))
-
-
-def assert_same_bytes(got: np.ndarray, want: np.ndarray) -> None:
-    assert got.shape == want.shape and got.dtype == want.dtype
-    assert got.tobytes() == want.tobytes(), np.max(np.abs(got - want))
 
 
 @pytest.mark.parametrize("flow_name", list(FLOWS))

@@ -163,6 +163,13 @@ def test_initial_mode_key_rejected(tmp_path, mode):
     with pytest.raises(ScenarioError, match="unknown key"):
         parse_scenario(path)
 
+
+def test_n_layers_key_rejected(tmp_path, capsys):
+    # the layer count is len(layer_scale)
+    path = write(tmp_path, MINIMAL + "flow: {layers: {n_layers: 2, layer_scale: [1, 0.5]}}\n")
+    assert cli_main(["validate", str(path)]) == 1
+    assert "unknown key flow.layers.'n_layers'" in capsys.readouterr().err
+
 # Every documented key at a valid value other than its default, each value
 # distinct, so a key wired to the wrong attribute changes a digest below.
 # b0, e_amp and wavenumber are spelled at their defaults: FlowParams.validate
@@ -211,7 +218,7 @@ flow:
   theta0_rad: 1.4
   phase_speed_m_s: 0.13
   wavenumber: 0.82
-  layers: {n_layers: 2, z_top_m: -1.0, z_bottom_m: -30.0, layer_scale: [1.0, 0.55],
+  layers: {z_top_m: -1.0, z_bottom_m: -30.0, layer_scale: [1.0, 0.55],
            speed_cap_m_s: 0.45, jet_origin_m: [5.0, 45.0], jet_scale: 16.0}
   disturbance: {drag_gain: 35.0, drag_gain_yaw: 4.5, force_clamp_n: 18.0}
 mpc:
@@ -231,13 +238,17 @@ initial:
     - [7.0, 18.0, -5.5, 0.0, 0.0, 0.3, 0.4, 0.0, 0.0, 0.0, 0.0, 0.0]
 """
 # initial.mode is no longer written; with "  mode: explicit" put back after
-# "initial:" the serialized text gives the earlier 6f1c10a2...e003c2
-EVERY_KEY_YAML_SHA = "319177221e8ad8147a0091106e58779838b2e2a2dad3b944b65b6ed144e935fa"
+# "initial:" the serialized text gives the earlier 6f1c10a2...e003c2.
+# flow.layers.n_layers is no longer written; with "    n_layers: 2" put back after
+# "  layers:" the serialized text gives the earlier 31917722...e935fa
+EVERY_KEY_YAML_SHA = "88b17d585c2097a59a575709a1d1f57382e5742cdd954c7e4c4df7bd2471bfd3"
 # formation.offsets and initial_states are tuples, which the digest names; hashed
 # under their former name, list, the fields give the earlier 72bd3637...cf46eb8.
 # controller.adaptive no longer carries the run's f_est; hashed with a zero f_est
-# field first, as before, the fields give the earlier 3af12c18...f0572a2
-EVERY_KEY_FIELDS_SHA = "1410dbe1dbb75c33a97623c4a50750955d683af0cbd761597200df302dfb2fac"
+# field first, as before, the fields give the earlier 3af12c18...f0572a2.
+# LayeredField.n_layers is a property now; hashed with an n_layers field (int:2)
+# first in flow.layers, the fields give the earlier 1410dbe1...2fac
+EVERY_KEY_FIELDS_SHA = "f6a05a9476df966ace6ddebfff6adb22de2b85c064e2308adc9f44de42d3d6e1"
 
 
 def _hash_fields(obj, h) -> None:
@@ -360,8 +371,7 @@ def test_metrics_table_columns(tmp_path):
 def test_flow_grid_single_point(tmp_path):
     params = FlowParams()
     # one cell: the grid holds xy_min only, as spacing 1 steps past xy_max
-    layers = LayeredField(xy_min=(10.0, 10.0), xy_max=(10.5, 10.5), n_layers=1,
-                          layer_scale=(1.0,))
+    layers = LayeredField(xy_min=(10.0, 10.0), xy_max=(10.5, 10.5), layer_scale=(1.0,))
     out = export_flow_grid(params, layers, [0.0], tmp_path / "grid.csv")
     lines = out.read_text().splitlines()
     assert len(lines) == 2
@@ -430,8 +440,8 @@ def test_cli_validate_and_run(tmp_path):
 DT_ERRORS = {
     "-1": "dt must be positive",
     "0": "dt must be positive",
-    "nan": "dt and duration must be finite",
-    "inf": "dt and duration must be finite",
+    "nan": "dt must be finite, got nan",
+    "inf": "dt must be finite, got inf",
 }
 
 
@@ -620,12 +630,11 @@ def test_removed_mpc_keys_rejected(tmp_path, key):
 def test_integer_keys_take_integral_values(tmp_path):
     # YAML leaves 1.0e9 (no exponent sign) as a string; it is still integral
     doc = MINIMAL.replace("duration_s: 1.0", "duration_s: 1.0\n  seed: 1.0e9")
-    doc += "flow: {layers: {n_layers: 2.0, layer_scale: [1, 0.5]}}\nmpc: {n_e: 3.0}\n"
+    doc += "mpc: {n_e: 3.0}\n"
     sc = parse_scenario(write(tmp_path, doc))
-    n_layers = sc.flow.layers.n_layers
-    assert (sc.seed, sc.mpc.n_e, n_layers) == (10**9, 3, 2)
-    assert all(type(v) is int for v in (sc.seed, sc.mpc.n_e, n_layers))
-    for bad in ("mpc: {n_e: 1.5}", "flow: {layers: {n_layers: true}}", "mpc: {n_e: [1]}"):
+    assert (sc.seed, sc.mpc.n_e) == (10**9, 3)
+    assert all(type(v) is int for v in (sc.seed, sc.mpc.n_e))
+    for bad in ("mpc: {n_e: 1.5}", "mpc: {n_e: true}", "mpc: {n_e: [1]}"):
         with pytest.raises(ScenarioError, match="expected an integer"):
             parse_scenario(write(tmp_path, MINIMAL + bad + "\n"))
 

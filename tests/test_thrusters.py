@@ -172,6 +172,21 @@ def test_allocate_bytes_match_fresh_pseudo_inverse(cfg):
         assert residual.tobytes() == want_residual.tobytes()
 
 
+def test_pseudo_inverse_table_is_complete_and_read_only():
+    cfg = ThrusterConfig()
+    b = build_tcm(cfg)
+    b_pinv, free_pinv = cfg._pseudo_inverses
+    # every proper, nonempty free set of the 3 thrusters, built with the config
+    assert len(free_pinv) == 6
+    with pytest.raises(TypeError):
+        free_pinv[b"\x01\x01\x01"] = b_pinv
+    for key, pinv in free_pinv.items():
+        free = np.frombuffer(key, dtype=bool)
+        assert 0 < free.sum() < 3 and not pinv.flags.writeable
+        assert pinv.tobytes() == np.linalg.pinv(b[:, free]).tobytes()
+    assert not b_pinv.flags.writeable
+
+
 def test_allocate_follows_config_changes():
     cfg = ThrusterConfig()
     tau = np.array([30.0, 5.0, -2.0, 10.0, 1.0])
