@@ -15,7 +15,7 @@ numbers, so Scenario.seed changes no output.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 
 import numpy as np
 
@@ -184,31 +184,43 @@ def _state_vector(i: int, state) -> np.ndarray:
     return vec
 
 
+def _series(*columns: str, dtype=float, fill=0.0):
+    """A SimLog field after t: its timeseries.csv columns, one per entry of a
+    vehicle's row (one column: a scalar per vehicle), its dtype and its fill."""
+    return field(metadata={"columns": columns, "dtype": dtype, "fill": fill})
+
+
+def _per_axis(name: str):
+    """A 6-vector field whose columns are name_x .. name_psi."""
+    return _series(*(f"{name}_{axis}" for axis in ("x", "y", "z", "phi", "theta", "psi")))
+
+
 @dataclass
 class SimLog:
     """Per-step time series; axis 0 is the step, axis 1 the vehicle.
 
     Vehicle 0 is the leader.  u1/u2 are the raw controller terms, u_cmd the
     post-MPC command, u_t the allocated thrusts; flow and dist are sampled at
-    the step start, and lyap/assumption are the stability diagnostics.
+    the step start, and lyap/assumption are the stability diagnostics.  Each
+    field after t declares its timeseries.csv columns, which give its shape.
     """
 
     t: np.ndarray
-    eta: np.ndarray
-    nu: np.ndarray
-    eps: np.ndarray
-    deps: np.ndarray
-    sigma: np.ndarray
-    u1: np.ndarray
-    u2: np.ndarray
-    u_cmd: np.ndarray
-    u_t: np.ndarray
-    f_est: np.ndarray
-    lyap: np.ndarray
-    assumption: np.ndarray
-    flow: np.ndarray
-    dist: np.ndarray
-    mpc_cost: np.ndarray
+    eta: np.ndarray = _per_axis("eta")
+    nu: np.ndarray = _series("nu_u", "nu_v", "nu_w", "nu_p", "nu_q", "nu_r")
+    eps: np.ndarray = _per_axis("eps")
+    deps: np.ndarray = _per_axis("deps")
+    sigma: np.ndarray = _per_axis("sigma")
+    u1: np.ndarray = _per_axis("u1")
+    u2: np.ndarray = _per_axis("u2")
+    u_cmd: np.ndarray = _per_axis("u_cmd")
+    u_t: np.ndarray = _series("u_t1_n", "u_t2_n", "u_t3_n")
+    f_est: np.ndarray = _per_axis("f_est")
+    lyap: np.ndarray = _series("lyapunov")
+    assumption: np.ndarray = _series("assumption", dtype=bool, fill=False)
+    flow: np.ndarray = _series("flow_u_mps", "flow_v_mps", "flow_w_mps")
+    dist: np.ndarray = _per_axis("dist")
+    mpc_cost: np.ndarray = _series("mpc_cost", fill=np.nan)
 
     @property
     def n_steps(self) -> int:
@@ -220,25 +232,12 @@ class SimLog:
 
     @classmethod
     def allocate(cls, n_records: int, n_vehicles: int) -> "SimLog":
-        n, v = n_records, n_vehicles
-        return cls(
-            t=np.zeros(n),
-            eta=np.zeros((n, v, 6)),
-            nu=np.zeros((n, v, 6)),
-            eps=np.zeros((n, v, 6)),
-            deps=np.zeros((n, v, 6)),
-            sigma=np.zeros((n, v, 6)),
-            u1=np.zeros((n, v, 6)),
-            u2=np.zeros((n, v, 6)),
-            u_cmd=np.zeros((n, v, 6)),
-            u_t=np.zeros((n, v, 3)),
-            f_est=np.zeros((n, v, 6)),
-            lyap=np.zeros((n, v)),
-            assumption=np.zeros((n, v), dtype=bool),
-            flow=np.zeros((n, v, 3)),
-            dist=np.zeros((n, v, 6)),
-            mpc_cost=np.full((n, v), np.nan),
-        )
+        def filled(meta) -> np.ndarray:
+            width = len(meta["columns"])
+            shape = (n_records, n_vehicles) + ((width,) if width > 1 else ())
+            return np.full(shape, meta["fill"], dtype=meta["dtype"])
+
+        return cls(t=np.zeros(n_records), **{f.name: filled(f.metadata) for f in fields(cls)[1:]})
 
     def truncated(self, n: int) -> "SimLog":
         return SimLog(
@@ -273,11 +272,11 @@ class SimRuntime:
         self.flow = scenario.flow if scenario.flow.enabled else None
         n_v = scenario.n_vehicles
         self.n_steps = round(scenario.duration / scenario.dt)
-        # [e_d, ed_d, edd_d] by step and vehicle: the leader's at each step's time,
-        # held at the path's end; _references writes the followers' rows
+        self.times = np.arange(self.n_steps + 1) * scenario.dt  # each record's time
+        # [e_d, ed_d, edd_d] by step and vehicle: the leader's at each record's time;
+        # _references writes the followers' rows
         self.refs = np.zeros((3, self.n_steps + 1, n_v, 6))
-        times = np.minimum(np.arange(self.n_steps + 1) * scenario.dt, scenario.trajectory.duration)
-        self.refs[:, :, 0] = leader_reference(times, scenario.trajectory).swapaxes(0, 1)
+        self.refs[:, :, 0] = leader_reference(self.times, scenario.trajectory).swapaxes(0, 1)
         self.y = self._initial_states()
         self.cstate = ControllerState(
             integral_eps=np.zeros((n_v, 6)),
@@ -449,20 +448,21 @@ def run(scenario: Scenario) -> SimLog:
     rt = SimRuntime(scenario)
     n_steps = rt.n_steps
     log = SimLog.allocate(n_steps + 1, scenario.n_vehicles)
-    # t is written from k; mpc_cost keeps allocate's NaN until _predicted_costs fills it
-    logged = [name for name in SimLog.__dataclass_fields__ if name not in ("t", "mpc_cost")]
+    log.t[:] = rt.times
+    # each record fills the log fields it holds; the rest keep their fill (the last
+    # record's u_t its zeros, mpc_cost its NaN until _predicted_costs writes it)
+    arrays = {f.name: getattr(log, f.name) for f in fields(log)}
 
     def write(k: int, rec: dict) -> None:
-        log.t[k] = k * scenario.dt
-        for name in logged:
-            getattr(log, name)[k] = rec[name]
+        for name, value in rec.items():
+            if name in arrays:
+                arrays[name][k] = value
 
     try:
         for k in range(n_steps):
             write(k, step(rt))
         final = _control_and_diagnostics(rt)
         final["u_cmd"] = final["u"]
-        final["u_t"] = np.zeros((scenario.n_vehicles, 3))
         write(n_steps, final)
     except SimulationAbort as exc:
         _predicted_costs(rt, log, rt.step_index)

@@ -5,13 +5,12 @@ encoding.  Every table is built as columns, turned into rows by `_rows` and
 written by `_write_csv`.  Floats are written with the shortest
 representation that round-trips to the same binary value, so re-exporting
 the same log is byte-identical.  The timeseries.csv columns are t_s and
-vehicle, then the columns `_COLUMNS` gives each SimLog field after t; the
-SimLog's field order decides their order.
+vehicle, then the columns each SimLog field after t declares, in field order.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, fields, replace
 from itertools import chain
 from pathlib import Path
 
@@ -28,8 +27,6 @@ from .engine import (
     run,
 )
 from .flow import FlowParams, LayeredField, layered_velocity
-
-_VEC6 = ("x", "y", "z", "phi", "theta", "psi")
 
 
 @dataclass
@@ -56,24 +53,6 @@ class ComparisonResult:
     log_baseline: SimLog
 
 
-def _vector(name: str, parts=_VEC6) -> tuple[str, ...]:
-    return tuple(f"{name}_{p}" for p in parts)
-
-
-# timeseries.csv columns of each SimLog field after t, in SimLog field order;
-# a test checks the names and widths against SimLog
-_COLUMNS = {
-    "eta": _vector("eta"),
-    "nu": _vector("nu", ("u", "v", "w", "p", "q", "r")),
-    **{name: _vector(name) for name in ("eps", "deps", "sigma", "u1", "u2", "u_cmd")},
-    "u_t": ("u_t1_n", "u_t2_n", "u_t3_n"),
-    "f_est": _vector("f_est"),
-    "lyap": ("lyapunov",),
-    "assumption": ("assumption",),
-    "flow": ("flow_u_mps", "flow_v_mps", "flow_w_mps"),
-    "dist": _vector("dist"),
-    "mpc_cost": ("mpc_cost",),
-}
 _CHUNK_ROWS = 64  # rows converted to Python values at a time; bounds the export's memory
 
 
@@ -110,14 +89,15 @@ def export_results(log: SimLog, metrics: Metrics | None, out_dir: str | Path) ->
 
     ts_path = out / "timeseries.csv"
     steps, vehicles = log.n_steps, log.n_vehicles
-    n = steps * vehicles
+    series = fields(log)[1:]
     _write_csv(
         ts_path,
-        ["t_s", "vehicle", *chain.from_iterable(_COLUMNS.values())],
+        ["t_s", "vehicle", *chain.from_iterable(f.metadata["columns"] for f in series)],
         _rows(
             np.repeat(log.t, vehicles),
             np.tile(np.arange(vehicles), steps),
-            *(getattr(log, name).reshape(n, len(cols)) for name, cols in _COLUMNS.items()),
+            *(getattr(log, f.name).reshape(steps * vehicles, len(f.metadata["columns"]))
+              for f in series),
         ),
     )
 
@@ -151,8 +131,8 @@ def export_flow_grid(
     """Rasterize the layered current field at the given spacing and times."""
     out_path = Path(out_path)
     out_path.parent.mkdir(parents=True, exist_ok=True)
-    xs = np.arange(layers.xy_min[0], layers.xy_max[0] + spacing / 2, spacing)
-    ys = np.arange(layers.xy_min[1], layers.xy_max[1] + spacing / 2, spacing)
+    xs = np.arange(layers.x_range[0], layers.x_range[1] + spacing / 2, spacing)
+    ys = np.arange(layers.y_range[0], layers.y_range[1] + spacing / 2, spacing)
     n = layers.n_layers
     band = (layers.z_top - layers.z_bottom) / n
     zs = np.array([layers.z_top - (i + 0.5) * band for i in range(n)])

@@ -70,8 +70,8 @@ class LayeredField:
     bands; layer_scale[0] is the surface (strongest) band.  Default ratios follow
     |V_c1| = 2.4 |V_c2| = 4 |V_c3|.  jet_origin/jet_scale place and stretch
     the jet coordinates over the workspace so the meander crosses the
-    operating area instead of hugging a 1-2 m band.  Outside the workspace
-    box the flow is zero.
+    operating area instead of hugging a 1-2 m band.  x_range and y_range are
+    the workspace box's [min, max] along x and y; outside it the flow is zero.
     """
 
     z_top: float = 0.0
@@ -80,25 +80,26 @@ class LayeredField:
     speed_cap: float = 0.5
     jet_origin: tuple[float, float] = (0.0, 52.0)
     jet_scale: float = 18.0
-    xy_min: tuple[float, float] = (0.0, 0.0)
-    xy_max: tuple[float, float] = (80.0, 80.0)
+    x_range: tuple[float, float] = (0.0, 80.0)
+    y_range: tuple[float, float] = (0.0, 80.0)
 
     def __post_init__(self):
-        freeze(self)
-        for name in ("layer_scale", "jet_origin", "xy_min", "xy_max"):
-            object.__setattr__(self, name, tuple(float(v) for v in getattr(self, name)))
-        if not (self.layer_scale and min(self.layer_scale) >= 0.0):
-            raise ValueError(f"layer_scale must be nonempty and nonnegative: {self.layer_scale}")
+        freeze(self, layer_scale=None, jet_origin=(2,), x_range=(2,), y_range=(2,))
+        scale = self.layer_scale
+        if not (scale.ndim == 1 and scale.size and scale.min() >= 0.0):
+            raise ValueError(f"layer_scale must be nonempty and nonnegative: {scale}")
+        for name in ("layer_scale", "jet_origin", "x_range", "y_range"):
+            object.__setattr__(self, name, tuple(getattr(self, name).tolist()))
         if not self.z_bottom < self.z_top:
             raise ValueError("z_bottom must be below z_top")
         if not self.speed_cap >= 0:
             raise ValueError("speed_cap must be nonnegative")
         if not self.jet_scale > 0:
             raise ValueError("jet_scale must be positive")
-        if not all(lo < hi for lo, hi in zip(self.xy_min, self.xy_max)):
+        if not (self.x_range[0] < self.x_range[1] and self.y_range[0] < self.y_range[1]):
             raise ValueError(
                 f"workspace bounds must be ordered (min < max on x and y), got "
-                f"xy_min {self.xy_min}, xy_max {self.xy_max}"
+                f"x_range {self.x_range}, y_range {self.y_range}"
             )
 
     @property
@@ -109,8 +110,7 @@ class LayeredField:
     def box_operands(self) -> tuple[np.ndarray, ...]:
         """layer_index's 0-d operands: x_min, x_max, y_min, y_max, z_bottom, z_top,
         the depth z_top - z_bottom, n_layers as a float and the deepest layer index."""
-        (x_min, y_min), (x_max, y_max) = self.xy_min, self.xy_max
-        bounds = (x_min, x_max, y_min, y_max, self.z_bottom, self.z_top)
+        bounds = (*self.x_range, *self.y_range, self.z_bottom, self.z_top)
         return (*map(read_only, bounds), read_only(self.z_top - self.z_bottom),
                 read_only(self.n_layers), read_only(self.n_layers - 1, dtype=int))
 

@@ -66,7 +66,6 @@ class TrajectorySpec:
     """
 
     kind: str = "spiral"
-    duration: float = 50.0
     center: np.ndarray = field(default_factory=lambda: np.array([40.0, 40.0, -8.0]))
     radius: float = 8.0
     angular_rate: float = 0.1
@@ -81,8 +80,6 @@ class TrajectorySpec:
         freeze(self, center=(3,), start=(3,), velocity=(3,), waypoints=None)
         if self.kind not in ("spiral", "line", "waypoints"):
             raise ValueError(f"unknown trajectory kind {self.kind!r}")
-        if not self.duration > 0:
-            raise ValueError("duration must be positive")
         if self.kind == "spiral" and not self.radius > 0:
             raise ValueError("spiral radius must be positive")
         if self.kind == "waypoints":
@@ -153,14 +150,15 @@ _PATHS = {"spiral": _spiral, "line": _line, "waypoints": _waypoints}
 def leader_reference(t: float | np.ndarray, spec: TrajectorySpec) -> np.ndarray:
     """Desired pose, rate and acceleration rows (..., 3, 6) at the times t; yaw tangent to the path.
 
-    t is one time or an array of times; one time gives the (3, 6) rows
-    [e_d, ed_d, edd_d] of a one-entry array.
+    t is one time >= 0 or an array of them; one time gives the (3, 6) rows
+    [e_d, ed_d, edd_d] of a one-entry array.  The path has no end: a spiral
+    or line goes on, and a waypoint chain parks at its last point.
     """
     t = np.asarray(t, dtype=float)
     times = t.reshape(-1)
-    outside = ~((times >= 0.0) & (times <= spec.duration))
-    if outside.any():
-        raise ValueError(f"t={times[outside][0]} outside [0, {spec.duration}]")
+    bad = ~(times >= 0.0)
+    if bad.any():
+        raise ValueError(f"t={times[bad][0]} is not a time >= 0")
     refs = np.zeros(times.shape + (3, 6))
     refs[:, 0, 5] = wrap_angle(_PATHS[spec.kind](times, spec, refs))
     return refs.reshape(t.shape + (3, 6))

@@ -87,14 +87,13 @@ def _offset(entry) -> FollowerOffset:
 
 
 # One row per YAML key: (key path, attribute path on Scenario, converter).  Parsing
-# and serialization both walk it in order; rows without an attribute are hand-written.
+# and serialization both walk it in order.
 _TABLE = [
     ("sim.dt_s", "dt", _float),
     ("sim.duration_s", "duration", _float),
     ("sim.seed", "seed", _int),
     ("sim.convergence_threshold_m", "convergence_threshold", _float),
     ("trajectory.kind", "trajectory.kind", str),
-    ("trajectory.duration_s", "trajectory.duration", _float),
     ("trajectory.spiral.center_m", "trajectory.center", _floats()),
     ("trajectory.spiral.radius_m", "trajectory.radius", _float),
     ("trajectory.spiral.angular_rate_rad_s", "trajectory.angular_rate", _float),
@@ -162,9 +161,8 @@ _TABLE = [
     ("thrusters.r2_m", "thrusters.r2", _float),
     ("thrusters.r3_m", "thrusters.r3", _float),
     ("thrusters.u_limit_n", "thrusters.u_limit", _float),
-    # [min, max] along x and y: one column each of flow.layers.xy_min/xy_max
-    ("workspace.x_m", None, _floats(2)),
-    ("workspace.y_m", None, _floats(2)),
+    ("workspace.x_m", "flow.layers.x_range", _float_tuple(2)),
+    ("workspace.y_m", "flow.layers.y_range", _float_tuple(2)),
     ("initial.states", "initial_states", _list_of(_floats(12), "[eta, nu] 12-vectors")),
 ]
 
@@ -212,27 +210,15 @@ def scenario_from_dict(raw: dict) -> Scenario:
     for block in _REQUIRED_BLOCKS:
         if block not in raw:
             raise ScenarioError(f"missing required block {block!r}")
-    values = {}
+    changes = {}
     for key, value in leaves.items():
+        attr, convert = _KEYS[key]
         try:
-            values[key] = _KEYS[key][1](value)
+            changes[attr] = convert(value)
         except (TypeError, ValueError) as exc:
             raise ScenarioError(f"{key}: {exc}") from exc
-    base = Scenario()
-    changes = {_KEYS[key][0]: v for key, v in values.items() if _KEYS[key][0]}
-
-    # the reference must cover the whole run; null means the sim duration
-    duration = changes.get("duration", base.duration)
-    changes["trajectory.duration"] = max(changes.get("trajectory.duration", duration), duration)
-
-    layers = base.flow.layers
-    x = values.get("workspace.x_m", (layers.xy_min[0], layers.xy_max[0]))
-    y = values.get("workspace.y_m", (layers.xy_min[1], layers.xy_max[1]))
-    changes["flow.layers.xy_min"] = (float(x[0]), float(y[0]))
-    changes["flow.layers.xy_max"] = (float(x[1]), float(y[1]))
-
     try:
-        return _replaced(base, changes)
+        return _replaced(Scenario(), changes)
     except ValueError as exc:
         raise ScenarioError(str(exc)) from exc
 
@@ -263,14 +249,11 @@ def _plain(value):
 
 def scenario_to_dict(sc: Scenario) -> dict:
     """Canonical mapping form, round-trippable through scenario_from_dict."""
-    layers = sc.flow.layers
     hand_written = {
         "formation.offsets": [
             {"xyz_m": o.xyz.tolist(), "yaw_rad": o.yaw} for o in sc.formation.offsets
         ],
         "vehicle.inertia_diag": np.diag(sc.vehicle.inertia).tolist(),
-        "workspace.x_m": [layers.xy_min[0], layers.xy_max[0]],
-        "workspace.y_m": [layers.xy_min[1], layers.xy_max[1]],
     }
     out: dict = {}
     for key, attr, _ in _TABLE:

@@ -281,8 +281,8 @@ def test_spiral_stays_inside_workspace(spiral):
     sc, log = spiral.scenario, spiral.log
     eta, box = log.eta, sc.flow.layers
     inside = (
-        np.all((eta[:, :, 0] >= box.xy_min[0]) & (eta[:, :, 0] <= box.xy_max[0]))
-        and np.all((eta[:, :, 1] >= box.xy_min[1]) & (eta[:, :, 1] <= box.xy_max[1]))
+        np.all((eta[:, :, 0] >= box.x_range[0]) & (eta[:, :, 0] <= box.x_range[1]))
+        and np.all((eta[:, :, 1] >= box.y_range[0]) & (eta[:, :, 1] <= box.y_range[1]))
         and np.all((eta[:, :, 2] >= box.z_bottom) & (eta[:, :, 2] <= box.z_top))
     )
     assert inside

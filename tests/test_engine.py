@@ -42,7 +42,7 @@ def quiet_scenario(**kw):
     """Small, fast scenario: no flow, perfect model, MPC off."""
     base = dict(
         trajectory=TrajectorySpec(
-            kind="line", duration=1000.0,
+            kind="line",
             start=np.array([20.0, 40.0, -8.0]),
             velocity=np.array([0.5, 0.0, 0.0]),
         ),
@@ -243,18 +243,18 @@ def test_scenario_names_a_non_numeric_initial_state(bad):
         Scenario(duration=0.02, initial_states=[[0.0] * 12, bad, [0.0] * 12])
 
 
-def test_runtime_leader_table_holds_the_path_end():
-    # a run 1 s longer than its path: every step reads its own time's row,
-    # and the steps past the path's end read the row at its end
-    line = TrajectorySpec(kind="line", duration=0.5, velocity=np.array([0.3, -0.4, 0.0]))
+def test_runtime_leader_table_follows_the_path_at_every_step():
+    # every record's time is k dt, and the leader column is leader_reference at it
+    line = TrajectorySpec(kind="line", velocity=np.array([0.3, -0.4, 0.0]))
     sc = Scenario(trajectory=line, duration=1.5, dt=0.1)
     rt = SimRuntime(sc)
     assert rt.refs.shape == (3, rt.n_steps + 1, 3, 6) == (3, 16, 3, 6)
-    leader = [leader_reference(min(k * sc.dt, line.duration), line) for k in range(16)]
+    assert rt.times.tobytes() == np.array([k * sc.dt for k in range(16)]).tobytes()
+    leader = [leader_reference(k * sc.dt, line) for k in range(16)]
     rec = [step(rt) for _ in range(rt.n_steps)]
     for k, want in enumerate(leader):
         assert rt.refs[:, k, 0].tobytes() == want.tobytes()
-    assert rt.refs[:, 15, 0].tobytes() == rt.refs[:, 5, 0].tobytes()
+    assert run(sc).t.tobytes() == rt.times.tobytes()
     # each step's follower rows: the slots of its logged leader pose and rate,
     # and the rate's difference from the step before over dt (zero at step 0)
     for k, r in enumerate(rec):
@@ -280,9 +280,10 @@ def with_first_number(value, bad):
 # fields the Python API accepted at +inf or -inf before every numeric field was checked
 ONCE_ACCEPTED_AT_INF = {
     "LayeredField.z_top", "LayeredField.z_bottom", "LayeredField.jet_scale",
-    "LayeredField.speed_cap", "LayeredField.xy_max", "ThrusterConfig.u_limit",
+    # LayeredField.xy_max's numbers are now the maxima of x_range and y_range
+    "LayeredField.speed_cap", "LayeredField.x_range", "ThrusterConfig.u_limit",
     "MpcConfig.tau_hi", "MpcConfig.tau_lo", "MpcConfig.state_hi",
-    "Scenario.convergence_threshold", "Scenario.seed", "TrajectorySpec.duration",
+    "Scenario.convergence_threshold", "Scenario.seed",
     "DisturbanceModel.force_clamp", "DisturbanceModel.drag_gain",
     "SurfaceConfig.integral_clamp", "AdaptiveGains.f_est_clamp",
     "ControllerConfig.baseline_lam", "ControllerConfig.baseline_w", "SuperTwistGains.lam",
@@ -498,7 +499,6 @@ NAN_CASES = {
     "force_clamp": lambda: DisturbanceModel(force_clamp=NAN),
     "drag_gain": lambda: DisturbanceModel(drag_gain=NAN),
     "drag_gain_yaw": lambda: DisturbanceModel(drag_gain_yaw=NAN),
-    "trajectory_duration": lambda: TrajectorySpec(duration=NAN),
     "spiral_radius": lambda: TrajectorySpec(radius=NAN),
     "n_e": lambda: MpcConfig(n_e=NAN),
     "tau_lo": lambda: MpcConfig(tau_lo=NAN),
@@ -545,6 +545,28 @@ def test_frozen_arrays_name_a_non_finite_entry(name, build):
     # named as non-finite, not by the first check a NaN fails ("must be symmetric",
     # "must not repeat")
     with pytest.raises(ValueError, match=f"^{name} must be finite"):
+        build()
+
+
+@pytest.mark.parametrize("name, build", [
+    ("lambda_s", lambda: SurfaceConfig(lambda_s=["a"] * 6)),
+    ("jet_scale", lambda: LayeredField(jet_scale="x")),
+    ("force_clamp", lambda: DisturbanceModel(force_clamp="1")),
+    ("u_limit", lambda: ThrusterConfig(u_limit=None)),
+    ("n_e", lambda: MpcConfig(n_e="4")),
+    ("f_est_clamp", lambda: AdaptiveGains(f_est_clamp=[1.0])),
+    ("jet_origin", lambda: LayeredField(jet_origin=("a", 52.0))),
+    ("baseline_lam", lambda: ControllerConfig(baseline_lam=True)),
+    ("n_e", lambda: MpcConfig(n_e=2.5)),
+    ("seed", lambda: Scenario(seed=1.5)),
+    ("baseline_w", lambda: ControllerConfig(baseline_w="3")),
+], ids=["lambda_s", "jet_scale", "force_clamp", "u_limit", "n_e", "f_est_clamp",
+        "jet_origin", "baseline_lam", "n_e_fraction", "seed_fraction", "baseline_w"])
+def test_config_names_a_non_numeric_value(name, build):
+    # named by the validity rule, not by numpy's "could not convert" or a TypeError
+    # from the first comparison or the run; a bool is not a number here, and an
+    # int field takes integers only (MpcConfig(n_e=2.5) built and its run failed)
+    with pytest.raises(ValueError, match=f"^{name} needs"):
         build()
 
 

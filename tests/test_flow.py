@@ -115,19 +115,19 @@ def test_layered_velocity_outside_workspace_is_zero():
     np.testing.assert_allclose(layered_velocity(10.0, 90.0, -1.0, 0.0, field, p), np.zeros(3))
 
 
-@pytest.mark.parametrize(("xy_min", "xy_max"), [((70.0, 0.0), (10.0, 80.0)),
-                                               ((0.0, 40.0), (80.0, 40.0))])
-def test_unordered_workspace_rejected(xy_min, xy_max):
+@pytest.mark.parametrize(("x_range", "y_range"), [((70.0, 10.0), (0.0, 80.0)),
+                                                 ((0.0, 80.0), (40.0, 40.0))])
+def test_unordered_workspace_rejected(x_range, y_range):
     with pytest.raises(ValueError, match="workspace bounds must be ordered"):
-        LayeredField(xy_min=xy_min, xy_max=xy_max)
+        LayeredField(x_range=x_range, y_range=y_range)
 
 
 def test_list_built_field_matches_tuple_built_field():
     p = FlowParams()
     tuple_built = LayeredField(layer_scale=(1.0, 0.5, 0.25), jet_origin=(0.0, 52.0),
-                               xy_min=(0.0, 0.0), xy_max=(80.0, 80.0))
+                               x_range=(0.0, 80.0), y_range=(0.0, 80.0))
     list_built = LayeredField(layer_scale=[1.0, 0.5, 0.25], jet_origin=[0, 52],
-                              xy_min=[0, 0], xy_max=[80, 80])
+                              x_range=[0, 80], y_range=[0, 80])
     assert list_built == tuple_built
     rng = np.random.default_rng(6)
     x, y = rng.uniform(-5, 85, (2, 50))

@@ -15,7 +15,7 @@ from auvform.vehicle import wrap_angle
 
 
 def spiral_spec(**kw):
-    base = dict(kind="spiral", duration=100.0, center=np.array([40.0, 40.0, -3.0]),
+    base = dict(kind="spiral", center=np.array([40.0, 40.0, -3.0]),
                 radius=8.0, angular_rate=0.1, vertical_rate=-0.04, phase=0.0)
     base.update(kw)
     return TrajectorySpec(**base)
@@ -33,7 +33,7 @@ def test_spiral_start_point():
 
 
 def test_line_zero_speed_is_stationary():
-    spec = TrajectorySpec(kind="line", duration=10.0,
+    spec = TrajectorySpec(kind="line",
                           start=np.array([1.0, 2.0, -3.0]),
                           velocity=np.zeros(3))
     for t in (0.0, 5.0, 10.0):
@@ -66,11 +66,12 @@ def test_reference_accel_matches_finite_difference():
 
 
 def test_reference_out_of_range():
-    spec = spiral_spec(duration=10.0)
-    with pytest.raises(ValueError):
-        leader_reference(-1.0, spec)
-    with pytest.raises(ValueError):
-        leader_reference(11.0, spec)
+    # the path has no end: any time >= 0 is on it
+    spec = spiral_spec()
+    for bad in (-1.0, -1e-300, np.nan):
+        with pytest.raises(ValueError, match="is not a time >= 0"):
+            leader_reference(bad, spec)
+    assert np.isfinite(leader_reference(1e6, spec)).all()
 
 
 def test_reference_smoothness_bounds():
@@ -251,7 +252,7 @@ def test_trajectory_spec_rejects_repeated_waypoint():
 
 def test_waypoint_trajectory():
     spec = TrajectorySpec(
-        kind="waypoints", duration=100.0,
+        kind="waypoints",
         waypoints=np.array([[0.0, 0, -2], [10.0, 0, -2], [10.0, 10, -2]]),
         speed=1.0,
     )
@@ -299,14 +300,14 @@ def scalar_leader_reference(t: float, spec: TrajectorySpec) -> np.ndarray:
 
 
 TABLE_SPECS = {
-    "spiral": spiral_spec(duration=20.0, phase=2.9, angular_rate=0.17, radius=7.3),
-    "spiral-clockwise": spiral_spec(duration=20.0, angular_rate=-0.1),
-    "line": TrajectorySpec(kind="line", duration=20.0, start=np.array([10.0, 40.0, -5.0]),
+    "spiral": spiral_spec(phase=2.9, angular_rate=0.17, radius=7.3),
+    "spiral-clockwise": spiral_spec(angular_rate=-0.1),
+    "line": TrajectorySpec(kind="line", start=np.array([10.0, 40.0, -5.0]),
                            velocity=np.array([-0.4, 0.3, -0.05])),
-    "line-vertical": TrajectorySpec(kind="line", duration=20.0, velocity=np.array([0.0, 0.0, -0.2])),
+    "line-vertical": TrajectorySpec(kind="line", velocity=np.array([0.0, 0.0, -0.2])),
     # reaches its last waypoint at about 15.9 s; a vertical leg has no heading
     "waypoints": TrajectorySpec(
-        kind="waypoints", duration=20.0, speed=0.8,
+        kind="waypoints", speed=0.8,
         waypoints=[[10.0, 40, -5], [14, 43, -5], [14, 43, -7], [10, 47, -6]],
     ),
 }
@@ -314,16 +315,16 @@ TABLE_SPECS = {
 
 @pytest.mark.parametrize("name", list(TABLE_SPECS))
 def test_leader_table_matches_per_time_scalar_reference_bytes(name):
-    # the engine's table: every step's time, held at the trajectory's end
+    # the engine's table: every step's time, past the last waypoint by more than 9 s
     spec = TABLE_SPECS[name]
     dt = 0.01
-    times = np.minimum(np.arange(2501) * dt, spec.duration)  # 25 s against a 20 s path
+    times = np.arange(2501) * dt
     table = leader_reference(times, spec)
     assert table.shape == (2501, 3, 6)
     if spec.kind == "waypoints":
-        assert times[-1] > spec.segments[1][-1] + 4.0
+        assert times[-1] > spec.segments[1][-1] + 9.0
     for k in range(len(times)):
-        want = scalar_leader_reference(min(k * dt, spec.duration), spec)
+        want = scalar_leader_reference(k * dt, spec)
         assert table[k].tobytes() == want.tobytes(), k
         assert leader_reference(times[k], spec).tobytes() == want.tobytes(), k
 
@@ -335,5 +336,5 @@ def test_leader_reference_keeps_the_shape_of_its_times():
     assert table.shape == (3, 4, 3, 6)
     assert table[1, 2].tobytes() == leader_reference(times[1, 2], spec).tobytes()
     assert leader_reference(0.0, spec).shape == (3, 6)
-    with pytest.raises(ValueError, match=r"t=20.5 outside \[0, 20.0\]"):
-        leader_reference(np.array([0.0, 20.5, 3.0]), spec)
+    with pytest.raises(ValueError, match=r"t=-0.5 is not a time >= 0"):
+        leader_reference(np.array([0.0, -0.5, 3.0]), spec)

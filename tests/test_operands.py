@@ -21,9 +21,9 @@ from auvform.vehicle import PITCH_SINGULARITY_TOL, RigidBodyParams
 # (config, cached property, its values from the config's fields, a replace that changes them)
 CASES = [
     (LayeredField(), "box_operands",
-     lambda c: (c.xy_min[0], c.xy_max[0], c.xy_min[1], c.xy_max[1], c.z_bottom, c.z_top,
+     lambda c: (*c.x_range, *c.y_range, c.z_bottom, c.z_top,
                 c.z_top - c.z_bottom, float(c.n_layers), c.n_layers - 1),
-     dict(xy_min=(-5.0, 2.0), xy_max=(60.0, 70.0), z_top=-1.0, z_bottom=-13.0,
+     dict(x_range=(-5.0, 60.0), y_range=(2.0, 70.0), z_top=-1.0, z_bottom=-13.0,
           layer_scale=(1.0, 0.5))),
     (LayeredField(), "jet_operands",
      lambda c: (c.jet_origin[0], c.jet_origin[1], c.jet_scale, c.speed_cap),

@@ -86,7 +86,8 @@ def ref_layered_velocity(x, y, z, t, f: LayeredField, p: FlowParams):
     idx = np.where((z >= f.z_bottom) & (z <= f.z_top), idx, -1)
     scales = np.asarray(f.layer_scale + (0.0,), dtype=float)
     scale = scales[idx] * (f.speed_cap / RAW_SPEED_MAX)
-    inside_xy = (x >= f.xy_min[0]) & (x <= f.xy_max[0]) & (y >= f.xy_min[1]) & (y <= f.xy_max[1])
+    inside_xy = ((x >= f.x_range[0]) & (x <= f.x_range[1])
+                 & (y >= f.y_range[0]) & (y <= f.y_range[1]))
     scale = np.where(inside_xy, scale, 0.0)
     u = u * scale
     v = v * scale

@@ -15,13 +15,13 @@ import auvform
 from auvform.cli import main as cli_main
 from auvform.engine import SimLog, SimRuntime, compute_metrics, detect_convergence, run
 from auvform.export import (
-    _COLUMNS,
     chatter_count,
     compare_runs,
     export_flow_grid,
     export_results,
 )
 from auvform.flow import FlowParams, LayeredField, layered_velocity
+from auvform.vehicle import wrap_angle
 from auvform.scenario import (
     _TABLE,
     ScenarioError,
@@ -170,6 +170,27 @@ def test_n_layers_key_rejected(tmp_path, capsys):
     assert cli_main(["validate", str(path)]) == 1
     assert "unknown key flow.layers.'n_layers'" in capsys.readouterr().err
 
+
+def test_trajectory_duration_key_rejected(tmp_path, capsys):
+    # the path has no end, so no key sets one
+    path = write(tmp_path, MINIMAL.replace("kind: spiral", "kind: spiral\n  duration_s: 60.0"))
+    assert cli_main(["validate", str(path)]) == 1
+    assert "unknown key trajectory.'duration_s'" in capsys.readouterr().err
+
+
+def test_longer_variant_of_a_parsed_scenario_keeps_its_path_moving(tmp_path):
+    # a 2 s file run for 4 s: the leader's pose keeps moving at its rate past 2 s,
+    # e_d[k+1] - e_d[k] = ed_d[k] dt + O(dt^2), instead of holding at the 2 s pose
+    sc = parse_scenario(write(tmp_path, MINIMAL.replace("duration_s: 1.0", "duration_s: 2.0")))
+    rt = SimRuntime(dataclasses.replace(sc, duration=4.0))
+    e_d, ed_d, edd_d = rt.refs[:, :, 0]
+    step = e_d[1:] - e_d[:-1]
+    step[:, 3:] = wrap_angle(step[:, 3:])
+    miss = np.abs(step - ed_d[:-1] * sc.dt)[200:]  # the steps from 2 s to 4 s
+    assert len(miss) == 200
+    assert miss.max() <= np.abs(edd_d).max() * sc.dt**2
+    assert np.hypot(ed_d[200:, 0], ed_d[200:, 1]).min() > 0.79  # the spiral's 0.8 m/s
+
 # Every documented key at a valid value other than its default, each value
 # distinct, so a key wired to the wrong attribute changes a digest below.
 # b0, e_amp and wavenumber are spelled at their defaults: FlowParams.validate
@@ -178,7 +199,6 @@ EVERY_KEY = """
 sim: {dt_s: 0.02, duration_s: 3.0, seed: 11, convergence_threshold_m: 0.2}
 trajectory:
   kind: waypoints
-  duration_s: 9.5
   spiral: {center_m: [41.0, 39.0, -7.0], radius_m: 7.5, angular_rate_rad_s: 0.12,
            vertical_rate_m_s: -0.03, phase_rad: 0.25}
   line: {start_m: [11.0, 38.0, -4.0], velocity_m_s: [0.4, 0.1, -0.05]}
@@ -240,15 +260,21 @@ initial:
 # initial.mode is no longer written; with "  mode: explicit" put back after
 # "initial:" the serialized text gives the earlier 6f1c10a2...e003c2.
 # flow.layers.n_layers is no longer written; with "    n_layers: 2" put back after
-# "  layers:" the serialized text gives the earlier 31917722...e935fa
-EVERY_KEY_YAML_SHA = "88b17d585c2097a59a575709a1d1f57382e5742cdd954c7e4c4df7bd2471bfd3"
+# "  layers:" the serialized text gives the earlier 31917722...e935fa.
+# trajectory.duration_s is no longer a key; with "  duration_s: 9.5" put back after
+# "  kind: waypoints" the serialized text gives the earlier 88b17d58...71bfd3
+EVERY_KEY_YAML_SHA = "b56075d989a19e696e0d8a73234b934f975d18a04fb92e1a0dbfca707395ce18"
 # formation.offsets and initial_states are tuples, which the digest names; hashed
 # under their former name, list, the fields give the earlier 72bd3637...cf46eb8.
 # controller.adaptive no longer carries the run's f_est; hashed with a zero f_est
 # field first, as before, the fields give the earlier 3af12c18...f0572a2.
 # LayeredField.n_layers is a property now; hashed with an n_layers field (int:2)
-# first in flow.layers, the fields give the earlier 1410dbe1...2fac
-EVERY_KEY_FIELDS_SHA = "f6a05a9476df966ace6ddebfff6adb22de2b85c064e2308adc9f44de42d3d6e1"
+# first in flow.layers, the fields give the earlier 1410dbe1...2fac.
+# TrajectorySpec.duration is gone and the workspace is LayeredField.x_range/y_range;
+# hashed with a duration field (float:9.5) after kind, and with xy_min, xy_max
+# (x_range and y_range read by column) in the place of x_range, y_range, the
+# fields give the earlier f6a05a94...d3d6e1
+EVERY_KEY_FIELDS_SHA = "8d72648f4b9bc10d9c11fed325377929ab81e9b873905ca2705816d35433059a"
 
 
 def _hash_fields(obj, h) -> None:
@@ -336,15 +362,6 @@ def test_export_results_deterministic(tmp_path):
         assert b1.phase[ax].read_bytes() == b2.phase[ax].read_bytes()
 
 
-def test_timeseries_columns_follow_simlog_fields():
-    names = list(SimLog.__dataclass_fields__)
-    assert names[0] == "t" and list(_COLUMNS) == names[1:]
-    log = SimLog.allocate(1, 1)
-    assert {name: getattr(log, name)[0, 0].size for name in _COLUMNS} == {
-        name: len(cols) for name, cols in _COLUMNS.items()
-    }
-
-
 def test_export_empty_log_header_only(tmp_path):
     bundle = export_results(SimLog.allocate(0, 0), None, tmp_path)
     lines = bundle.timeseries.read_text().splitlines()
@@ -370,8 +387,8 @@ def test_metrics_table_columns(tmp_path):
 
 def test_flow_grid_single_point(tmp_path):
     params = FlowParams()
-    # one cell: the grid holds xy_min only, as spacing 1 steps past xy_max
-    layers = LayeredField(xy_min=(10.0, 10.0), xy_max=(10.5, 10.5), layer_scale=(1.0,))
+    # one cell: the grid holds the box's min corner only, as spacing 1 steps past its max
+    layers = LayeredField(x_range=(10.0, 10.5), y_range=(10.0, 10.5), layer_scale=(1.0,))
     out = export_flow_grid(params, layers, [0.0], tmp_path / "grid.csv")
     lines = out.read_text().splitlines()
     assert len(lines) == 2
