@@ -47,13 +47,10 @@ def _check_out(out: Path, is_file: bool = False) -> None:
 
 def _load(args) -> "Scenario":
     scenario = parse_scenario(args.scenario)
-    overrides = {}
-    if getattr(args, "seed", None) is not None:
-        overrides["seed"] = args.seed
-    if getattr(args, "dt", None) is not None:
-        overrides["dt"] = args.dt
+    if getattr(args, "dt", None) is None:
+        return scenario
     try:
-        return replace(scenario, **overrides) if overrides else scenario
+        return replace(scenario, dt=args.dt)
     except ValueError as exc:
         raise ScenarioError(str(exc)) from exc
 
@@ -130,14 +127,12 @@ def build_parser() -> argparse.ArgumentParser:
     p_run = sub.add_parser("run", help="simulate a scenario and export results")
     p_run.add_argument("scenario", type=Path)
     p_run.add_argument("-o", "--out", type=Path, required=True)
-    p_run.add_argument("--seed", type=int)
     p_run.add_argument("--dt", type=float)
     p_run.set_defaults(func=_cmd_run)
 
     p_cmp = sub.add_parser("compare", help="proposed vs first-order baseline")
     p_cmp.add_argument("scenario", type=Path)
     p_cmp.add_argument("-o", "--out", type=Path, required=True)
-    p_cmp.add_argument("--seed", type=int)
     p_cmp.add_argument("--dt", type=float)
     p_cmp.set_defaults(func=_cmd_compare)
 

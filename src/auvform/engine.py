@@ -160,6 +160,10 @@ class Scenario:
             raise ValueError("dt must be positive")
         if not self.duration >= self.dt:
             raise ValueError("duration must be at least one step")
+        if abs(round(self.duration / self.dt) * self.dt - self.duration) > 1e-9 * self.duration:
+            raise ValueError(
+                f"duration must be a whole number of steps: got {self.duration} at dt {self.dt}"
+            )
         if not self.seed >= 0:
             raise ValueError("seed must be nonnegative")
         if not self.convergence_threshold > 0:
@@ -302,10 +306,6 @@ class SimRuntime:
         nu = (jacobian_inv(euler_pose(e_d[:, 3:])) @ ed_d[..., None])[..., 0]
         return np.concatenate([e_d, nu], axis=1)
 
-    @property
-    def t(self) -> float:
-        return self.step_index * self.scenario.dt
-
 
 def _references(rt: SimRuntime, eta: np.ndarray, etadot: np.ndarray) -> np.ndarray:
     """Write the step's follower rows of rt.refs (edd_d as ed_d's difference from the row
@@ -319,11 +319,12 @@ def _references(rt: SimRuntime, eta: np.ndarray, etadot: np.ndarray) -> np.ndarr
 
 
 def _control_and_diagnostics(rt: SimRuntime):
-    """Controller evaluation at the current state; mutates integral state.
+    """The record at the current state, keyed by SimLog field; mutates integral state.
 
-    The pose's trig, rotation and T^-1 are evaluated once (euler_pose) and
-    shared by J, the rates J q, the inertial-frame matrices and the
-    disturbance wrench, which reads R nu1 from the rates.
+    Its u_cmd is the command applied: u1 + u2, roll zeroed, through the
+    shell's clip when the shell is on.  The pose's trig, rotation and T^-1
+    are evaluated once (euler_pose) and shared by J, the rates J q, the
+    inertial-frame matrices and the disturbance wrench (R nu1 of the rates).
     """
     sc = rt.scenario
     ctr = sc.controller
@@ -357,13 +358,15 @@ def _control_and_diagnostics(rt: SimRuntime):
     else:
         u1 = equivalent_control(sigma, f_hat_r, jac, ctr.gains)
         u2 = adaptive_control(sigma, f_est, gains, c_e_h, jac)
-    u = u1 + u2
-    u[:, 3] = 0.0  # roll is not actuated
+    u_cmd = u1 + u2
+    u_cmd[:, 3] = 0.0  # roll is not actuated
+    if rt.shell is not None:
+        u_cmd = rt.shell.clip(u_cmd)
 
     # stability diagnostics against the computable truth
     f_r_true = f_hat_r / rt.alpha
     if rt.flow is not None:
-        flow_v = rt.flow.velocity(eta[:, :3], rt.t)
+        flow_v = rt.flow.velocity(eta[:, :3], rt.times[rt.step_index])
         d_o = disturbance_force(flow_v, etadot[:, :3], pose[1], rt.flow.disturbance)
     else:
         flow_v = np.zeros((sc.n_vehicles, 3))
@@ -391,7 +394,7 @@ def _control_and_diagnostics(rt: SimRuntime):
         "sigma": sigma,
         "u1": u1,
         "u2": u2,
-        "u": u,
+        "u_cmd": u_cmd,
         "flow": flow_v,
         "dist": d_o,
         "lyap": lyap,
@@ -403,25 +406,24 @@ def _control_and_diagnostics(rt: SimRuntime):
 def step(rt: SimRuntime) -> dict:
     """Advance the runtime one step; returns the record logged at step start.
 
-    Order: control -> MPC clip -> allocation -> plant advance -> adaptation.
+    Order: control and MPC clip -> allocation -> plant advance -> adaptation.
     The plant advance is one advance_plant call over the fleet's rows with
     the true model; its k1 reuses the disturbance the diagnostics built at
-    (y, t) for the log.  The shell only clips the command here: the record
-    has no mpc_cost, and run fills the log's in after the loop.
+    (y, t) for the log.  The record is _control_and_diagnostics's with u_t
+    added; it has no mpc_cost, which run fills in after the loop.
     """
     sc = rt.scenario
     n_v = sc.n_vehicles
     rec = _control_and_diagnostics(rt)
-    u_cmd = rec["u"] if rt.shell is None else rt.shell.clip(rec["u"])
-    u5 = body_to_wrench5(u_cmd)
+    u5 = body_to_wrench5(rec["u_cmd"])
     u_t = np.empty((n_v, 3))
     for v in range(n_v):
         u_t[v], _ = allocate(u5[v], sc.thrusters)
     tau6 = wrench5_to_body((sc.thrusters.tcm @ u_t.T).T)
-    rec["u_cmd"] = u_cmd
     rec["u_t"] = u_t
 
-    rt.y = advance_plant(rt.y, rt.t, tau6, sc.dt, rt.params, rt.flow, rec["dist"])
+    t = rt.times[rt.step_index]
+    rt.y = advance_plant(rt.y, t, tau6, sc.dt, rt.params, rt.flow, rec["dist"])
     rt.y[:, 3:6] = wrap_angle(rt.y[:, 3:6])
     if not np.isfinite(rt.y).all():
         raise SimulationAbort("state became non-finite")
@@ -438,6 +440,9 @@ _COST_CHUNK_STEPS = 128  # steps rolled out per batch after the loop; bounds the
 def run(scenario: Scenario) -> SimLog:
     """Simulate the whole scenario; returns duration/dt + 1 records.
 
+    The last row, one step past the last advance, logs the command a further
+    step would apply; its u_t keeps the zero fill.
+
     With the shell on, each step's mpc_cost is computed after the loop, or
     on SimulationAbort for the rows kept in the partial log: the held-command
     rollout from the step's logged state (eta, nu) at its time t, holding
@@ -449,21 +454,11 @@ def run(scenario: Scenario) -> SimLog:
     n_steps = rt.n_steps
     log = SimLog.allocate(n_steps + 1, scenario.n_vehicles)
     log.t[:] = rt.times
-    # each record fills the log fields it holds; the rest keep their fill (the last
-    # record's u_t its zeros, mpc_cost its NaN until _predicted_costs writes it)
-    arrays = {f.name: getattr(log, f.name) for f in fields(log)}
-
-    def write(k: int, rec: dict) -> None:
-        for name, value in rec.items():
-            if name in arrays:
-                arrays[name][k] = value
-
     try:
-        for k in range(n_steps):
-            write(k, step(rt))
-        final = _control_and_diagnostics(rt)
-        final["u_cmd"] = final["u"]
-        write(n_steps, final)
+        for k in range(n_steps + 1):
+            rec = step(rt) if k < n_steps else _control_and_diagnostics(rt)
+            for name, value in rec.items():  # mpc_cost keeps its NaN until _predicted_costs
+                getattr(log, name)[k] = value
     except SimulationAbort as exc:
         _predicted_costs(rt, log, rt.step_index)
         raise SimulationAbort(str(exc), log.truncated(rt.step_index)) from exc

@@ -248,12 +248,15 @@ def _plain(value):
 
 
 def scenario_to_dict(sc: Scenario) -> dict:
-    """Canonical mapping form, round-trippable through scenario_from_dict."""
+    """Canonical mapping form, round-trippable through scenario_from_dict; lossless or raises."""
+    diagonal = np.diag(sc.vehicle.inertia)
+    if (sc.vehicle.inertia != np.diag(diagonal)).any():
+        raise ValueError("vehicle.inertia is not diagonal; the format holds only its diagonal")
     hand_written = {
         "formation.offsets": [
             {"xyz_m": o.xyz.tolist(), "yaw_rad": o.yaw} for o in sc.formation.offsets
         ],
-        "vehicle.inertia_diag": np.diag(sc.vehicle.inertia).tolist(),
+        "vehicle.inertia_diag": diagonal.tolist(),
     }
     out: dict = {}
     for key, attr, _ in _TABLE:

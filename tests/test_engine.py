@@ -214,10 +214,18 @@ def test_phase_trajectory_projection():
 def test_scenario_validation():
     with pytest.raises(ValueError):
         Scenario(dt=0.0)
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="at least one step"):
         Scenario(duration=0.001, dt=0.01)
     with pytest.raises(ValueError):
         Scenario(initial_states=[np.zeros(12)])  # 3 vehicles but one initial state
+
+
+@pytest.mark.parametrize("duration", [0.015, 0.0149])
+def test_scenario_rejects_a_duration_of_partial_steps(duration):
+    # the log holds duration/dt + 1 records: a step count rounded from 1.5 or
+    # 1.49 steps would end the run at 0.02 or 0.01 s, and hide it
+    with pytest.raises(ValueError, match=f"whole number of steps: got {duration} at dt 0.01"):
+        Scenario(duration=duration, dt=0.01)
 
 
 @pytest.mark.parametrize(

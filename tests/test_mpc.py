@@ -194,10 +194,12 @@ def stepped_costs(sc):
     want, clipped = [], 0
     try:
         for k in range(round(sc.duration / sc.dt)):
-            y0, t = rt.y.copy(), rt.t
+            y0 = rt.y.copy()
             rec = step(rt)
-            want.append(full_rollout_cost(rt.shell, y0, t, rec["u"], *rt.refs[:, k]))
-            clipped += int(np.any(rec["u_cmd"] != rec["u"]))
+            u = rec["u1"] + rec["u2"]
+            u[:, 3] = 0.0
+            want.append(full_rollout_cost(rt.shell, y0, rt.times[k], u, *rt.refs[:, k]))
+            clipped += int(np.any(rec["u_cmd"] != u))
     except SimulationAbort:
         pass
     return np.array(want), clipped
@@ -232,6 +234,22 @@ def test_engine_mpc_cost_matches_full_rollout(start):
     assert len(want) == 20
     assert_costs(run(sc), want)
     assert (clipped > 0) == (start == "offset")
+
+
+def test_every_row_logs_the_clipped_command_the_last_included():
+    # command bounds of 1 N from 2 m off reference: the clip acts on every row,
+    # and the last row, one step past the last advance, logs the command a
+    # further step would apply, through the same clip
+    sc = spiral(0.05, tau_lo=-1.0, tau_hi=1.0)
+    y = SimRuntime(sc).y.copy()
+    y[:, :3] += 2.0
+    log = run(started_at(sc, y))
+    u = log.u1 + log.u2
+    u[..., 3] = 0.0
+    assert len(log.t) == 6
+    assert (np.abs(u[-1]) > 1.0).any()
+    assert log.u_cmd.tobytes() == np.clip(u, -1.0, 1.0).tobytes()
+    assert ((log.u_cmd >= -1.0) & (log.u_cmd <= 1.0)).all()
 
 
 @pytest.mark.parametrize("n_e, duration", [(1, 0.2), (100, 0.05)])

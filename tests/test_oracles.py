@@ -10,15 +10,20 @@ dispatches to:
   U = restoring_gain (1 - cos theta cos phi) - buoyancy_net z;
 - with no damping, no flow and no wrench, E = 1/2 nu^T M nu + U is conserved
   (the Coriolis term is skew), so its drift over a fixed time shrinks at the
-  integrator's order as dt halves.
+  integrator's order as dt halves;
+- with damping, the flow on and a held wrench, E changes by the work of the
+  wrench, the current and the damping: dE/dt = nu^T (tau - tau_c) - nu^T D(nu) nu.
 """
 
 import dataclasses
+from pathlib import Path
 
 import numpy as np
 
+from auvform import parse_scenario
+from auvform.flow import disturbance_force
 from auvform.plant import advance_plant
-from auvform.vehicle import euler_pose, inertial_rates
+from auvform.vehicle import euler_pose, inertial_rates, jacobian
 from test_plant import PARAMS
 
 # the plant's off-diagonal inertia, undamped, with 2 N of net buoyancy
@@ -76,3 +81,56 @@ def test_conservative_plant_conserves_energy_at_the_integrators_order():
     # fourth order at least: every halving of dt cuts the drift 16x or more
     gains = [drift[dt] / drift[dt / 2] for dt in (0.04, 0.02, 0.01)]
     assert min(gains) >= 16.0, gains
+
+
+# the plant's off-diagonal inertia with 2 N of net buoyancy and its damping, less the
+# quadratic roll and pitch terms: the restoring pendulum swings p and q through zero,
+# where |q| q has a jump in its second derivative that costs RK4 an order (with them
+# kept, some halvings gained only 2-9x)
+DAMPED = dataclasses.replace(PARAMS, buoyancy_net=2.0, d_quad=PARAMS.d_quad * [1, 1, 1, 0, 0, 1])
+FLOW = parse_scenario(Path(__file__).resolve().parents[1] / "scenarios" / "spiral.yaml").flow
+TAU = np.array([6.0, -4.0, 3.0, 0.5, 1.0, -0.5])
+SMOOTH_AXES = [0, 1, 2, 5]  # the velocities with quadratic damping, which must not cross zero
+
+
+def power(y: np.ndarray, t: float) -> np.ndarray:
+    """dE/dt = nu^T (tau - tau_c) - nu^T D(nu) nu, with tau_c = J^T d_o from the flow at (y, t)."""
+    eta, nu = y[:, :6], y[:, 6:]
+    pose = euler_pose(eta[:, 3:])
+    flow_v = FLOW.velocity(eta[:, :3], t)
+    d_o = disturbance_force(flow_v, inertial_rates(pose, nu)[:, :3], pose[1], FLOW.disturbance)
+    tau_c = np.einsum("nji,nj->ni", jacobian(pose), d_o)
+    return np.einsum("ni,ni->n", nu, TAU - tau_c - DAMPED.damping_force(nu))
+
+
+# worst |E(T) - E(0) - Simpson integral of dE/dt| over 0.4 s and 5 states, measured
+# 3.40e-6, 2.14e-7, 1.35e-8 and 8.44e-10 (15.8-16.0x per halving) against |E(T) - E(0)|
+# of 0.14-0.33 J; the bounds give 3x headroom
+POWER_BOUND = {0.02: 1.1e-5, 0.01: 6.5e-7, 0.005: 4.1e-8, 0.0025: 2.6e-9}
+
+
+def test_damped_plant_in_the_flow_balances_its_power():
+    # states inside the workspace, in the second flow layer; each velocity starts
+    # 0.05-0.2 with the sign of its wrench component
+    rng = np.random.default_rng(0)
+    y0 = np.concatenate([
+        rng.uniform(10, 70, (5, 2)), rng.uniform(-12, -8, (5, 1)), rng.uniform(-0.2, 0.2, (5, 3)),
+        np.sign(TAU) * rng.uniform(0.05, 0.2, (5, 6)),
+    ], axis=1)
+    residual = {}
+    for dt, bound in POWER_BOUND.items():
+        n = round(0.4 / dt)
+        y, p = y0, [power(y0, 0.0)]
+        for k in range(n):
+            y = advance_plant(y, k * dt, TAU, dt, DAMPED, FLOW)
+            assert (np.sign(y[:, 6:][:, SMOOTH_AXES]) == np.sign(TAU[SMOOTH_AXES])).all()
+            p.append(power(y, (k + 1) * dt))
+        # Simpson's rule over the n (even) steps; the trapezoid gains only 4x per halving
+        weights = np.ones(n + 1)
+        weights[1:-1:2], weights[2:-1:2] = 4.0, 2.0
+        work = dt / 3.0 * (weights @ np.array(p))
+        worst = np.abs(energy(y, DAMPED) - energy(y0, DAMPED) - work).max()
+        assert worst <= bound, (dt, worst)
+        residual[dt] = worst
+    gains = [residual[dt] / residual[dt / 2] for dt in (0.02, 0.01, 0.005)]
+    assert min(gains) >= 12.0, gains

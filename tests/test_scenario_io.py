@@ -131,6 +131,19 @@ def test_round_trip(tmp_path):
     assert serialize_scenario(sc2) == text
 
 
+def test_serializer_refuses_an_inertia_the_format_cannot_hold(tmp_path):
+    # the format holds only the diagonal: writing it would drop M[0,4] = M[4,0] = 1
+    sc = parse_scenario(write(tmp_path, quick_scenario_yaml()))
+    inertia = sc.vehicle.inertia.copy()
+    inertia[0, 4] = inertia[4, 0] = 1.0
+    coupled = dataclasses.replace(sc, vehicle=dataclasses.replace(sc.vehicle, inertia=inertia))
+    with pytest.raises(ValueError, match=r"vehicle\.inertia is not diagonal"):
+        scenario_to_dict(coupled)
+    with pytest.raises(ValueError, match=r"vehicle\.inertia"):
+        serialize_scenario(coupled, tmp_path / "lossy.yaml")
+    assert not (tmp_path / "lossy.yaml").exists()
+
+
 EXPLICIT_STATES = """
 initial:
   states:
@@ -505,7 +518,7 @@ BAD_DOCS = {
     ("argv", "key"),
     [
         (["validate", "{missing}"], ""),
-        (["run", "{scenario}", "-o", "{out}", "--seed", "-1"], ""),
+        (["run", "{seed_yaml}", "-o", "{out}"], "seed must be nonnegative"),
         (["flow-grid", "{scenario}", "-o", "{out}", "--t", "abc"], ""),
         (["flow-grid", "{scenario}", "-o", "{out}", "--t", "1,nan"], ""),
         (["validate", "{seed_yaml}"], ""),
@@ -535,6 +548,8 @@ BAD_DOCS = {
         (["validate", "{baseline_lam_neg}"], "baseline_lam must be positive: got -2.1"),
         (["validate", "{baseline_lam_zero}"], "baseline_lam must be positive: got 0.0"),
         (["validate", "{baseline_w_neg}"], "baseline_w_n must be nonnegative or null: got -5.0"),
+        (["run", "{scenario}", "-o", "{out}", "--dt", "0.03"],
+         "duration must be a whole number of steps: got 0.5 at dt 0.03"),
     ],
     ids=["missing-file", "negative-seed", "t-not-a-number", "t-not-finite",
          "negative-seed-yaml", "jet-shape-yaml", "seed-not-an-int", "inertia-3-entries",
@@ -543,7 +558,7 @@ BAD_DOCS = {
          "workspace-unordered", "dt-nan", "duration-inf", "duration-bool", "tau-hi-nan",
          "surface-gain-nan", "yaw-bool", "points-scalar", "offsets-scalar",
          "states-scalar", "points-repeat", "baseline-lam-negative", "baseline-lam-zero",
-         "baseline-w-negative"],
+         "baseline-w-negative", "dt-not-whole-steps"],
 )
 def test_cli_bad_input_is_a_scenario_error(tmp_path, argv, key):
     paths = {
@@ -593,8 +608,9 @@ def test_cli_unwritable_output_is_an_output_error(tmp_path, argv, message):
     ("argv", "names"),
     [
         (["run", "{scenario}", "-o", "{out}", "--dt", "abc"], "argument --dt: invalid float"),
-        (["run", "{scenario}", "-o", "{out}", "--seed", "1.5"], "argument --seed: invalid int"),
-        (["compare", "{scenario}", "-o", "{out}", "--seed", "x"], "argument --seed"),
+        # --seed is gone from run and compare: an unknown option
+        (["run", "{scenario}", "-o", "{out}", "--seed", "1.5"], "unrecognized arguments: --seed 1.5"),
+        (["compare", "{scenario}", "-o", "{out}", "--seed", "x"], "unrecognized arguments: --seed x"),
         (["run", "{scenario}", "-o", "{out}", "--bogus"], "unrecognized arguments: --bogus"),
         (["run", "{scenario}"], "-o/--out"),
         (["simulate", "{scenario}"], "invalid choice: 'simulate'"),
@@ -670,9 +686,12 @@ def test_cli_flow_grid(tmp_path):
 
 
 def test_cli_seed_and_dt_override(tmp_path):
+    # --seed is no longer an option; --dt still overrides the file's step
     path = write(tmp_path, quick_scenario_yaml(duration=0.5))
     out = tmp_path / "r1"
-    assert cli_main(["run", str(path), "-o", str(out), "--seed", "9", "--dt", "0.02"]) == 0
+    assert cli_main(["run", str(path), "-o", str(out), "--seed", "9"]) == 1
+    assert not out.exists()
+    assert cli_main(["run", str(path), "-o", str(out), "--dt", "0.02"]) == 0
     rows = (out / "timeseries.csv").read_text().splitlines()
     assert rows[1].split(",")[0] == "0.0"
     assert rows[3].split(",")[0] == "0.02"
