@@ -96,7 +96,7 @@ def _cmd_compare(args) -> int:
 def _cmd_flow_grid(args) -> int:
     scenario = _load(args)
     try:
-        t_samples = [float(v) for v in args.t.split(",")] if args.t else [0.0]
+        t_samples = [0.0] if args.t is None else [float(v) for v in args.t.split(",")]
         if not all(map(math.isfinite, t_samples)):
             raise ValueError
     except ValueError:

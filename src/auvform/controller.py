@@ -33,6 +33,7 @@ from ._frozen import freeze, read_only
 from ._numpy_fast import HALF
 from ._numpy_fast import clip as _clip
 from ._numpy_fast import einsum as _einsum
+from .vehicle import body_wrench
 
 
 @dataclass(frozen=True)
@@ -161,39 +162,36 @@ def reference_accel(
 
 
 def validate_gains(g: SuperTwistGains) -> list[str]:
-    """Check the finite-time convergence conditions; empty list means feasible."""
-    violations = []
-    if not g.lam > 0:
-        violations.append(f"lam must be positive: got {g.lam}")
-    if not g.w_gain > g.phi / g.gamma_big:
-        violations.append(
-            f"w_gain must exceed phi/gamma_big: {g.w_gain} <= "
-            f"{g.phi / g.gamma_big}"
-        )
+    """Check the finite-time convergence conditions; empty list means feasible.  No finite
+    gain raises: no gamma divides before both are positive, and lam^2 is not formed by `**`."""
+    violations = [f"{name} must be positive: got {getattr(g, name)}"
+                  for name in ("lam", "gamma_big", "gamma_small") if not getattr(g, name) > 0]
     if not 0.0 < g.rho <= 0.5:
         violations.append(f"rho must lie in (0, 0.5]: got {g.rho}")
-    if g.w_gain > g.phi:
-        bound = (
-            4.0 * g.phi * g.gamma_big * (g.w_gain + g.phi)
-            / (g.gamma_small**2 * (g.w_gain - g.phi))
+    if not (g.gamma_big > 0 and g.gamma_small > 0):
+        return violations
+    if not g.w_gain > g.phi / g.gamma_big:
+        violations.append(f"w_gain must exceed phi/gamma_big: {g.w_gain} <= {g.phi / g.gamma_big}")
+    lam_gamma = g.lam * g.gamma_small
+    left = lam_gamma * lam_gamma * (g.w_gain - g.phi)
+    right = 4.0 * g.phi * g.gamma_big * (g.w_gain + g.phi)
+    if g.w_gain > g.phi and not left >= right:
+        violations.append(
+            f"lam^2 gamma_small^2 (w_gain - phi) must be at least "
+            f"4 phi gamma_big (w_gain + phi): {left} < {right}"
         )
-        if not g.lam**2 >= bound:
-            violations.append(
-                f"lam^2 must be at least 4 phi gamma_big (w_gain + phi) / "
-                f"(gamma_small^2 (w_gain - phi)): {g.lam**2} < {bound}"
-            )
     return violations
 
 
 def equivalent_control(
     sigma: np.ndarray,
     f_hat_r: np.ndarray,
-    jac_full: np.ndarray,
+    pose: tuple,
     g: SuperTwistGains,
 ) -> np.ndarray:
-    """u1: fractional-power reaching term plus model feedforward J^T f_hat_r."""
+    """u1: fractional-power reaching term plus model feedforward J^T f_hat_r at `pose`."""
     reach = g.neg_lam * np.abs(sigma) ** g.rho * np.sign(sigma)
-    return reach + _einsum("...ji,...j->...i", jac_full, f_hat_r)
+    return reach + body_wrench(pose, f_hat_r)
 
 
 def adaptive_control(
@@ -201,11 +199,11 @@ def adaptive_control(
     f_est: np.ndarray,
     gains: AdaptiveGains,
     c_e_hat: np.ndarray,
-    jac_full: np.ndarray,
+    pose: tuple,
 ) -> np.ndarray:
-    """u2 = J^T (f_est - (K + C_e_hat) sigma), continuous in sigma."""
+    """u2 = J^T (f_est - (K + C_e_hat) sigma) at `pose`, continuous in sigma."""
     inner = f_est - gains.k_gain * sigma - _einsum("...ij,...j->...i", c_e_hat, sigma)
-    return _einsum("...ji,...j->...i", jac_full, inner)
+    return body_wrench(pose, inner)
 
 
 def adaptive_update(
@@ -251,10 +249,9 @@ def assumption_holds(
 def first_order_smc(
     sigma: np.ndarray,
     f_hat_r: np.ndarray,
-    jac_full: np.ndarray,
+    pose: tuple,
     w_gain: float,
     lam: float,
 ) -> np.ndarray:
-    """Comparison baseline: u = J^T f_hat_r - lam sigma - w_gain sign(sigma)."""
-    ff = _einsum("...ji,...j->...i", jac_full, f_hat_r)
-    return ff - lam * sigma - w_gain * np.sign(sigma)
+    """Comparison baseline: u = J^T f_hat_r - lam sigma - w_gain sign(sigma), J at `pose`."""
+    return body_wrench(pose, f_hat_r) - lam * sigma - w_gain * np.sign(sigma)

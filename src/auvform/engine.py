@@ -2,12 +2,14 @@
 
 One step per vehicle runs: references -> tracking errors -> sliding surface
 -> equivalent + adaptive control -> MPC clip of the command -> thrust
-allocation -> plant advance (RK4, disturbance inside the derivative) ->
-adaptation update.  All vehicles are advanced together as stacked arrays,
-with or without the MPC shell.  The shell's predicted cost feeds nothing
-back into the loop, so run computes it after the loop from the logged rows,
-batched over many steps (see run).  The leader's actual state feeds the
-follower references within the same step.
+allocation -> plant advance (plant.advance_plant: one RK4 step, disturbance
+inside the derivative) -> adaptation update.  The plant advance is fourth
+order in dt (acceptance criterion 9); the closed loop, with its held command
+and Euler integral and adaptation updates, is first order.  All vehicles are
+advanced together as stacked arrays, with or without the MPC shell.  The
+shell's predicted cost feeds nothing back into the loop, so run computes it
+after the loop from the logged rows, batched over many steps (see run).  The
+leader's actual state feeds the follower references within the same step.
 
 Runs are deterministic for a given scenario: nothing in a run draws random
 numbers, so Scenario.seed changes no output.
@@ -54,7 +56,6 @@ from .vehicle import (
     euler_pose,
     inertial_matrices,
     inertial_rates,
-    jacobian,
     jacobian_inv,
     reference_dynamics,
     wrap_angle,
@@ -323,8 +324,9 @@ def _control_and_diagnostics(rt: SimRuntime):
 
     Its u_cmd is the command applied: u1 + u2, roll zeroed, through the
     shell's clip when the shell is on.  The pose's trig, rotation and T^-1
-    are evaluated once (euler_pose) and shared by J, the rates J q, the
-    inertial-frame matrices and the disturbance wrench (R nu1 of the rates).
+    are evaluated once (euler_pose) and shared by the control laws' J^T,
+    the rates J q, the inertial-frame matrices and the disturbance wrench
+    (R nu1 of the rates).
     """
     sc = rt.scenario
     ctr = sc.controller
@@ -334,7 +336,6 @@ def _control_and_diagnostics(rt: SimRuntime):
         raise SimulationAbort("pitch reached the transform singularity")
 
     pose = euler_pose(eta[:, 3:])
-    jac = jacobian(pose)
     etadot = inertial_rates(pose, nu)
     e_d, ed_d, edd_d = _references(rt, eta, etadot)
     eps, deps = tracking_error(eta, etadot, e_d, ed_d)
@@ -353,11 +354,11 @@ def _control_and_diagnostics(rt: SimRuntime):
     f_est, gains = rt.cstate.f_est, rt.cstate.adaptive
 
     if ctr.baseline:
-        u1 = first_order_smc(sigma, f_hat_r, jac, rt.baseline_w, ctr.baseline_lam)
+        u1 = first_order_smc(sigma, f_hat_r, pose, rt.baseline_w, ctr.baseline_lam)
         u2 = np.zeros_like(u1)
     else:
-        u1 = equivalent_control(sigma, f_hat_r, jac, ctr.gains)
-        u2 = adaptive_control(sigma, f_est, gains, c_e_h, jac)
+        u1 = equivalent_control(sigma, f_hat_r, pose, ctr.gains)
+        u2 = adaptive_control(sigma, f_est, gains, c_e_h, pose)
     u_cmd = u1 + u2
     u_cmd[:, 3] = 0.0  # roll is not actuated
     if rt.shell is not None:

@@ -281,15 +281,6 @@ def euler_pose(eta2: np.ndarray) -> tuple[tuple, np.ndarray, np.ndarray]:
     return trig, rotation_body_to_inertial(trig), body_rate_to_euler(trig)
 
 
-def jacobian(pose: tuple) -> np.ndarray:
-    """J(e) with eta_dot = J @ q, batched, from euler_pose(e)."""
-    _, rot, t_inv = pose
-    out = np.zeros(rot.shape[:-2] + (6, 6))
-    out[..., :3, :3] = rot
-    out[..., 3:, 3:] = t_inv
-    return out
-
-
 def inertial_rates(pose: tuple, nu: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
     """eta_dot = J(e) q blockwise, [R nu1, T^-1 nu2], batched, from euler_pose(e).
 
@@ -300,6 +291,17 @@ def inertial_rates(pose: tuple, nu: np.ndarray, out: np.ndarray | None = None) -
         out = np.empty(nu.shape)
     _einsum("...ij,...j->...i", rot, nu[..., POS], out=out[..., POS])
     _einsum("...ij,...j->...i", t_inv, nu[..., ANG], out=out[..., ANG])
+    return out
+
+
+def body_wrench(pose: tuple, f: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+    """The body wrench J(e)^T f of an inertial f blockwise, [R^T f1, T^-T f2]:
+    inertial_rates' mirror, with the same pose and out."""
+    _, rot, t_inv = pose
+    if out is None:
+        out = np.empty(f.shape)
+    _einsum("...ji,...j->...i", rot, f[..., POS], out=out[..., POS])
+    _einsum("...ji,...j->...i", t_inv, f[..., ANG], out=out[..., ANG])
     return out
 
 

@@ -17,8 +17,12 @@ from auvform.controller import (
     sliding_surface,
     validate_gains,
 )
+from auvform.vehicle import euler_pose
+from test_vehicle import ref_jacobian
 
 E1 = np.array([1.0, 0, 0, 0, 0, 0])
+# at zero attitude R = T^-1 = I, so J^T f = f
+LEVEL = euler_pose(np.zeros(3))
 
 
 def test_sliding_surface_on_surface():
@@ -86,35 +90,34 @@ def test_validate_gains_rejects_each_violation():
 
 def test_equivalent_control_zero_case():
     g = SuperTwistGains()
-    u = equivalent_control(np.zeros(6), np.zeros(6), np.eye(6), g)
+    u = equivalent_control(np.zeros(6), np.zeros(6), LEVEL, g)
     np.testing.assert_allclose(u, np.zeros(6))
 
 
 def test_equivalent_control_pure_feedforward():
     g = SuperTwistGains()
     f_hat = np.array([1.0, 2, 3, 0, -1, 0.5])
-    jac = np.eye(6)
-    u = equivalent_control(np.zeros(6), f_hat, jac, g)
+    u = equivalent_control(np.zeros(6), f_hat, LEVEL, g)
     np.testing.assert_allclose(u, f_hat)
 
 
 def test_equivalent_control_reaching_term():
     g = SuperTwistGains(lam=2.1, rho=0.36)
-    u = equivalent_control(E1, np.zeros(6), np.eye(6), g)
+    u = equivalent_control(E1, np.zeros(6), LEVEL, g)
     assert u[0] == pytest.approx(-2.1)  # |1|^rho = 1
 
 
 def test_adaptive_control_values():
     gains = AdaptiveGains(k_gain=np.full(6, 50.0), gamma=np.full(6, 50.0))
-    u = adaptive_control(0.1 * E1, np.zeros(6), gains, np.zeros((6, 6)), np.eye(6))
+    u = adaptive_control(0.1 * E1, np.zeros(6), gains, np.zeros((6, 6)), LEVEL)
     assert u[0] == pytest.approx(-5.0)
-    u0 = adaptive_control(np.zeros(6), np.zeros(6), AdaptiveGains(), np.zeros((6, 6)), np.eye(6))
+    u0 = adaptive_control(np.zeros(6), np.zeros(6), AdaptiveGains(), np.zeros((6, 6)), LEVEL)
     np.testing.assert_allclose(u0, np.zeros(6))
 
 
 def test_adaptive_control_feedforward():
     d = np.array([3.0, -1.0, 0, 0, 0, 2.0])
-    u = adaptive_control(np.zeros(6), d, AdaptiveGains(), np.zeros((6, 6)), np.eye(6))
+    u = adaptive_control(np.zeros(6), d, AdaptiveGains(), np.zeros((6, 6)), LEVEL)
     np.testing.assert_allclose(u, d)
 
 
@@ -214,16 +217,16 @@ def test_diagnostics_batched_rows():
 
 def test_first_order_smc_values():
     np.testing.assert_allclose(
-        first_order_smc(np.zeros(6), np.zeros(6), np.eye(6), 0.3, 1.0), np.zeros(6)
+        first_order_smc(np.zeros(6), np.zeros(6), LEVEL, 0.3, 1.0), np.zeros(6)
     )
-    u = first_order_smc(E1, np.zeros(6), np.eye(6), 0.3, 1.0)
+    u = first_order_smc(E1, np.zeros(6), LEVEL, 0.3, 1.0)
     assert u[0] == pytest.approx(-1.3)
 
 
 def test_first_order_smc_chattering_signature():
     w = 0.3
-    u_plus = first_order_smc(0.001 * E1, np.zeros(6), np.eye(6), w, 1.0)
-    u_minus = first_order_smc(-0.001 * E1, np.zeros(6), np.eye(6), w, 1.0)
+    u_plus = first_order_smc(0.001 * E1, np.zeros(6), LEVEL, w, 1.0)
+    u_minus = first_order_smc(-0.001 * E1, np.zeros(6), LEVEL, w, 1.0)
     assert u_plus[0] - u_minus[0] == pytest.approx(-2 * w - 2 * 0.001, abs=1e-12)
 
 
@@ -233,12 +236,13 @@ def test_on_surface_idle_total_command():
     g = SuperTwistGains()
     gains = AdaptiveGains()
     for _ in range(20):
-        jac = np.eye(6) + 0.01 * rng.uniform(-1, 1, (6, 6))
+        eta2 = rng.uniform(-0.5, 0.5, 3)
+        pose = euler_pose(eta2)
         f_hat = rng.uniform(-10, 10, 6)
         sigma = np.zeros(6)
-        u1 = equivalent_control(sigma, f_hat, jac, g)
-        u2 = adaptive_control(sigma, np.zeros(6), gains, rng.uniform(-1, 1, (6, 6)), jac)
-        np.testing.assert_allclose(u1 + u2, jac.T @ f_hat, atol=1e-12)
+        u1 = equivalent_control(sigma, f_hat, pose, g)
+        u2 = adaptive_control(sigma, np.zeros(6), gains, rng.uniform(-1, 1, (6, 6)), pose)
+        np.testing.assert_allclose(u1 + u2, ref_jacobian(eta2).T @ f_hat, atol=1e-12)
 
 
 def test_control_law_continuity():
@@ -248,16 +252,15 @@ def test_control_law_continuity():
     f_est = rng.uniform(-5, 5, 6)
     gains = AdaptiveGains()
     c_e = rng.uniform(-1, 1, (6, 6))
-    jac = np.eye(6)
     delta = 1e-9
     sigmas = rng.uniform(-0.5, 0.5, (1000, 6))
     sigmas[:100] *= 1e-6  # cluster some samples near the surface
     for sigma in sigmas:
-        u_a = equivalent_control(sigma, np.zeros(6), jac, g) + adaptive_control(
-            sigma, f_est, gains, c_e, jac
+        u_a = equivalent_control(sigma, np.zeros(6), LEVEL, g) + adaptive_control(
+            sigma, f_est, gains, c_e, LEVEL
         )
-        u_b = equivalent_control(sigma + delta, np.zeros(6), jac, g) + adaptive_control(
-            sigma + delta, f_est, gains, c_e, jac
+        u_b = equivalent_control(sigma + delta, np.zeros(6), LEVEL, g) + adaptive_control(
+            sigma + delta, f_est, gains, c_e, LEVEL
         )
         # |sigma|^rho has unbounded slope at 0: allow delta^rho growth there
         assert np.max(np.abs(u_b - u_a)) < 3 * g.lam * delta**g.rho + 200 * delta
@@ -277,7 +280,6 @@ def test_adaptive_convergence_constant_disturbance():
     x = np.zeros(6)
     xd = np.zeros(6)
     integral = np.zeros(6)
-    jac = np.eye(6)
     for _ in range(20000):
         eps = x.copy()
         deps = xd.copy()
@@ -285,8 +287,8 @@ def test_adaptive_convergence_constant_disturbance():
         sigma = sliding_surface(eps, deps, integral, cfg)
         edd_r = -2 * cfg.lambda_s * deps - cfg.lambda_s**2 * eps
         f_hat_r = m * edd_r  # perfect model of the double integrator
-        u = equivalent_control(sigma, f_hat_r, jac, g) + adaptive_control(
-            sigma, f_est, gains, np.zeros((6, 6)), jac
+        u = equivalent_control(sigma, f_hat_r, LEVEL, g) + adaptive_control(
+            sigma, f_est, gains, np.zeros((6, 6)), LEVEL
         )
         xdd = (u - d * np.ones(6)) / m
         x = x + xd * dt

@@ -10,6 +10,7 @@ import numpy as np
 import pytest
 
 import auvform
+from auvform import parse_scenario
 from auvform.controller import AdaptiveGains, SurfaceConfig, adaptive_update
 from auvform.engine import (
     ControllerConfig,
@@ -33,7 +34,7 @@ from auvform.formation import (
     leader_reference,
 )
 from auvform.mpc import MpcConfig
-from auvform.plant import advance_plant, rk4_step
+from auvform.plant import advance_plant
 from auvform.thrusters import ThrusterConfig
 from auvform.vehicle import RigidBodyParams, euler_pose, inertial_rates, jacobian_inv
 
@@ -55,28 +56,6 @@ def quiet_scenario(**kw):
     )
     base.update(kw)
     return Scenario(**base)
-
-
-def test_rk4_matches_exponential():
-    decay = lambda y, t: -y
-    y = np.array([1.0])
-    dt = 0.01
-    for k in range(100):
-        y = rk4_step(decay, y, k * dt, dt)
-    assert abs(y[0] - np.exp(-1.0)) < 1e-9
-
-
-def test_rk4_observed_order():
-    # global error on y' = -y over [0, 1] scales as dt^4
-    decay = lambda y, t: -y
-    errors = []
-    for dt in (0.04, 0.02, 0.01):
-        y = np.array([1.0])
-        for k in range(round(1.0 / dt)):
-            y = rk4_step(decay, y, k * dt, dt)
-        errors.append(abs(y[0] - np.exp(-1.0)))
-    order = np.log(errors[0] / errors[2]) / np.log(4.0)
-    assert order >= 3.8
 
 
 def test_run_two_records_for_single_step():
@@ -131,6 +110,23 @@ def test_drag_only_motion_dissipates_energy():
         energy.append(0.5 * y[0, 6:] @ m @ y[0, 6:])
     energy = np.array(energy)
     assert np.all(np.diff(energy) <= 1e-12)
+
+
+def test_closed_loop_is_first_order_in_dt():
+    # 3 s of the shipped spiral, MPC shell off, at dt 0.02, 0.01, 0.005 and
+    # 0.0025: the worst final-position difference between successive dt was
+    # 3.60e-3, 1.71e-3 and 8.42e-4 m, halving by 2.11 and 2.03.  The band takes
+    # first order (ratio 2) and rejects second (ratio 4).
+    sc = parse_scenario(Path(__file__).resolve().parents[1] / "scenarios" / "spiral.yaml")
+    final = []
+    for dt in (0.02, 0.01, 0.005, 0.0025):
+        variant = dataclasses.replace(
+            sc, dt=dt, duration=3.0, mpc=dataclasses.replace(sc.mpc, enabled=False)
+        )
+        final.append(run(variant).eta[-1, :, :3])
+    diffs = [np.abs(a - b).max() for a, b in zip(final, final[1:])]
+    ratios = [diffs[0] / diffs[1], diffs[1] / diffs[2]]
+    assert all(1.6 <= r <= 2.8 for r in ratios), (diffs, ratios)
 
 
 def test_abort_on_nonfinite_state():
@@ -423,7 +419,7 @@ def test_pose_transforms_take_the_evaluated_pose():
 
     helpers = [
         vehicle.RigidBodyParams.restoring, vehicle.rotation_body_to_inertial,
-        vehicle.euler_rate_to_body, vehicle.body_rate_to_euler, vehicle.jacobian,
+        vehicle.euler_rate_to_body, vehicle.body_rate_to_euler, vehicle.body_wrench,
         vehicle.jacobian_inv, vehicle.jacobian_dot, vehicle.inertial_rates,
         vehicle.inertial_matrices, vehicle.acceleration_body, flow.disturbance_force,
     ]

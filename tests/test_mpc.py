@@ -18,7 +18,8 @@ from auvform.formation import FormationSpec
 from auvform.mpc import MpcConfig, MpcShell
 from auvform.plant import advance_plant
 from auvform.scenario import parse_scenario
-from auvform.vehicle import RigidBodyParams, euler_pose, jacobian, wrap_angle
+from auvform.vehicle import RigidBodyParams, wrap_angle
+from test_vehicle import ref_jacobian
 
 SPIRAL = Path(__file__).resolve().parents[1] / "scenarios" / "spiral.yaml"
 
@@ -50,7 +51,7 @@ def test_rollout_matches_plant_advance():
     y = y0
     for k in range(5):
         y = advance_plant(y, 1.0 + k * dt, tau, dt, params, flow)
-        expected = jacobian(euler_pose(y[3:6])) @ y[6:]
+        expected = ref_jacobian(y[3:6]) @ y[6:]
         np.testing.assert_allclose(rates[k], expected, atol=1e-9)
 
 
@@ -61,7 +62,7 @@ def test_rollout_one_step_horizon():
     rates = rollout(params, y0, tau, 1)
     est = params.estimated()
     y = advance_plant(y0, 0.0, tau, 0.01, est)
-    np.testing.assert_allclose(rates[0], jacobian(euler_pose(y[3:6])) @ y[6:], atol=1e-12)
+    np.testing.assert_allclose(rates[0], ref_jacobian(y[3:6]) @ y[6:], atol=1e-12)
 
 
 def _solve_setup(**cfg_kw):
@@ -72,7 +73,7 @@ def _solve_setup(**cfg_kw):
     nu = np.array([0.8, 0.0, -0.04, 0.0, 0.0, 0.0])
     y0 = np.concatenate([eta, nu])[None]
     e_d = eta[None]
-    ed_d = (jacobian(euler_pose(eta[3:])) @ nu)[None]
+    ed_d = (ref_jacobian(eta[3:]) @ nu)[None]
     edd_d = np.zeros((1, 6))
     return cfg, shell, y0, e_d, ed_d, edd_d
 
@@ -170,7 +171,7 @@ def full_rollout_cost(shell, y0, t, nominal, e_d, ed_d, edd_d):
 
     Every one of the n_e steps advances from y0 separately of the fleet, the
     disturbance is sampled inside each k1, and the rates go through the 6x6
-    jacobian.
+    Jacobian.
     """
     cfg, dt = shell.cfg, shell.dt
     u = np.clip(nominal, cfg.tau_lo, cfg.tau_hi)
@@ -180,7 +181,7 @@ def full_rollout_cost(shell, y0, t, nominal, e_d, ed_d, edd_d):
     y = y0
     for k in range(cfg.n_e):
         y = advance_plant(y, t + k * dt, u, dt, shell.params_est, shell.flow)
-        jac = jacobian(euler_pose(y[..., 3:6]))
+        jac = ref_jacobian(y[..., 3:6])
         rates[..., k, :] = np.einsum("...ij,...j->...i", jac, y[..., 6:])
     return np.sum((rates - ed_seq) ** 2, axis=(-1, -2))
 

@@ -23,8 +23,9 @@ import numpy as np
 from auvform import parse_scenario
 from auvform.flow import disturbance_force
 from auvform.plant import advance_plant
-from auvform.vehicle import euler_pose, inertial_rates, jacobian
+from auvform.vehicle import euler_pose, inertial_rates
 from test_plant import PARAMS
+from test_vehicle import ref_jacobian
 
 # the plant's off-diagonal inertia, undamped, with 2 N of net buoyancy
 CONSERVATIVE = dataclasses.replace(
@@ -99,7 +100,7 @@ def power(y: np.ndarray, t: float) -> np.ndarray:
     pose = euler_pose(eta[:, 3:])
     flow_v = FLOW.velocity(eta[:, :3], t)
     d_o = disturbance_force(flow_v, inertial_rates(pose, nu)[:, :3], pose[1], FLOW.disturbance)
-    tau_c = np.einsum("nji,nj->ni", jacobian(pose), d_o)
+    tau_c = np.einsum("nji,nj->ni", ref_jacobian(eta[:, 3:]), d_o)
     return np.einsum("ni,ni->n", nu, TAU - tau_c - DAMPED.damping_force(nu))
 
 

@@ -511,6 +511,12 @@ BAD_DOCS = {
     "baseline_lam_neg": MINIMAL + "controller: {baseline_lam: -2.1}\n",
     "baseline_lam_zero": MINIMAL + "controller: {baseline_lam: 0.0}\n",
     "baseline_w_neg": MINIMAL + "controller: {baseline_w_n: -5.0}\n",
+    "gamma_big_zero": MINIMAL + "controller: {gamma_big: 0}\n",
+    "gamma_big_neg": MINIMAL + "controller: {gamma_big: -1}\n",
+    "gamma_small_zero": MINIMAL + "controller: {gamma_small: 0}\n",
+    "gamma_small_tiny": MINIMAL + "controller: {gamma_small: 1.0e-300}\n",
+    "gamma_small_huge_neg": MINIMAL + "controller: {gamma_small: -1.0e+300}\n",
+    "lam_huge_neg": MINIMAL + "controller: {lam: -1.0e+300}\n",
 }
 
 
@@ -521,6 +527,8 @@ BAD_DOCS = {
         (["run", "{seed_yaml}", "-o", "{out}"], "seed must be nonnegative"),
         (["flow-grid", "{scenario}", "-o", "{out}", "--t", "abc"], ""),
         (["flow-grid", "{scenario}", "-o", "{out}", "--t", "1,nan"], ""),
+        (["flow-grid", "{scenario}", "-o", "{out}", "--t", ""],
+         "--t must be comma-separated finite times, got ''"),
         (["validate", "{seed_yaml}"], ""),
         (["validate", "{jet_yaml}"], ""),
         (["validate", "{seed_abc}"], "sim.seed: "),
@@ -550,15 +558,24 @@ BAD_DOCS = {
         (["validate", "{baseline_w_neg}"], "baseline_w_n must be nonnegative or null: got -5.0"),
         (["run", "{scenario}", "-o", "{out}", "--dt", "0.03"],
          "duration must be a whole number of steps: got 0.5 at dt 0.03"),
+        (["validate", "{gamma_big_zero}"], "gamma_big must be positive: got 0.0"),
+        (["validate", "{gamma_big_neg}"], "gamma_big must be positive: got -1.0"),
+        (["validate", "{gamma_small_zero}"], "gamma_small must be positive: got 0.0"),
+        (["validate", "{gamma_small_tiny}"],
+         "lam^2 gamma_small^2 (w_gain - phi) must be at least 4 phi gamma_big (w_gain + phi)"),
+        (["validate", "{gamma_small_huge_neg}"], "gamma_small must be positive: got -1e+300"),
+        (["validate", "{lam_huge_neg}"], "lam must be positive: got -1e+300"),
     ],
-    ids=["missing-file", "negative-seed", "t-not-a-number", "t-not-finite",
+    ids=["missing-file", "negative-seed", "t-not-a-number", "t-not-finite", "t-empty",
          "negative-seed-yaml", "jet-shape-yaml", "seed-not-an-int", "inertia-3-entries",
          "adaptive-k-2-entries", "workspace-1-entry", "layers-not-a-mapping",
          "sim-not-a-mapping", "seed-fraction", "n-e-fraction",
          "workspace-unordered", "dt-nan", "duration-inf", "duration-bool", "tau-hi-nan",
          "surface-gain-nan", "yaw-bool", "points-scalar", "offsets-scalar",
          "states-scalar", "points-repeat", "baseline-lam-negative", "baseline-lam-zero",
-         "baseline-w-negative", "dt-not-whole-steps"],
+         "baseline-w-negative", "dt-not-whole-steps", "gamma-big-zero", "gamma-big-negative",
+         "gamma-small-zero", "gamma-small-tiny", "gamma-small-huge-negative",
+         "lam-huge-negative"],
 )
 def test_cli_bad_input_is_a_scenario_error(tmp_path, argv, key):
     paths = {
@@ -572,6 +589,30 @@ def test_cli_bad_input_is_a_scenario_error(tmp_path, argv, key):
     assert done.stderr.startswith(f"scenario error: {key}")
     assert "Traceback" not in done.stderr
     assert not paths["out"].exists()
+
+
+def test_every_key_alone_at_an_extreme_value_is_valid_or_a_scenario_error(tmp_path, capsys):
+    # each _TABLE key alone, over MINIMAL, at 0, -1, +-1e300 and 1e-300: validate
+    # accepts the document or names what is wrong, and never raises
+    holes = []
+    for key, _, _ in _TABLE:
+        *blocks, name = key.split(".")
+        for value in (0, -1, 1e300, -1e300, 1e-300):
+            doc = yaml.safe_load(MINIMAL)
+            node = doc
+            for block in blocks:
+                node = node.setdefault(block, {})
+            node[name] = value
+            path = write(tmp_path, yaml.safe_dump(doc))
+            try:
+                code = cli_main(["validate", str(path)])
+            except Exception as exc:  # noqa: BLE001 - every escape is a hole
+                holes.append((key, value, type(exc).__name__))
+                continue
+            if code not in (0, 1):
+                holes.append((key, value, code))
+    capsys.readouterr()
+    assert not holes, holes
 
 
 @pytest.mark.parametrize(

@@ -36,7 +36,8 @@ def test_kinematic_transform_identity():
     zero = vm.euler_pose(np.zeros(3))
     np.testing.assert_allclose(vm.jacobian_inv(zero), np.eye(6), atol=1e-15)
     np.testing.assert_allclose(vm.euler_rate_to_body(zero[0]), np.eye(3), atol=1e-15)
-    np.testing.assert_allclose(vm.jacobian(zero), np.eye(6), atol=1e-15)
+    f = np.arange(1.0, 7.0)
+    np.testing.assert_allclose(vm.body_wrench(zero, f), f, atol=1e-15)
 
 
 def test_kinematic_transform_pure_yaw():
@@ -70,7 +71,7 @@ def test_jacobian_maps_body_rates():
     rng = np.random.default_rng(1)
     eta, nu = random_states(rng, 20)
     pose = vm.euler_pose(eta[:, 3:])
-    eta_dot = np.einsum("vij,vj->vi", vm.jacobian(pose), nu)
+    eta_dot = vm.inertial_rates(pose, nu)
     # invert through the defining relations of the rotation and T
     back = np.einsum("vij,vj->vi", vm.jacobian_inv(pose), eta_dot)
     np.testing.assert_allclose(back, nu, atol=1e-12)
@@ -148,7 +149,7 @@ def test_frame_consistency():
         tau = rng.uniform(-20.0, 20.0, 6)
         tau_c = rng.uniform(-5.0, 5.0, 6)
         qdot = acceleration_body(nu, tau, tau_c, params, pose)
-        jac = vm.jacobian(pose)
+        jac = ref_jacobian(eta[3:])
         jac_dot = vm.jacobian_dot(pose, nu[3:])
         edd_body_route = jac_dot @ nu + jac @ qdot
 
@@ -164,7 +165,7 @@ def f_r(eta, nu, edd_r, ed_r, params, scale):
     """f_r from the inertial terms at `scale`, as the engine forms f_hat_r."""
     pose = vm.euler_pose(eta[..., 3:])
     mats = inertial_matrices(pose, nu, params, scale=scale)
-    e_dot = np.einsum("...ij,...j->...i", vm.jacobian(pose), nu)
+    e_dot = np.einsum("...ij,...j->...i", ref_jacobian(eta[..., 3:]), nu)
     return vm.reference_dynamics(mats, edd_r, ed_r, e_dot)
 
 
@@ -445,21 +446,38 @@ def test_shared_pose_transforms_match_unfused_reference_bytes(shape):
         eta2, nu = pose_rows(shape, seed)
         assert np.max(np.abs(eta2[..., 1])) > POLE - 1e-3
         pose = vm.euler_pose(eta2)
-        assert_same_bytes(vm.jacobian(pose), ref_jacobian(eta2))
-        # J q against the 6x6 contraction the engine formed eta_dot with,
-        # alone and written into a column view of a wider array
-        rates = np.einsum("...ij,...j->...i", ref_jacobian(eta2), nu)
-        assert_same_bytes(vm.inertial_rates(pose, nu), rates)
-        wide = np.full(shape[:-1] + (9,), np.nan)
-        vm.inertial_rates(pose, nu, out=wide[..., 2:8])
-        assert_same_bytes(wide[..., 2:8], rates)
-        assert np.isnan(wide[..., [0, 1, 8]]).all()
+        # J q and J^T f against the 6x6 contractions with J, each alone and
+        # written into a column view of a wider array
+        jac = ref_jacobian(eta2)
+        for helper, subscripts in (
+            (vm.inertial_rates, "...ij,...j->...i"), (vm.body_wrench, "...ji,...j->...i")
+        ):
+            want = np.einsum(subscripts, jac, nu)
+            assert_same_bytes(helper(pose, nu), want)
+            wide = np.full(shape[:-1] + (9,), np.nan)
+            helper(pose, nu, out=wide[..., 2:8])
+            assert_same_bytes(wide[..., 2:8], want)
+            assert np.isnan(wide[..., [0, 1, 8]]).all()
         assert_same_bytes(vm.jacobian_inv(pose), ref_jacobian_inv(eta2))
         assert_same_bytes(vm.jacobian_dot(pose, nu[..., 3:]), ref_jacobian_dot(eta2, nu[..., 3:]))
         got = vm.inertial_matrices(pose, nu, params, scale=0.9)
         for g, w in zip(got, ref_inertial_matrices(eta2, nu, params, 0.9), strict=True):
             assert_same_bytes(g, w)
         assert_same_bytes(vm.euler_rate_to_body(pose[0]), ref_euler_rate_to_body(eta2))
+
+
+def test_body_wrench_matches_the_6x6_transpose_contraction_bytes_at_every_batch_size():
+    # J^T f blockwise gives the bytes of the 6x6 einsum with J's zero blocks at
+    # batch sizes 1 to 384, with exact and signed zeros in f and in the angles
+    rng = np.random.default_rng(23)
+    for n in range(1, 385):
+        eta2 = rng.uniform(-1.2, 1.2, (n, 3))
+        eta2[rng.random((n, 3)) < 0.2] = 0.0
+        f = rng.normal(0.0, 10.0, (n, 6))
+        f[rng.random((n, 6)) < 0.2] = 0.0
+        f[rng.random((n, 6)) < 0.2] = -0.0
+        want = np.einsum("...ji,...j->...i", ref_jacobian(eta2), f)
+        assert_same_bytes(vm.body_wrench(vm.euler_pose(eta2), f), want)
 
 
 # --- stacked inertia products against the four blockwise matmuls ----------
