@@ -294,12 +294,11 @@ def inertial_rates(pose: tuple, nu: np.ndarray, out: np.ndarray | None = None) -
     return out
 
 
-def body_wrench(pose: tuple, f: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+def body_wrench(pose: tuple, f: np.ndarray) -> np.ndarray:
     """The body wrench J(e)^T f of an inertial f blockwise, [R^T f1, T^-T f2]:
-    inertial_rates' mirror, with the same pose and out."""
+    inertial_rates' mirror, from the same pose."""
     _, rot, t_inv = pose
-    if out is None:
-        out = np.empty(f.shape)
+    out = np.empty(f.shape)
     _einsum("...ji,...j->...i", rot, f[..., POS], out=out[..., POS])
     _einsum("...ji,...j->...i", t_inv, f[..., ANG], out=out[..., ANG])
     return out
